@@ -9,7 +9,6 @@ baselines run inside the same harness for like-for-like comparison.
 """
 
 from .aggregation import (
-    ClusterAssignment,
     ClusterModel,
     cluster_aggregate,
     cluster_weights,
@@ -78,7 +77,6 @@ from .simulator import (
     build_scenario,
     clusters_for_clients,
     init_state,
-    run_baseline,
     run_round,
     run_training,
     simulate_latency,

@@ -17,31 +17,12 @@ import numpy as np
 from .model import ModelParams
 
 __all__ = [
-    "ClusterAssignment",
     "ClusterModel",
     "weighted_average",
     "cluster_aggregate",
     "cluster_weights",
     "global_aggregate",
 ]
-
-
-@dataclass
-class ClusterAssignment:
-    """Participants of one cluster: ids, memberships, and data sizes."""
-
-    cluster_id: int
-    client_ids: tuple[int, ...]
-    memberships: np.ndarray  # (len(client_ids),)
-    data_sizes: np.ndarray  # (len(client_ids),)
-
-    def __post_init__(self) -> None:
-        self.memberships = np.asarray(self.memberships, dtype=np.float64)
-        self.data_sizes = np.asarray(self.data_sizes, dtype=np.int64)
-        if not (
-            len(self.client_ids) == len(self.memberships) == len(self.data_sizes)
-        ):
-            raise ValueError("client_ids, memberships and data_sizes must align")
 
 
 @dataclass
@@ -86,24 +67,16 @@ def weighted_average(models: list[ModelParams], weights: np.ndarray) -> ModelPar
     return ModelParams(w, b)
 
 
-def cluster_aggregate(
-    anchor: ModelParams,
-    updates: list[tuple[ModelParams, float, int]],
-    proximal_coeff: float,
-) -> ClusterModel:
+def cluster_aggregate(updates: list[tuple[ModelParams, float, int]]) -> ClusterModel:
     """Fog-level reduction of one cluster's participant updates.
 
     Each update is (trained params, membership in this cluster, data size).
-    Parameters are averaged with membership weights; the proximal coefficient
-    and anchor describe how the updates were trained and are validated but not
-    re-applied here.
+    Parameters are averaged with membership weights.
 
     Returns a ClusterModel carrying the statistics the cloud tier needs:
     summed data volume and mean membership. cluster_id is filled by the
     caller via dataclasses.replace or direct assignment; it defaults to -1.
     """
-    if proximal_coeff < 0:
-        raise ValueError(f"proximal_coeff must be >= 0, got {proximal_coeff}")
     if not updates:
         raise ValueError("cluster has no participating updates")
     models = [u[0] for u in updates]
@@ -113,12 +86,6 @@ def cluster_aggregate(
         raise ValueError("memberships must lie in (0, 1]")
     if (sizes <= 0).any():
         raise ValueError("data sizes must be positive")
-    for m in models:
-        if not m.same_shape_as(anchor):
-            raise ValueError(
-                f"update shape {m.weights.shape} does not match anchor "
-                f"{anchor.weights.shape}"
-            )
     params = weighted_average(models, memberships)
     return ClusterModel(
         params=params,

@@ -41,7 +41,6 @@ class CalibrationState:
 
     confidence: float = 0.9
     threshold: float = 1.0
-    scores: np.ndarray | None = None  # sorted nonconformity scores
     recent_fnr: float = 0.0
     recent_fpr: float = 0.0
     resource_index: float = 0.0
@@ -191,5 +190,5 @@ def calibrate(
     scores = build_score_set(model.params, calibration_data)
     q = update_confidence(state)
     tau = quantile(scores, q)
-    new_state = replace(state, confidence=q, threshold=tau, scores=scores)
+    new_state = replace(state, confidence=q, threshold=tau)
     return CalibratedModel(params=model.params, threshold=tau, confidence=q), new_state

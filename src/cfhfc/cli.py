@@ -1,10 +1,10 @@
 """Command line front end: run, compare, report, defaults.
 
 Configuration comes from a named preset, an optional strict JSON config file
-(unknown keys are rejected with the offending field named), and CLI flag
-overrides, in that order. All emitted CSVs use a header row, LF line endings,
-and 9 significant digits for reals so that identical configurations produce
-byte-identical files.
+(unknown keys and mistyped values are rejected with the offending field
+named), and CLI flag overrides, in that order. All emitted CSVs use a header
+row, LF line endings, and 9 significant digits for reals so that identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+import types
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import CsvSource, DatasetSpec, SyntheticSource, materialize_clients
+from .data import CsvSource, SyntheticSource
 from .metrics import (
     argmax_decisions,
     classification_metrics,
@@ -27,21 +29,17 @@ from .metrics import (
     trapezoid_auc,
 )
 from .model import ModelParams
-from .simulator import (
+from .simulator import (  # init_state and run_round stay importable from here
     METHODS,
-    CalibrationConfig,
-    ClusterConfig,
-    LatencyModel,
     RoundReport,
     Scenario,
     build_scenario,
-    run_round,
     init_state,
+    materialize_scenario,
+    run_round,
+    run_training,
     straggler_metrics,
-    _should_stop,
 )
-from .clustering import ResourceWeights
-from .model import TrainConfig
 
 __all__ = ["main", "cmd_run", "cmd_compare", "cmd_report", "ConfigError"]
 
@@ -68,101 +66,99 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config codec: keys and types come from the Scenario dataclass tree
 
 
-_SCHEMA = {
-    "preset": None,
-    "method": None,
-    "seed": None,
-    "rounds": None,
-    "num_clients": None,
-    "num_clusters": None,
-    "straggler_fraction": None,
-    "straggler_slowdown": None,
-    "archetype_mix": None,
-    "attack_classes": None,
-    "dataset": {
-        "source": {
-            "type": None,
-            "num_classes": None,
-            "num_features": None,
-            "samples_per_class": None,
-            "class_separation": None,
-            "path": None,
-            "label_column": None,
-        },
-        "partition": None,
-        "concentration": None,
-        "shards_per_client": None,
-        "calibration_fraction": None,
-        "holdout_fraction": None,
-        "seed": None,
-    },
-    "train": {
-        "learning_rate": None,
-        "batch_size": None,
-        "local_epochs": None,
-        "dropout_rate": None,
-        "proximal_coeff": None,
-    },
-    "clustering": {
-        "fuzzifier": None,
-        "participation_floor": None,
-        "profile_jitter": None,
-        "max_iter": None,
-        "tol": None,
-        "weights": {"cpu": None, "memory": None, "bandwidth": None},
-    },
-    "calibration": {
-        "enabled": None,
-        "initial_confidence": None,
-        "fnr_sensitivity": None,
-        "fpr_sensitivity": None,
-        "resource_sensitivity": None,
-    },
-    "latency": {
-        "work_units_per_sample": None,
-        "bytes_per_param": None,
-        "round_overhead_s": None,
-        "cpu_floor": None,
-        "fedprox_partial_work": None,
-    },
+# Scenario fields whose config-file key differs from the field name
+_FILE_KEYS = {"train_cfg": "train", "cluster_cfg": "clustering", "calib_cfg": "calibration"}
+# the "type" key that picks a member of a union of dataclasses
+_TAGS = {SyntheticSource: "synthetic", CsvSource: "csv"}
+_KINDS = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
 }
 
 
-def _check_keys(cfg: dict, schema: dict, prefix: str = "") -> None:
-    for key, value in cfg.items():
-        path = f"{prefix}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown key {path!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"key {path!r} must be an object")
-            _check_keys(value, sub, prefix=f"{path}.")
+def _expect(value, kind: type, path: str):
+    """value itself, if it has the JSON type of kind; an int is also a float."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
-def _build_source(cfg: dict):
-    kind = cfg.get("type", "synthetic")
-    rest = {k: v for k, v in cfg.items() if k != "type"}
+def _decode(value, hint, path: str, base=None):
+    """Type-check one config value against its field's hint and build it.
+
+    A dataclass section merges onto base, the instance it replaces.
+    """
+    if isinstance(hint, types.UnionType):
+        options = [h for h in get_args(hint) if h is not type(None)]
+        if value is None and len(options) < len(get_args(hint)):
+            return None
+        if len(options) == 1:
+            hint = options[0]
+        else:  # a union of dataclasses, picked by the "type" key
+            tags = {_TAGS[cls]: cls for cls in options}
+            tag = _expect(value, dict, path).get("type", _TAGS.get(type(base)))
+            if tag not in tags:
+                raise ConfigError(f"{path}.type must be one of {sorted(tags)}, got {tag!r}")
+            hint = tags[tag]
+            value = {k: v for k, v in value.items() if k != "type"}
+            base = base if isinstance(base, hint) else None
+    if is_dataclass(hint):
+        return _decode_fields(value, hint, path, base)
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if get_origin(item) is tuple:  # pairs are written as a key -> value map
+            value_hint = get_args(item)[1]
+            return tuple(
+                (k, _decode(v, value_hint, f"{path}.{k}"))
+                for k, v in _expect(value, dict, path).items()
+            )
+        return tuple(
+            _decode(v, item, f"{path}[{i}]")
+            for i, v in enumerate(_expect(value, list, path))
+        )
+    return hint(_expect(value, hint, path))
+
+
+def _decode_fields(value, cls: type, path: str, base):
+    prefix = f"{path}." if path else ""
+    hints = get_type_hints(cls)
+    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    kwargs = {}
+    for key, item in _expect(value, dict, path or "config").items():
+        if key not in by_key:
+            raise ConfigError(f"unknown key {prefix + key!r}")
+        name = by_key[key].name
+        kwargs[name] = _decode(item, hints[name], prefix + key, getattr(base, name, None))
+    if base is None:
+        for f in fields(cls):
+            if f.name not in kwargs and f.default is f.default_factory is MISSING:
+                raise ConfigError(f"{prefix}{f.name} is required")
+    # every __post_init__ message starts with the offending field's name
     try:
-        if kind == "synthetic":
-            return SyntheticSource(**rest)
-        if kind == "csv":
-            return CsvSource(**rest)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dataset.source: {exc}") from exc
-    raise ConfigError(f"dataset.source.type must be 'synthetic' or 'csv', got {kind!r}")
+        return replace(base, **kwargs) if base is not None else cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _build_section(name: str, cls, cfg: dict, base=None):
-    try:
-        if base is not None:
-            return replace(base, **cfg)
-        return cls(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+def _encode(value):
+    """The config-file form of a dataclass tree, inverting _decode."""
+    if is_dataclass(value):
+        out = {"type": _TAGS[type(value)]} if type(value) in _TAGS else {}
+        for f in fields(value):
+            out[_FILE_KEYS.get(f.name, f.name)] = _encode(getattr(value, f.name))
+        return out
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return {k: _encode(v) for k, v in value}
+        return [_encode(v) for v in value]
+    return value
 
 
 def resolve_scenario(
@@ -174,200 +170,65 @@ def resolve_scenario(
     straggler_fraction: float | None = None,
     straggler_slowdown: float | None = None,
 ) -> Scenario:
-    """Merge preset, config file, and CLI overrides into a Scenario."""
+    """Merge preset, config file, and CLI overrides into a Scenario.
+
+    Every section of the config merges onto the preset's values. A seed
+    also seeds the dataset unless the config sets dataset.seed itself.
+    """
     cfg = dict(config) if config else {}
-    _check_keys(cfg, _SCHEMA)
-    preset = preset or cfg.pop("preset", None)
+    file_preset = _decode(cfg.pop("preset", None), str | None, "preset")
+    preset = preset or file_preset
+    flags = {
+        "method": method,
+        "seed": seed,
+        "rounds": rounds,
+        "straggler_fraction": straggler_fraction,
+        "straggler_slowdown": straggler_slowdown,
+    }
+    cfg.update({k: v for k, v in flags.items() if v is not None})
     try:
         scenario = build_scenario(preset) if preset else Scenario()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    top: dict = {}
-    for key in (
-        "method",
-        "seed",
-        "rounds",
-        "num_clients",
-        "num_clusters",
-        "straggler_fraction",
-        "straggler_slowdown",
-    ):
-        if key in cfg:
-            top[key] = cfg[key]
-    if "archetype_mix" in cfg:
-        mix = cfg["archetype_mix"]
-        if not isinstance(mix, dict):
-            raise ConfigError("archetype_mix must map archetype names to fractions")
-        top["archetype_mix"] = tuple((k, float(v)) for k, v in mix.items())
-    if "attack_classes" in cfg:
-        top["attack_classes"] = tuple(int(c) for c in cfg["attack_classes"])
-
-    dataset = scenario.dataset
-    dataset_seed_explicit = False
-    if "dataset" in cfg:
-        dcfg = dict(cfg["dataset"])
-        if "source" in dcfg:
-            dcfg["source"] = _build_source(dcfg["source"])
-        dataset_seed_explicit = "seed" in dcfg
-        dataset = _build_section("dataset", DatasetSpec, dcfg, base=dataset)
-    train_cfg = scenario.train_cfg
-    if "train" in cfg:
-        train_cfg = _build_section("train", TrainConfig, cfg["train"], base=train_cfg)
-    cluster_cfg = scenario.cluster_cfg
-    if "clustering" in cfg:
-        ccfg = dict(cfg["clustering"])
-        if "weights" in ccfg:
-            ccfg["weights"] = _build_section(
-                "clustering.weights", ResourceWeights, ccfg["weights"]
-            )
-        cluster_cfg = _build_section(
-            "clustering", ClusterConfig, ccfg, base=cluster_cfg
-        )
-    calib_cfg = scenario.calib_cfg
-    if "calibration" in cfg:
-        calib_cfg = _build_section(
-            "calibration", CalibrationConfig, cfg["calibration"], base=calib_cfg
-        )
-    latency = scenario.latency
-    if "latency" in cfg:
-        latency = _build_section("latency", LatencyModel, cfg["latency"], base=latency)
-
-    # CLI flags override the file
-    if method is not None:
-        top["method"] = method
-    if seed is not None:
-        top["seed"] = seed
-    if rounds is not None:
-        top["rounds"] = rounds
-    if straggler_fraction is not None:
-        top["straggler_fraction"] = straggler_fraction
-    if straggler_slowdown is not None:
-        top["straggler_slowdown"] = straggler_slowdown
-
-    if "seed" in top and not dataset_seed_explicit:
-        dataset = replace(dataset, seed=int(top["seed"]))
-
-    try:
-        return replace(
-            scenario,
-            dataset=dataset,
-            train_cfg=train_cfg,
-            cluster_cfg=cluster_cfg,
-            calib_cfg=calib_cfg,
-            latency=latency,
-            **top,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = _decode(cfg, Scenario, "", scenario)
+    if "seed" in cfg and "seed" not in cfg.get("dataset", {}):
+        scenario = replace(scenario, dataset=replace(scenario.dataset, seed=scenario.seed))
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize a Scenario into the config file schema (round-trippable)."""
-    source = scenario.dataset.source
-    if isinstance(source, SyntheticSource):
-        source_dict = {
-            "type": "synthetic",
-            "num_classes": source.num_classes,
-            "num_features": source.num_features,
-            "samples_per_class": source.samples_per_class,
-            "class_separation": source.class_separation,
-        }
-    else:
-        source_dict = {
-            "type": "csv",
-            "path": source.path,
-            "label_column": source.label_column,
-            "num_classes": source.num_classes,
-        }
-    return {
-        "method": scenario.method,
-        "seed": scenario.seed,
-        "rounds": scenario.rounds,
-        "num_clients": scenario.num_clients,
-        "num_clusters": scenario.num_clusters,
-        "straggler_fraction": scenario.straggler_fraction,
-        "straggler_slowdown": scenario.straggler_slowdown,
-        "archetype_mix": {name: frac for name, frac in scenario.archetype_mix},
-        "attack_classes": (
-            list(scenario.attack_classes)
-            if scenario.attack_classes is not None
-            else sorted(scenario.resolved_attack_classes(scenario.dataset.num_classes))
-        ),
-        "dataset": {
-            "source": source_dict,
-            "partition": scenario.dataset.partition,
-            "concentration": scenario.dataset.concentration,
-            "shards_per_client": scenario.dataset.shards_per_client,
-            "calibration_fraction": scenario.dataset.calibration_fraction,
-            "holdout_fraction": scenario.dataset.holdout_fraction,
-            "seed": scenario.dataset.seed,
-        },
-        "train": {
-            "learning_rate": scenario.train_cfg.learning_rate,
-            "batch_size": scenario.train_cfg.batch_size,
-            "local_epochs": scenario.train_cfg.local_epochs,
-            "dropout_rate": scenario.train_cfg.dropout_rate,
-            "proximal_coeff": scenario.train_cfg.proximal_coeff,
-        },
-        "clustering": {
-            "fuzzifier": scenario.cluster_cfg.fuzzifier,
-            "participation_floor": scenario.cluster_cfg.participation_floor,
-            "profile_jitter": scenario.cluster_cfg.profile_jitter,
-            "max_iter": scenario.cluster_cfg.max_iter,
-            "tol": scenario.cluster_cfg.tol,
-            "weights": {
-                "cpu": scenario.cluster_cfg.weights.cpu,
-                "memory": scenario.cluster_cfg.weights.memory,
-                "bandwidth": scenario.cluster_cfg.weights.bandwidth,
-            },
-        },
-        "calibration": {
-            "enabled": scenario.calib_cfg.enabled,
-            "initial_confidence": scenario.calib_cfg.initial_confidence,
-            "fnr_sensitivity": scenario.calib_cfg.fnr_sensitivity,
-            "fpr_sensitivity": scenario.calib_cfg.fpr_sensitivity,
-            "resource_sensitivity": scenario.calib_cfg.resource_sensitivity,
-        },
-        "latency": {
-            "work_units_per_sample": scenario.latency.work_units_per_sample,
-            "bytes_per_param": scenario.latency.bytes_per_param,
-            "round_overhead_s": scenario.latency.round_overhead_s,
-            "cpu_floor": scenario.latency.cpu_floor,
-            "fedprox_partial_work": scenario.latency.fedprox_partial_work,
-        },
-    }
+    out = _encode(scenario)
+    if scenario.attack_classes is None:
+        out["attack_classes"] = sorted(
+            scenario.resolved_attack_classes(scenario.dataset.num_classes)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _train_with_state(scenario: Scenario):
-    state = init_state(scenario)
-    reports: list[RoundReport] = []
-    converged = None
-    for _ in range(scenario.rounds):
-        state, report = run_round(state, scenario)
-        reports.append(report)
-        if _should_stop(state.accuracy_trace):
-            converged = report.round_index
-            break
-    return reports, state, converged
+# RoundReport fields written per round by run and compare, after the round index
+_ROUND_COLUMNS = (
+    "global_loss",
+    "accuracy",
+    "precision",
+    "recall",
+    "f1",
+    "fpr",
+    "fnr",
+    "sync_latency_s",
+)
+
+
+def _round_row(report: RoundReport) -> list:
+    return [report.round_index] + [getattr(report, c) for c in _ROUND_COLUMNS]
 
 
 def _rounds_rows(scenario: Scenario, reports: list[RoundReport]):
-    header = [
-        "round",
-        "global_loss",
-        "accuracy",
-        "precision",
-        "recall",
-        "f1",
-        "fpr",
-        "fnr",
-        "sync_latency_s",
-    ]
+    header = ["round", *_ROUND_COLUMNS]
     cluster_detail = scenario.method == "cfhfc"
     if cluster_detail:
         for k in range(scenario.num_clusters):
@@ -380,17 +241,7 @@ def _rounds_rows(scenario: Scenario, reports: list[RoundReport]):
             ]
     rows = []
     for r in reports:
-        row = [
-            r.round_index,
-            r.global_loss,
-            r.accuracy,
-            r.precision,
-            r.recall,
-            r.f1,
-            r.fpr,
-            r.fnr,
-            r.sync_latency_s,
-        ]
+        row = _round_row(r)
         if cluster_detail:
             stats = {s.cluster_id: s for s in r.cluster_stats}
             for k in range(scenario.num_clusters):
@@ -403,7 +254,7 @@ def _rounds_rows(scenario: Scenario, reports: list[RoundReport]):
     return header, rows
 
 
-def _final_summary(scenario: Scenario, reports: list[RoundReport], state, converged):
+def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
     final = reports[-1]
     auc = None
     if state.holdout is not None:
@@ -417,7 +268,7 @@ def _final_summary(scenario: Scenario, reports: list[RoundReport], state, conver
         "method": scenario.method,
         "seed": scenario.seed,
         "rounds_run": len(reports),
-        "converged_round": converged,
+        "converged_round": state.converged_round,
         "final": {
             "loss": final.global_loss,
             "accuracy": final.accuracy,
@@ -439,12 +290,12 @@ def cmd_run(scenario: Scenario, out_dir: str | Path) -> int:
     """Train one method and persist rounds.csv, summary.json, config, model."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports, state, converged = _train_with_state(scenario)
+    reports, state = run_training(scenario, return_state=True)
     if not reports:
         raise RuntimeError("scenario ran zero rounds; nothing to report")
     header, rows = _rounds_rows(scenario, reports)
     _write_csv(out / "rounds.csv", header, rows)
-    summary = _final_summary(scenario, reports, state, converged)
+    summary = _final_summary(scenario, reports, state)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     (out / "config.resolved.json").write_text(
         json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
@@ -471,42 +322,16 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
             raise ConfigError(f"unknown method {m!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = [
-        "method",
-        "round",
-        "global_loss",
-        "accuracy",
-        "precision",
-        "recall",
-        "f1",
-        "fpr",
-        "fnr",
-        "sync_latency_s",
-    ]
     rows = []
     finals: dict[str, dict] = {}
     mean_sync: dict[str, float] = {}
     for method in methods:
         run_scenario = replace(scenario, method=method)
-        reports, state, converged = _train_with_state(run_scenario)
-        for r in reports:
-            rows.append(
-                [
-                    method,
-                    r.round_index,
-                    r.global_loss,
-                    r.accuracy,
-                    r.precision,
-                    r.recall,
-                    r.f1,
-                    r.fpr,
-                    r.fnr,
-                    r.sync_latency_s,
-                ]
-            )
-        finals[method] = _final_summary(run_scenario, reports, state, converged)
+        reports, state = run_training(run_scenario, return_state=True)
+        rows += [[method] + _round_row(r) for r in reports]
+        finals[method] = _final_summary(run_scenario, reports, state)
         mean_sync[method] = finals[method]["latency"]["mean_sync_s"]
-    _write_csv(out / "compare.csv", header, rows)
+    _write_csv(out / "compare.csv", ["method", "round", *_ROUND_COLUMNS], rows)
 
     reference = "fedavg" if "fedavg" in methods else methods[0]
     sweep = straggler_metrics(
@@ -558,8 +383,7 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     scenario = resolve_scenario(None, json.loads(config_path.read_text()))
     raw_model = json.loads(model_path.read_text())
     model = ModelParams(np.array(raw_model["weights"]), np.array(raw_model["biases"]))
-    min_samples = max(2 * scenario.train_cfg.batch_size, 64)
-    _, holdout = materialize_clients(scenario.dataset, scenario.num_clients, min_samples)
+    _, holdout = materialize_scenario(scenario)
     if holdout is None:
         raise ConfigError("run has no holdout split; cannot build a report")
     attack = scenario.resolved_attack_classes(scenario.dataset.num_classes)

@@ -55,9 +55,13 @@ class ResourceWeights:
     def __post_init__(self) -> None:
         values = (self.cpu, self.memory, self.bandwidth)
         if any(v < 0 for v in values):
-            raise ValueError(f"weights must be non-negative, got {values}")
+            raise ValueError(
+                f"cpu, memory and bandwidth must be non-negative, got {values}"
+            )
         if abs(sum(values) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(values)}")
+            raise ValueError(
+                f"cpu + memory + bandwidth must sum to 1, got {sum(values)}"
+            )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cpu, self.memory, self.bandwidth])

@@ -90,6 +90,10 @@ class DatasetSpec:
             raise ValueError(
                 f"concentration must be positive, got {self.concentration}"
             )
+        if self.shards_per_client < 1:
+            raise ValueError(
+                f"shards_per_client must be >= 1, got {self.shards_per_client}"
+            )
         if not 0.0 <= self.calibration_fraction < 1.0:
             raise ValueError(
                 f"calibration_fraction must lie in [0, 1), got "

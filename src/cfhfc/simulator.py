@@ -67,7 +67,7 @@ __all__ = [
     "init_state",
     "run_round",
     "run_training",
-    "run_baseline",
+    "materialize_scenario",
     "simulate_latency",
     "straggler_metrics",
 ]
@@ -148,6 +148,8 @@ class ClusterConfig:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
+        if self.fuzzifier <= 1.0:
+            raise ValueError(f"fuzzifier must be > 1, got {self.fuzzifier}")
         if not 0.0 <= self.participation_floor < 1.0:
             raise ValueError("participation_floor must lie in [0, 1)")
         if not 0.0 <= self.profile_jitter < 1.0:
@@ -212,6 +214,15 @@ class Scenario:
         for name, _ in self.archetype_mix:
             if name not in ARCHETYPES:
                 raise ValueError(f"unknown archetype {name!r}")
+        if self.attack_classes is not None:
+            num_classes = self.dataset.num_classes
+            if not self.attack_classes or not all(
+                0 <= c < num_classes for c in self.attack_classes
+            ):
+                raise ValueError(
+                    f"attack_classes must be a non-empty subset of "
+                    f"[0, {num_classes}), got {list(self.attack_classes)}"
+                )
 
     def resolved_attack_classes(self, num_classes: int) -> frozenset[int]:
         if self.attack_classes is not None:
@@ -347,18 +358,28 @@ class TrainingState:
     stragglers: np.ndarray
     calib_states: list[CalibrationState]
     accuracy_trace: list[float] = field(default_factory=list)
+    converged_round: int | None = None  # round at which early stopping fired
 
     @property
     def num_classes(self) -> int:
         return self.global_model.num_classes
 
 
+def materialize_scenario(
+    scenario: Scenario,
+) -> tuple[list[ClientDataset], LabeledBatch | None]:
+    """The scenario's client datasets and holdout.
+
+    A dirichlet partition tops each client up to two minibatches, and to no
+    fewer than 64 rows.
+    """
+    min_samples = max(2 * scenario.train_cfg.batch_size, 64)
+    return materialize_clients(scenario.dataset, scenario.num_clients, min_samples)
+
+
 def init_state(scenario: Scenario) -> TrainingState:
     """Materialize data and zero-initialize the shared model."""
-    min_samples = max(2 * scenario.train_cfg.batch_size, 64)
-    clients, holdout = materialize_clients(
-        scenario.dataset, scenario.num_clients, min_samples
-    )
+    clients, holdout = materialize_scenario(scenario)
     archetype_names = _assign_archetypes(scenario)
     profiles = [archetype_profile(name) for name in archetype_names]
     num_features = clients[0].train.features.shape[1]
@@ -513,10 +534,7 @@ def simulate_latency(
     profiles = [archetype_profile(name) for name in archetype_names]
     stragglers = _pick_stragglers(scenario, archetype_names)
     if sizes is None:
-        min_samples = max(2 * scenario.train_cfg.batch_size, 64)
-        clients, _ = materialize_clients(
-            scenario.dataset, scenario.num_clients, min_samples
-        )
+        clients, _ = materialize_scenario(scenario)
         sizes = np.array([c.size for c in clients], dtype=np.float64)
     else:
         sizes = np.asarray(sizes, dtype=np.float64)
@@ -589,7 +607,7 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
                 (updated[i], float(memberships[i, k]), int(sizes[i]))
                 for i in participants
             ]
-            cluster_model = cluster_aggregate(anchor, updates, cfg.proximal_coeff)
+            cluster_model = cluster_aggregate(updates)
             cluster_model.cluster_id = k
             stat = ClusterRoundStat(
                 cluster_id=k,
@@ -685,8 +703,9 @@ def run_training(
     """Run the configured method for up to scenario.rounds rounds.
 
     Training stops early once global accuracy moves by less than 1e-4 over
-    five consecutive rounds. Set return_state to also receive the final
-    state (global model, calibration states).
+    five consecutive rounds; the final state records that round as
+    converged_round. Set return_state to also receive the final state
+    (global model, calibration states).
     """
     state = init_state(scenario)
     reports: list[RoundReport] = []
@@ -694,19 +713,11 @@ def run_training(
         state, report = run_round(state, scenario)
         reports.append(report)
         if _should_stop(state.accuracy_trace):
+            state.converged_round = report.round_index
             break
     if return_state:
         return reports, state
     return reports
-
-
-def run_baseline(scenario: Scenario) -> list[RoundReport]:
-    """Run one of the flat baselines (fedavg or fedprox)."""
-    if scenario.method not in ("fedavg", "fedprox"):
-        raise ValueError(
-            f"run_baseline expects method fedavg or fedprox, got {scenario.method!r}"
-        )
-    return run_training(scenario)
 
 
 def _scaled_scenario(scenario: Scenario, num_clients: int, method: str, fraction: float) -> Scenario:
@@ -746,9 +757,9 @@ def straggler_metrics(
     """
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:
-        base = _scaled_scenario(scenario, n, scenario.method, 0.0)
-        min_samples = max(2 * base.train_cfg.batch_size, 64)
-        clients, _ = materialize_clients(base.dataset, n, min_samples)
+        clients, _ = materialize_scenario(
+            _scaled_scenario(scenario, n, scenario.method, 0.0)
+        )
         mean_size = float(np.mean([c.size for c in clients]))
         sizes = np.full(n, round(mean_size), dtype=np.float64)
         for method in methods:

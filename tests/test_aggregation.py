@@ -115,9 +115,8 @@ class TestWeightedAverage:
 class TestClusterAggregate:
     def test_membership_weighted_mean(self):
         rng = np.random.default_rng(6)
-        anchor = random_model(rng)
         p1, p2 = random_model(rng), random_model(rng)
-        out = cluster_aggregate(anchor, [(p1, 0.8, 100), (p2, 0.4, 50)], 0.6)
+        out = cluster_aggregate([(p1, 0.8, 100), (p2, 0.4, 50)])
         want = manual_average([p1, p2], [0.8, 0.4])
         np.testing.assert_allclose(out.params.weights, want.weights, atol=1e-12)
         np.testing.assert_allclose(out.params.biases, want.biases, atol=1e-12)
@@ -128,31 +127,24 @@ class TestClusterAggregate:
         """With uniform memberships the fog tier ignores data sizes, which is
         exactly the FedAvg reduction over the cluster."""
         rng = np.random.default_rng(7)
-        anchor = random_model(rng)
         models = [random_model(rng) for _ in range(3)]
         updates = [(models[0], 0.5, 10), (models[1], 0.5, 9000), (models[2], 0.5, 1)]
-        out = cluster_aggregate(anchor, updates, 0.0)
+        out = cluster_aggregate(updates)
         want = weighted_average(models, np.array([1.0, 1.0, 1.0]))
         np.testing.assert_array_equal(out.params.weights, want.weights)
         np.testing.assert_array_equal(out.params.biases, want.biases)
 
     def test_validation_errors(self):
         rng = np.random.default_rng(8)
-        anchor = random_model(rng)
         good = (random_model(rng), 0.5, 10)
         with pytest.raises(ValueError, match="no participating updates"):
-            cluster_aggregate(anchor, [], 0.6)
+            cluster_aggregate([])
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            cluster_aggregate(anchor, [(good[0], 0.0, 10)], 0.6)
+            cluster_aggregate([(good[0], 0.0, 10)])
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            cluster_aggregate(anchor, [(good[0], 1.2, 10)], 0.6)
+            cluster_aggregate([(good[0], 1.2, 10)])
         with pytest.raises(ValueError, match="sizes must be positive"):
-            cluster_aggregate(anchor, [(good[0], 0.5, 0)], 0.6)
-        with pytest.raises(ValueError, match="proximal_coeff"):
-            cluster_aggregate(anchor, [good], -0.1)
-        narrow = ModelParams(np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(ValueError, match="does not match anchor"):
-            cluster_aggregate(anchor, [(narrow, 0.5, 10)], 0.6)
+            cluster_aggregate([(good[0], 0.5, 0)])
 
 
 class TestClusterWeights:

@@ -229,7 +229,6 @@ class TestCalibrate:
         assert calibrated.threshold == expected_tau
         assert new_state.confidence == expected_q
         assert new_state.threshold == expected_tau
-        np.testing.assert_array_equal(new_state.scores, expected_scores)
 
     def test_input_state_not_mutated(self):
         rng = np.random.default_rng(4)
@@ -238,7 +237,6 @@ class TestCalibrate:
         state = CalibrationState(confidence=0.9, recent_fnr=0.2)
         calibrate(self.make_cluster(params), batch, state)
         assert state.confidence == 0.9
-        assert state.scores is None
 
     def test_empty_calibration_data_rejected(self):
         """A single sample calibrates fine; an empty batch cannot even be

@@ -4,11 +4,15 @@ Every test drives main() with a real argv and inspects artifacts on disk;
 repeat invocations must produce byte-identical files.
 """
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from cfhfc.cli import main
+from cfhfc.cli import main, resolve_scenario, scenario_to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_CONFIG = {
     "method": "cfhfc",
@@ -35,12 +39,33 @@ SMALL_CONFIG = {
     },
 }
 
+CSV_CONFIG = {
+    "method": "fedprox",
+    "seed": 5,
+    "num_clients": 6,
+    "num_clusters": 3,
+    "archetype_mix": {"pi3": 0.5, "pi400": 0.5},
+    "attack_classes": [3, 1],
+    "dataset": {
+        "source": {"type": "csv", "path": "traffic.csv", "label_column": "class",
+                   "num_classes": 5},
+        "partition": "by_class_shards",
+    },
+    "clustering": {"weights": {"cpu": 0.5, "memory": 0.25, "bandwidth": 0.25}},
+}
+
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CONFIG))
     return path
+
+
+def resolved_bytes(preset, config) -> bytes:
+    """The resolved configuration as `run` writes it to config.resolved.json."""
+    scenario = resolve_scenario(preset, config)
+    return (json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n").encode()
 
 
 def read_all(directory, names):
@@ -122,6 +147,59 @@ class TestRun:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        ("seed", 1.5),
+        ("num_clients", 4.5),
+        ("train.batch_size", 1e9),
+        ("rounds", True),
+        ("calibration.enabled", "no"),
+        ("attack_classes", "12"),
+        ("attack_classes", [7]),
+        ("attack_classes", []),
+        ("dataset.shards_per_client", 0),
+        ("clustering.fuzzifier", 1.0),
+    ])
+    def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
+                                                          path, value):
+        """Bad values fail before any data is generated, not as runtime errors."""
+        bad = copy.deepcopy(SMALL_CONFIG)
+        *sections, key = path.split(".")
+        node = bad
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(bad))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestResolve:
+    def test_partial_source_merges_onto_preset(self):
+        scenario = resolve_scenario(
+            "scenario1", {"dataset": {"source": {"num_features": 10}}}
+        )
+        assert scenario.dataset.source.num_features == 10
+        assert scenario.dataset.source.samples_per_class == 10000
+
+    def test_preset_argument_overrides_config_preset(self):
+        scenario = resolve_scenario("scenario2", {"preset": "scenario1"})
+        assert scenario.num_clients == 50
+
+    @pytest.mark.parametrize("name, preset, config", [
+        ("scenario1", "scenario1", None),
+        ("scenario2", "scenario2", None),
+        ("scenario3", "scenario3", None),
+        ("small", None, SMALL_CONFIG),
+        ("csv", None, CSV_CONFIG),
+    ])
+    def test_resolved_config_matches_golden(self, name, preset, config):
+        golden = (GOLDEN / f"{name}.resolved.json").read_bytes()
+        assert resolved_bytes(preset, config) == golden
+        assert resolved_bytes(None, json.loads(golden)) == golden
 
 
 class TestCompare:
@@ -222,11 +300,15 @@ class TestDefaults:
         assert cfg["calibration"]["initial_confidence"] == 0.9
         assert cfg["clustering"]["fuzzifier"] == 3.0
 
+    def test_matches_golden(self, capsys):
+        assert main(["defaults"]) == 0
+        golden = (GOLDEN / "defaults.json").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
+        assert resolved_bytes(None, json.loads(golden)) == golden
+
     def test_defaults_round_trip_through_resolver(self, capsys, tmp_path):
         main(["defaults"])
         cfg = json.loads(capsys.readouterr().out)
-        from cfhfc.cli import resolve_scenario
-
         scenario = resolve_scenario(None, cfg)
         assert scenario.method == "cfhfc"
         assert scenario.num_clients == 20

@@ -22,7 +22,6 @@ from cfhfc import (
     clusters_for_clients,
     init_state,
     local_train,
-    run_baseline,
     run_round,
     run_training,
     simulate_latency,
@@ -194,13 +193,10 @@ class TestRoundLoop:
 
     def test_frozen_model_stops_early(self):
         scenario = small_scenario(rounds=20, learning_rate=0.0)
-        reports = run_training(scenario)
+        reports, state = run_training(scenario, return_state=True)
         assert len(reports) == 6  # five zero deltas end the run
         assert len({r.accuracy for r in reports}) == 1
-
-    def test_run_baseline_rejects_clustered_method(self):
-        with pytest.raises(ValueError, match="fedavg or fedprox"):
-            run_baseline(small_scenario(method="cfhfc"))
+        assert state.converged_round == 5
 
 
 class TestMethodReductions:
