@@ -18,10 +18,10 @@ from .aggregation import (
 from .calibration import (
     CalibratedModel,
     CalibrationState,
+    SUSPICIOUS,
     Decision,
     build_score_set,
     calibrate,
-    nonconformity_score,
     predict_with_calibration,
     quantile,
     update_confidence,

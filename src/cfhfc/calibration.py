@@ -23,8 +23,9 @@ __all__ = [
     "CalibrationState",
     "CalibratedModel",
     "Decision",
+    "Decisions",
     "CONFIDENCE_BOUNDS",
-    "nonconformity_score",
+    "SUSPICIOUS",
     "build_score_set",
     "quantile",
     "update_confidence",
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 CONFIDENCE_BOUNDS = (0.5, 0.999)
+SUSPICIOUS = -1  # label of a row whose prediction set is empty
 
 
 @dataclass
@@ -87,14 +89,29 @@ class Decision:
         return len(self.prediction_set)
 
 
-def nonconformity_score(probs: np.ndarray, label: int) -> float:
-    """One minus the probability assigned to the label."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValueError(f"probs must be 1-D, got shape {probs.shape}")
-    if not 0 <= label < len(probs):
-        raise ValueError(f"label {label} out of range for {len(probs)} classes")
-    return float(1.0 - probs[label])
+@dataclass(frozen=True)
+class Decisions:
+    """Set-valued decisions for a block of rows, held as arrays.
+
+    labels holds each row's reported class, or SUSPICIOUS when its
+    prediction set is empty; members is the (n, num_classes) set mask.
+    Iterating yields one Decision per row.
+    """
+
+    labels: np.ndarray
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        for label, row in zip(self.labels, self.members):
+            prediction_set = tuple(int(c) for c in np.flatnonzero(row))
+            if not prediction_set:
+                yield Decision("suspicious", None, ())
+            else:
+                kind = "single_label" if len(prediction_set) == 1 else "resolved_tie"
+                yield Decision(kind, int(label), prediction_set)
 
 
 def build_score_set(params: ModelParams, data: LabeledBatch) -> np.ndarray:
@@ -146,31 +163,21 @@ def update_confidence(state: CalibrationState) -> float:
 
 def predict_with_calibration(
     model: CalibratedModel, features: np.ndarray
-) -> list[Decision]:
+) -> Decisions:
     """Set-valued decisions for each feature row.
 
     A class joins the prediction set when its nonconformity score is at or
     below the threshold. Singleton sets yield that label, larger sets resolve
-    to the most probable member, and empty sets are flagged suspicious.
+    to the most probable member (the lowest class id on equal probability),
+    and empty sets are flagged suspicious.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     probs = predict_proba(model.params, features)
-    scores = 1.0 - probs
-    decisions: list[Decision] = []
-    for row_scores, row_probs in zip(scores, probs):
-        members = np.flatnonzero(row_scores <= model.threshold)
-        if members.size == 0:
-            decisions.append(Decision("suspicious", None, ()))
-        elif members.size == 1:
-            decisions.append(Decision("single_label", int(members[0]), (int(members[0]),)))
-        else:
-            best = members[int(row_probs[members].argmax())]
-            decisions.append(
-                Decision("resolved_tie", int(best), tuple(int(c) for c in members))
-            )
-    return decisions
+    members = 1.0 - probs <= model.threshold
+    best = np.where(members, probs, -np.inf).argmax(axis=1)
+    return Decisions(np.where(members.any(axis=1), best, SUSPICIOUS), members)
 
 
 def calibrate(

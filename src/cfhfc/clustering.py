@@ -85,14 +85,11 @@ def minmax_scale(values: np.ndarray) -> np.ndarray:
     """Column-wise min-max scaling to [0,1]; constant columns map to 0.5."""
     values = np.asarray(values, dtype=np.float64)
     lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        if span[j] == 0.0:
-            out[:, j] = 0.5
-        else:
-            out[:, j] = (values[:, j] - lo[j]) / span[j]
+    span = values.max(axis=0) - lo
+    constant = span == 0.0
+    out = values - lo
+    out /= np.where(constant, 1.0, span)
+    out[:, constant] = 0.5
     return out
 
 
@@ -144,18 +141,14 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     centroids the point coincides with, which keeps duplicate centroids
     populated and is symmetric when every distance is zero.
     """
-    n, k = dist.shape
-    out = np.zeros((n, k))
-    exponent = 2.0 / (m - 1.0)
-    for i in range(n):
-        zeros = dist[i] == 0.0
-        if zeros.any():
-            out[i, zeros] = 1.0 / zeros.sum()
-            continue
-        # mu_ik = 1 / sum_r (d_ik / d_ir)^(2/(m-1)), numerically safe for tiny d
-        with np.errstate(over="ignore"):
-            ratios = (dist[i][:, None] / dist[i][None, :]) ** exponent
-            out[i] = 1.0 / ratios.sum(axis=1)
+    zeros = dist == 0.0
+    # mu_ik = 1 / sum_r (d_ik / d_ir)^(2/(m-1)), numerically safe for tiny d;
+    # rows with a zero distance divide by zero here and are overwritten below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = (dist[:, :, None] / dist[:, None, :]) ** (2.0 / (m - 1.0))
+        out = 1.0 / ratios.sum(axis=2)
+    hit = zeros.any(axis=1)
+    out[hit] = zeros[hit] / zeros[hit].sum(axis=1, keepdims=True)
     return out
 
 

@@ -67,6 +67,12 @@ class CsvSource:
     label_column: str = "label"
     num_classes: int = 2
 
+    @property
+    def num_features(self) -> int:
+        """Feature columns in the file's header: every column but the label."""
+        with Path(self.path).open(newline="") as fh:
+            return len(next(csv.reader(fh), [])) - 1
+
 
 @dataclass
 class DatasetSpec:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibratedModel, Decision
+from .calibration import SUSPICIOUS
 from .model import LabeledBatch, ModelParams, predict_proba
 
 __all__ = [
@@ -85,19 +85,22 @@ class MetricReport:
 
 
 def confusion(
-    predictions: list[Decision],
+    predictions: np.ndarray,
     truths: np.ndarray,
     attack_classes: frozenset[int] | set[int],
     num_classes: int,
     suspicious_as_attack: bool = True,
 ) -> ConfusionCounts:
-    """Tabulate decisions against ground truth.
+    """Tabulate predicted labels against ground truth.
 
-    Binary counts treat membership in attack_classes as the positive class.
-    Suspicious decisions are booked as attack flags when suspicious_as_attack
-    is set (the deployment default); in the per-class matrix they are
-    assigned the lowest attack class id so the matrix keeps full support.
+    predictions holds one class id per row, or SUSPICIOUS where the
+    prediction set was empty. Binary counts treat membership in
+    attack_classes as the positive class. Suspicious decisions are booked as
+    attack flags when suspicious_as_attack is set (the deployment default);
+    in the per-class matrix they are assigned the lowest attack class id so
+    the matrix keeps full support.
     """
+    predictions = np.asarray(predictions, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
     if len(predictions) != len(truths):
         raise ValueError(
@@ -108,34 +111,26 @@ def confusion(
     attack = frozenset(int(c) for c in attack_classes)
     if any(c < 0 or c >= num_classes for c in attack):
         raise ValueError(f"attack classes {sorted(attack)} out of range")
-    normal_classes = [c for c in range(num_classes) if c not in attack]
-    if suspicious_as_attack or not normal_classes:
+    for name, labels, low in (("truth", truths, 0), ("predicted", predictions, SUSPICIOUS)):
+        bad = labels[(labels < low) | (labels >= num_classes)]
+        if bad.size:
+            raise ValueError(f"{name} label {int(bad[0])} out of range")
+    is_attack = np.isin(np.arange(num_classes), list(attack))
+    if suspicious_as_attack or is_attack.all():
         suspicious_slot = min(attack)
     else:
-        suspicious_slot = normal_classes[0]
-    tp = tn = fp = fn = 0
-    per_class = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for decision, truth in zip(predictions, truths):
-        truth = int(truth)
-        if truth >= num_classes:
-            raise ValueError(f"truth label {truth} out of range")
-        if decision.kind == "suspicious":
-            flagged_attack = suspicious_as_attack
-            predicted = suspicious_slot
-        else:
-            predicted = decision.label
-            flagged_attack = predicted in attack
-        per_class[truth, predicted] += 1
-        truly_attack = truth in attack
-        if truly_attack and flagged_attack:
-            tp += 1
-        elif truly_attack and not flagged_attack:
-            fn += 1
-        elif not truly_attack and flagged_attack:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp, tn, fp, fn, per_class)
+        suspicious_slot = int(np.argmin(is_attack))
+    suspicious = predictions == SUSPICIOUS
+    predicted = np.where(suspicious, suspicious_slot, predictions)
+    per_class = np.bincount(
+        truths * num_classes + predicted, minlength=num_classes * num_classes
+    ).reshape(num_classes, num_classes)
+    truly_attack = is_attack[truths]
+    flagged_attack = np.where(suspicious, suspicious_as_attack, is_attack[predicted])
+    tp = int((truly_attack & flagged_attack).sum())
+    fn = int((truly_attack & ~flagged_attack).sum())
+    fp = int((~truly_attack & flagged_attack).sum())
+    return ConfusionCounts(tp, len(truths) - tp - fn - fp, fp, fn, per_class)
 
 
 def _rate(num: int, den: int, name: str, degenerate: list[str]) -> float:
@@ -164,12 +159,9 @@ def classification_metrics(counts: ConfusionCounts) -> MetricReport:
     )
 
 
-def argmax_decisions(params: ModelParams, features: np.ndarray) -> list[Decision]:
-    """Plain argmax classification dressed as singleton decisions."""
-    probs = predict_proba(params, features)
-    return [
-        Decision("single_label", int(c), (int(c),)) for c in probs.argmax(axis=1)
-    ]
+def argmax_decisions(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Plain argmax classification: one predicted label per row."""
+    return predict_proba(params, features).argmax(axis=1)
 
 
 def roc_sweep(

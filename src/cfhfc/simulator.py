@@ -23,6 +23,7 @@ import numpy as np
 
 from .aggregation import ClusterModel, cluster_aggregate, global_aggregate, weighted_average
 from .calibration import (
+    CONFIDENCE_BOUNDS,
     CalibrationState,
     calibrate,
     predict_with_calibration,
@@ -33,7 +34,6 @@ from .clustering import (
     ResourceWeights,
     fcm_fit,
     minmax_scale,
-    normalize_profiles,
 )
 from .data import ClientDataset, DatasetSpec, SyntheticSource, materialize_clients
 from .metrics import (
@@ -166,6 +166,17 @@ class CalibrationConfig:
     fpr_sensitivity: float = 0.2
     resource_sensitivity: float = 0.05
 
+    def __post_init__(self) -> None:
+        lo, hi = CONFIDENCE_BOUNDS
+        if not lo <= self.initial_confidence <= hi:
+            raise ValueError(
+                f"initial_confidence must lie in [{lo}, {hi}], "
+                f"got {self.initial_confidence}"
+            )
+        for name in ("fnr_sensitivity", "fpr_sensitivity", "resource_sensitivity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class Scenario:
@@ -276,12 +287,10 @@ def _largest_remainder_counts(fractions: list[float], total: int) -> list[int]:
 
 
 def _assign_archetypes(scenario: Scenario) -> list[str]:
-    fractions = [frac for _, frac in scenario.archetype_mix]
-    counts = _largest_remainder_counts(fractions, scenario.num_clients)
-    names: list[str] = []
-    for (name, _), count in zip(scenario.archetype_mix, counts):
-        names.extend([name] * count)
-    return names
+    """Client archetypes, dealt in name order so the mix's order is irrelevant."""
+    mix = sorted(scenario.archetype_mix)
+    counts = _largest_remainder_counts([frac for _, frac in mix], scenario.num_clients)
+    return [name for (name, _), count in zip(mix, counts) for _ in range(count)]
 
 
 def _derived_seed(scenario_seed: int, *tags: int) -> int:
@@ -353,7 +362,7 @@ class TrainingState:
     global_model: ModelParams
     clients: list[ClientDataset]
     holdout: LabeledBatch | None
-    profiles: list[HardwareProfile]
+    profiles: np.ndarray  # (num_clients, 3) raw capabilities, as in ARCHETYPES
     archetype_names: list[str]
     stragglers: np.ndarray
     calib_states: list[CalibrationState]
@@ -381,7 +390,7 @@ def init_state(scenario: Scenario) -> TrainingState:
     """Materialize data and zero-initialize the shared model."""
     clients, holdout = materialize_scenario(scenario)
     archetype_names = _assign_archetypes(scenario)
-    profiles = [archetype_profile(name) for name in archetype_names]
+    profiles = np.stack([archetype_profile(name).raw() for name in archetype_names])
     num_features = clients[0].train.features.shape[1]
     num_classes = scenario.dataset.num_classes
     calib = scenario.calib_cfg
@@ -409,7 +418,7 @@ def init_state(scenario: Scenario) -> TrainingState:
 
 def _effective_raw_profiles(
     scenario: Scenario,
-    profiles: list[HardwareProfile],
+    raw: np.ndarray,
     stragglers: np.ndarray,
     round_index: int,
 ) -> np.ndarray:
@@ -418,7 +427,6 @@ def _effective_raw_profiles(
     Straggling devices expose their slowed-down cpu (utilization is what the
     fog can actually measure); optional jitter models run-to-run load noise.
     """
-    raw = np.stack([p.raw() for p in profiles])
     if scenario.straggler_fraction > 0.0:
         raw = raw.copy()
         raw[stragglers, 0] /= scenario.straggler_slowdown
@@ -433,16 +441,18 @@ def _effective_raw_profiles(
 
 def _cluster_round(
     scenario: Scenario,
-    profiles: list[HardwareProfile],
+    profiles: np.ndarray,
     stragglers: np.ndarray,
     round_index: int,
 ) -> tuple[FuzzyPartition, np.ndarray]:
     """Cluster this round's observed profiles; also returns their normalized matrix."""
     raw = _effective_raw_profiles(scenario, profiles, stragglers, round_index)
-    observed = [HardwareProfile(*row) for row in raw]
-    normalized = normalize_profiles(observed)
+    normalized = minmax_scale(raw)
+    observed = [
+        HardwareProfile(*row, normalized=tuple(n)) for row, n in zip(raw, normalized)
+    ]
     partition = fcm_fit(
-        normalized,
+        observed,
         scenario.num_clusters,
         fuzzifier=scenario.cluster_cfg.fuzzifier,
         weights=scenario.cluster_cfg.weights,
@@ -450,19 +460,18 @@ def _cluster_round(
         tol=scenario.cluster_cfg.tol,
         seed=_derived_seed(scenario.seed, _TAG_FCM, round_index),
     )
-    return partition, np.array([p.normalized for p in normalized])
+    return partition, normalized
 
 
 def _client_round_times(
     scenario: Scenario,
-    profiles: list[HardwareProfile],
+    raw: np.ndarray,
     sizes: np.ndarray,
     stragglers: np.ndarray,
     method: str,
     model_params: int,
 ) -> np.ndarray:
     lat = scenario.latency
-    raw = np.stack([p.raw() for p in profiles])
     cpu_norm = minmax_scale(raw[:, :1])[:, 0]
     cpu = lat.cpu_floor + (1.0 - lat.cpu_floor) * cpu_norm
     compute = (
@@ -531,19 +540,15 @@ def simulate_latency(
     dataset partition is materialized to obtain them.
     """
     archetype_names = _assign_archetypes(scenario)
-    profiles = [archetype_profile(name) for name in archetype_names]
+    profiles = np.stack([archetype_profile(name).raw() for name in archetype_names])
     stragglers = _pick_stragglers(scenario, archetype_names)
     if sizes is None:
         clients, _ = materialize_scenario(scenario)
         sizes = np.array([c.size for c in clients], dtype=np.float64)
     else:
         sizes = np.asarray(sizes, dtype=np.float64)
-    num_features_guess = (
-        scenario.dataset.source.num_features
-        if isinstance(scenario.dataset.source, SyntheticSource)
-        else 20
-    )
-    model_params = scenario.dataset.num_classes * (num_features_guess + 1)
+    source = scenario.dataset.source
+    model_params = source.num_classes * (source.num_features + 1)
     times = _client_round_times(
         scenario, profiles, sizes, stragglers, scenario.method, model_params
     )
@@ -552,11 +557,6 @@ def simulate_latency(
         memberships = partition.memberships
     sync, per_cluster = _sync_from_times(scenario, times, memberships)
     return LatencyReport(tuple(float(t) for t in times), per_cluster, sync)
-
-
-def _binary_rates(counts) -> tuple[float, float]:
-    report = classification_metrics(counts)
-    return report.fnr, report.fpr
 
 
 def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, RoundReport]:
@@ -638,17 +638,16 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
                     )
                     calibrated, new_state = calibrate(cluster_model, pool, old_state)
                     decisions = predict_with_calibration(calibrated, pool.features)
-                    counts = confusion(
-                        decisions, pool.labels, attack, state.num_classes
+                    rates = classification_metrics(
+                        confusion(decisions.labels, pool.labels, attack, state.num_classes)
                     )
-                    fnr_hat, fpr_hat = _binary_rates(counts)
                     state.calib_states[k] = replace(
-                        new_state, recent_fnr=fnr_hat, recent_fpr=fpr_hat
+                        new_state, recent_fnr=rates.fnr, recent_fpr=rates.fpr
                     )
                     stat.confidence = calibrated.confidence
                     stat.threshold = calibrated.threshold
-                    stat.fnr_hat = fnr_hat
-                    stat.fpr_hat = fpr_hat
+                    stat.fnr_hat = rates.fnr
+                    stat.fpr_hat = rates.fpr
             cluster_stats.append(stat)
             cluster_models.append(cluster_model)
         if not cluster_models:
@@ -660,9 +659,9 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
 
     if state.holdout is not None:
         test_loss = loss(new_global, state.holdout)
-        decisions = argmax_decisions(new_global, state.holdout.features)
+        predictions = argmax_decisions(new_global, state.holdout.features)
         counts = confusion(
-            decisions, state.holdout.labels, attack, state.num_classes
+            predictions, state.holdout.labels, attack, state.num_classes
         )
         report = classification_metrics(counts)
     else:

@@ -12,15 +12,17 @@ import pytest
 
 from cfhfc import (
     CalibratedModel,
+    SUSPICIOUS,
     CalibrationState,
     ClusterModel,
+    Decision,
     LabeledBatch,
     ModelParams,
     TrainConfig,
     build_score_set,
     calibrate,
     local_train,
-    nonconformity_score,
+    predict_proba,
     predict_with_calibration,
     quantile,
     update_confidence,
@@ -36,24 +38,6 @@ def bias_model(probs):
 
 def zero_features(n=1):
     return np.zeros((n, 1))
-
-
-class TestNonconformityScore:
-    def test_certain_label_scores_zero(self):
-        assert nonconformity_score(np.array([1.0, 0.0]), 0) == 0.0
-
-    def test_complement_of_probability(self):
-        assert nonconformity_score(np.array([0.7, 0.3]), 0) == pytest.approx(
-            0.3, abs=1e-12
-        )
-
-    def test_uniform_four_class(self):
-        probs = np.full(4, 0.25)
-        assert nonconformity_score(probs, 2) == pytest.approx(0.75, abs=1e-12)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="label 2 out of range"):
-            nonconformity_score(np.array([0.5, 0.5]), 2)
 
 
 class TestBuildScoreSet:
@@ -189,6 +173,42 @@ class TestPredictWithCalibration:
             decisions = predict_with_calibration(model, features)
             counts.append(sum(d.kind == "suspicious" for d in decisions))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_matches_per_row_rule(self):
+        """Thresholds drawn from the scores themselves put classes exactly on
+        the boundary, and classes 1 and 3 share weights, so their
+        probabilities tie exactly; the lower id must win such a tie."""
+        rng = np.random.default_rng(11)
+        weights, biases = rng.normal(size=(5, 3)), rng.normal(size=5)
+        weights[3], biases[3] = weights[1], biases[1]
+        params = ModelParams(weights, biases)
+        features = rng.normal(size=(200, 3))
+        probs = predict_proba(params, features)
+        kinds = set()
+        for tau in rng.choice((1.0 - probs).ravel(), size=10):
+            model = CalibratedModel(params, threshold=float(tau), confidence=0.9)
+            decisions = predict_with_calibration(model, features)
+            assert len(decisions) == len(features)
+            expected = []
+            for row in probs:
+                members = [c for c in range(5) if 1.0 - row[c] <= tau]
+                best = None
+                for c in members:
+                    if best is None or row[c] > row[best]:
+                        best = c
+                if not members:
+                    expected.append(Decision("suspicious", None, ()))
+                elif len(members) == 1:
+                    expected.append(Decision("single_label", best, (best,)))
+                else:
+                    expected.append(Decision("resolved_tie", best, tuple(members)))
+            assert list(decisions) == expected
+            np.testing.assert_array_equal(
+                decisions.labels,
+                [SUSPICIOUS if d.label is None else d.label for d in expected],
+            )
+            kinds.update(d.kind for d in expected)
+        assert kinds == {"suspicious", "single_label", "resolved_tie"}
 
     def test_requires_matrix_features(self):
         model = CalibratedModel(bias_model([0.5, 0.5]), 0.5, 0.9)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cfhfc.cli import main, resolve_scenario, scenario_to_dict
+from cfhfc.simulator import _assign_archetypes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +39,10 @@ SMALL_CONFIG = {
         "local_epochs": 2,
     },
 }
+
+# stragglers and profile jitter make every round's clustering differ
+STRAGGLER_CONFIG = dict(SMALL_CONFIG, straggler_fraction=0.3,
+                        clustering={"profile_jitter": 0.1})
 
 CSV_CONFIG = {
     "method": "fedprox",
@@ -159,6 +164,7 @@ class TestRun:
         ("attack_classes", []),
         ("dataset.shards_per_client", 0),
         ("clustering.fuzzifier", 1.0),
+        ("calibration.initial_confidence", 0.3),
     ])
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
                                                           path, value):
@@ -200,6 +206,17 @@ class TestResolve:
         golden = (GOLDEN / f"{name}.resolved.json").read_bytes()
         assert resolved_bytes(preset, config) == golden
         assert resolved_bytes(None, json.loads(golden)) == golden
+
+    def test_resolved_config_reruns_the_same_fleet(self):
+        """The resolved config lists the mix in name order; the fleet must
+        not depend on the order the config file listed it in."""
+        scenario = resolve_scenario(
+            None, {"num_clients": 4, "archetype_mix": {"pi400": 0.5, "pi3": 0.5}}
+        )
+        written = json.dumps(scenario_to_dict(scenario), sort_keys=True)
+        assert written.index('"pi3"') < written.index('"pi400"')
+        rerun = resolve_scenario(None, json.loads(written))
+        assert _assign_archetypes(rerun) == _assign_archetypes(scenario)
 
 
 class TestCompare:
@@ -251,6 +268,22 @@ class TestCompare:
         assert code == 0
         comparison = json.loads((out / "compare.json").read_text())
         assert comparison["final_accuracy_gap"]["fedprox"] == 0.0
+
+
+class TestGoldenArtifacts:
+    def test_run_and_compare_match_golden(self, tmp_path):
+        """Frozen from an earlier build: the same config must keep producing
+        byte-identical artifacts."""
+        config = tmp_path / "straggler.json"
+        config.write_text(json.dumps(STRAGGLER_CONFIG))
+        run, cmp = tmp_path / "run", tmp_path / "cmp"
+        assert main(["run", "--config", str(config), "--out", str(run)]) == 0
+        assert main(["compare", "--config", str(config), "--rounds", "2",
+                     "--out", str(cmp)]) == 0
+        produced = {**read_all(run, ("rounds.csv", "summary.json")),
+                    **read_all(cmp, ("compare.csv", "compare.json"))}
+        for name, data in produced.items():
+            assert data == (GOLDEN / f"straggler.{name}").read_bytes(), name
 
 
 class TestReport:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cfhfc import (
+    SUSPICIOUS,
     ConfusionCounts,
-    Decision,
     LabeledBatch,
     ModelParams,
     classification_metrics,
@@ -18,13 +18,6 @@ from cfhfc import (
     trapezoid_auc,
 )
 from cfhfc.metrics import argmax_decisions
-
-
-def single(label):
-    return Decision("single_label", label, (label,))
-
-
-SUSPICIOUS = Decision("suspicious", None, ())
 
 
 def manual_metrics(tp, tn, fp, fn):
@@ -121,14 +114,14 @@ class TestConfusion:
     ATTACK = frozenset({1, 2})
 
     def test_hand_worked_six_decisions(self):
-        decisions = [
-            single(0),                        # truth 0 -> tn
-            single(1),                        # truth 1 -> tp
-            single(1),                        # truth 2, attack label -> tp
-            SUSPICIOUS,                       # truth 0 -> fp (flagged attack)
-            single(0),                        # truth 1 -> fn
-            Decision("resolved_tie", 2, (0, 2)),  # truth 0 -> fp
-        ]
+        decisions = np.array([
+            0,           # truth 0 -> tn
+            1,           # truth 1 -> tp
+            1,           # truth 2, attack label -> tp
+            SUSPICIOUS,  # truth 0 -> fp (flagged attack)
+            0,           # truth 1 -> fn
+            2,           # tie {0, 2} resolved to 2, truth 0 -> fp
+        ])
         truths = np.array([0, 1, 2, 0, 1, 0])
         counts = confusion(decisions, truths, self.ATTACK, num_classes=3)
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (2, 1, 2, 1)
@@ -142,8 +135,7 @@ class TestConfusion:
         np.testing.assert_array_equal(counts.per_class, expected)
 
     def test_suspicious_as_normal_option(self):
-        decisions = [single(0), single(1), single(1), SUSPICIOUS, single(0),
-                     Decision("resolved_tie", 2, (0, 2))]
+        decisions = np.array([0, 1, 1, SUSPICIOUS, 0, 2])
         truths = np.array([0, 1, 2, 0, 1, 0])
         counts = confusion(decisions, truths, self.ATTACK, num_classes=3,
                            suspicious_as_attack=False)
@@ -152,7 +144,7 @@ class TestConfusion:
 
     def test_all_correct_has_zero_off_diagonal(self):
         truths = np.array([0, 1, 2, 0, 1, 2])
-        decisions = [single(int(t)) for t in truths]
+        decisions = truths.copy()
         counts = confusion(decisions, truths, self.ATTACK, num_classes=3)
         assert counts.fp == 0 and counts.fn == 0
         off_diag = counts.per_class - np.diag(np.diag(counts.per_class))
@@ -160,7 +152,7 @@ class TestConfusion:
 
     def test_all_suspicious_against_all_attacks(self):
         truths = np.array([1, 2, 1, 2])
-        decisions = [SUSPICIOUS] * 4
+        decisions = np.full(4, SUSPICIOUS)
         counts = confusion(decisions, truths, self.ATTACK, num_classes=3)
         assert counts.tp == 4
         assert counts.fn == 0
@@ -169,7 +161,7 @@ class TestConfusion:
     def test_total_matches_sample_count(self):
         rng = np.random.default_rng(2)
         truths = rng.integers(0, 3, size=40)
-        decisions = [single(int(v)) for v in rng.integers(0, 3, size=40)]
+        decisions = rng.integers(0, 3, size=40)
         counts = confusion(decisions, truths, self.ATTACK, num_classes=3)
         assert counts.total == 40
         assert counts.per_class.sum() == 40
@@ -183,13 +175,44 @@ class TestConfusion:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="decisions but"):
-            confusion([single(0)], np.array([0, 1]), self.ATTACK, 3)
+            confusion(np.array([0]), np.array([0, 1]), self.ATTACK, 3)
         with pytest.raises(ValueError, match="must not be empty"):
-            confusion([single(0)], np.array([0]), frozenset(), 3)
+            confusion(np.array([0]), np.array([0]), frozenset(), 3)
         with pytest.raises(ValueError, match="out of range"):
-            confusion([single(0)], np.array([0]), frozenset({5}), 3)
+            confusion(np.array([0]), np.array([0]), frozenset({5}), 3)
         with pytest.raises(ValueError, match="truth label"):
-            confusion([single(0)], np.array([7]), self.ATTACK, 3)
+            confusion(np.array([0]), np.array([7]), self.ATTACK, 3)
+        with pytest.raises(ValueError, match="predicted label 3"):
+            confusion(np.array([3]), np.array([0]), self.ATTACK, 3)
+
+    @pytest.mark.parametrize("suspicious_as_attack", [True, False])
+    def test_random_labels_with_suspicious_rows(self, suspicious_as_attack):
+        rng = np.random.default_rng(5)
+        attack = frozenset({1, 3})
+        truths = rng.integers(0, 4, size=300)
+        decisions = rng.integers(SUSPICIOUS, 4, size=300)
+        assert (decisions == SUSPICIOUS).any()
+        slot = 1 if suspicious_as_attack else 0
+        tp = tn = fp = fn = 0
+        per_class = np.zeros((4, 4), dtype=np.int64)
+        for truth, label in zip(truths.tolist(), decisions.tolist()):
+            if label == SUSPICIOUS:
+                flagged, label = suspicious_as_attack, slot
+            else:
+                flagged = label in attack
+            per_class[truth, label] += 1
+            if truth in attack and flagged:
+                tp += 1
+            elif truth in attack:
+                fn += 1
+            elif flagged:
+                fp += 1
+            else:
+                tn += 1
+        counts = confusion(decisions, truths, attack, 4,
+                           suspicious_as_attack=suspicious_as_attack)
+        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (tp, tn, fp, fn)
+        np.testing.assert_array_equal(counts.per_class, per_class)
 
 
 class TestRocSweep:
@@ -249,9 +272,8 @@ class TestArgmaxDecisions:
         rng = np.random.default_rng(4)
         model = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3))
         features = rng.normal(size=(30, 4))
-        decisions = argmax_decisions(model, features)
+        predictions = argmax_decisions(model, features)
         from cfhfc import predict_proba
 
         expected = predict_proba(model, features).argmax(axis=1)
-        assert [d.label for d in decisions] == list(expected)
-        assert all(d.kind == "single_label" and d.set_size == 1 for d in decisions)
+        np.testing.assert_array_equal(predictions, expected)

@@ -6,12 +6,15 @@ reproduce the flat baselines bit for bit, because every aggregation path
 collapses to the same normalized weights.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfhfc import (
     CalibrationConfig,
     ClusterConfig,
+    CsvSource,
     DatasetSpec,
     LatencyModel,
     Scenario,
@@ -376,6 +379,25 @@ class TestLatencyModel:
         comm = 2.0 * params * 8 / bandwidth
         for t1, t2 in zip(base.client_times, doubled.client_times):
             assert t2 - t1 == pytest.approx(comm, rel=1e-9)
+
+    def test_csv_source_bills_the_trained_model_size(self, tmp_path):
+        """The timing model bills the model that training ships, whose width
+        is the CSV's feature count, whether or not sizes are passed in."""
+        rng = np.random.default_rng(0)
+        path = tmp_path / "traffic.csv"
+        lines = ["f0,f1,f2,f3,f4,label"] + [
+            ",".join(f"{v:.4f}" for v in rng.random(5)) + f",{i % 4}"
+            for i in range(400)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        scenario = small_scenario(method="fedavg")
+        scenario = replace(scenario, dataset=replace(
+            scenario.dataset, source=CsvSource(str(path), num_classes=4)))
+        state, report = run_round(init_state(scenario), scenario)
+        assert state.global_model.num_features == 5
+        sizes = np.array([c.size for c in state.clients], dtype=np.float64)
+        for billed in (simulate_latency(scenario, sizes=sizes), simulate_latency(scenario)):
+            assert billed.sync_latency_s == report.sync_latency_s
 
     def test_per_cluster_report_shape(self):
         scenario = small_scenario(method="cfhfc", num_clusters=2, num_clients=6,
