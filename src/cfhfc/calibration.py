@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import ClusterModel
-from .model import LabeledBatch, ModelParams, predict_proba
+from .model import LabeledBatch, ModelParams, _check_labels, predict_proba
 
 __all__ = [
     "CalibrationState",
@@ -117,11 +117,7 @@ class Decisions:
 def build_score_set(params: ModelParams, data: LabeledBatch) -> np.ndarray:
     """Sorted nonconformity scores of a calibration batch under the model."""
     probs = predict_proba(params, data.features)
-    if (data.labels >= params.num_classes).any():
-        raise ValueError(
-            f"label {int(data.labels.max())} out of range for "
-            f"{params.num_classes} classes"
-        )
+    _check_labels(data.labels, params.num_classes)
     scores = 1.0 - probs[np.arange(len(data)), data.labels]
     return np.sort(scores)
 

@@ -286,13 +286,17 @@ def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
     }
 
 
+def _check_rounds(scenario: Scenario) -> None:
+    if scenario.rounds < 1:
+        raise ConfigError(f"rounds must be >= 1 to write artifacts, got {scenario.rounds}")
+
+
 def cmd_run(scenario: Scenario, out_dir: str | Path) -> int:
     """Train one method and persist rounds.csv, summary.json, config, model."""
+    _check_rounds(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports, state = run_training(scenario, return_state=True)
-    if not reports:
-        raise RuntimeError("scenario ran zero rounds; nothing to report")
     header, rows = _rounds_rows(scenario, reports)
     _write_csv(out / "rounds.csv", header, rows)
     summary = _final_summary(scenario, reports, state)
@@ -320,6 +324,9 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"method {m!r} is given more than once")
+    _check_rounds(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

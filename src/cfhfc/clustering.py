@@ -27,12 +27,11 @@ __all__ = [
 
 @dataclass
 class HardwareProfile:
-    """Raw device capabilities plus, once normalized, their [0,1] image."""
+    """Raw device capabilities of one device."""
 
     cpu_ghz: float
     memory_gb: float
     bandwidth_mbps: float
-    normalized: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         for name in ("cpu_ghz", "memory_gb", "bandwidth_mbps"):
@@ -77,9 +76,6 @@ class FuzzyPartition:
     iterations_used: int
     objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
-    def dominant_cluster(self, i: int) -> int:
-        return int(self.memberships[i].argmax())
-
 
 def minmax_scale(values: np.ndarray) -> np.ndarray:
     """Column-wise min-max scaling to [0,1]; constant columns map to 0.5."""
@@ -93,45 +89,36 @@ def minmax_scale(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalize_profiles(profiles: list[HardwareProfile]) -> list[HardwareProfile]:
+def normalize_profiles(profiles: list[HardwareProfile]) -> np.ndarray:
     """Min-max normalize each capability axis across the population.
 
-    Returns new profile objects with the normalized triple filled in; the
-    inputs are left untouched. A degenerate axis (all devices equal) maps to
-    0.5 for every device.
+    Returns the (n, 3) matrix of normalized capabilities, one row per
+    profile. A degenerate axis (all devices equal) maps to 0.5 for every
+    device.
     """
     if len(profiles) < 2:
         raise ValueError(f"need at least two profiles to normalize, got {len(profiles)}")
-    raw = np.stack([p.raw() for p in profiles])
-    scaled = minmax_scale(raw)
-    return [
-        HardwareProfile(p.cpu_ghz, p.memory_gb, p.bandwidth_mbps, tuple(row))
-        for p, row in zip(profiles, scaled)
-    ]
+    return minmax_scale(np.stack([p.raw() for p in profiles]))
 
 
-def _normalized_matrix(profiles: list[HardwareProfile]) -> np.ndarray:
-    rows = []
-    for i, p in enumerate(profiles):
-        if p.normalized is None:
-            raise ValueError(f"profile {i} is not normalized; call normalize_profiles")
-        rows.append(p.normalized)
-    return np.asarray(rows, dtype=np.float64)
+def weighted_distance(a: np.ndarray, b: np.ndarray, w: ResourceWeights) -> np.ndarray | float:
+    """Weighted Euclidean distance between normalized capability triples.
 
-
-def weighted_distance(a: np.ndarray, b: np.ndarray, w: ResourceWeights) -> float:
-    """Weighted Euclidean distance between two normalized capability triples."""
+    The triple is the last axis; leading axes broadcast, so a (n, 3) block
+    against one triple gives n distances and two triples give one float.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError(f"capability triples must have shape (3,), got {a.shape} and {b.shape}")
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(
+            f"capability triples must have a last axis of 3, got {a.shape} and {b.shape}"
+        )
     d = a - b
-    return float(np.sqrt(np.sum(w.as_array() * d * d)))
+    return np.sqrt(np.sum(w.as_array() * d * d, axis=-1))
 
 
 def _distance_matrix(points: np.ndarray, centroids: np.ndarray, w: ResourceWeights) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.sqrt(np.einsum("nkd,d,nkd->nk", diff, w.as_array(), diff))
+    return weighted_distance(points[:, None, :], centroids[None, :, :], w)
 
 
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
@@ -153,32 +140,33 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
 
 
 def compute_memberships(
-    profile: HardwareProfile,
+    point: np.ndarray,
     centroids: np.ndarray,
     m: float,
     w: ResourceWeights,
 ) -> np.ndarray:
-    """Membership of one normalized profile in each centroid's cluster."""
+    """Membership of one normalized capability triple in each centroid's cluster."""
     if m <= 1.0:
         raise ValueError(f"fuzzifier must be > 1, got {m}")
-    point = _normalized_matrix([profile])
+    point = np.asarray(point, dtype=np.float64)
+    if point.shape != (3,):
+        raise ValueError(f"point must have shape (3,), got {point.shape}")
     centroids = np.asarray(centroids, dtype=np.float64)
     if centroids.ndim != 2 or centroids.shape[1] != 3:
         raise ValueError(f"centroids must have shape (K, 3), got {centroids.shape}")
-    dist = _distance_matrix(point, centroids, w)
-    return _memberships_from_distances(dist, m)[0]
+    dist = weighted_distance(point, centroids, w)
+    return _memberships_from_distances(dist[None, :], m)[0]
 
 
 def _farthest_point_init(points: np.ndarray, k: int, w: ResourceWeights, seed: int) -> np.ndarray:
     """Seeded farthest-point seeding: deterministic given seed and order."""
     n = points.shape[0]
     chosen = [seed % n]
-    min_dist = _distance_matrix(points, points[chosen[-1]][None, :], w)[:, 0]
+    min_dist = weighted_distance(points, points[chosen[-1]], w)
     while len(chosen) < k:
         nxt = int(min_dist.argmax())
         chosen.append(nxt)
-        d = _distance_matrix(points, points[nxt][None, :], w)[:, 0]
-        min_dist = np.minimum(min_dist, d)
+        min_dist = np.minimum(min_dist, weighted_distance(points, points[nxt], w))
     return points[chosen].copy()
 
 
@@ -187,7 +175,7 @@ def _objective(dist: np.ndarray, memberships: np.ndarray, m: float) -> float:
 
 
 def fcm_fit(
-    profiles: list[HardwareProfile],
+    points: np.ndarray,
     num_clusters: int,
     fuzzifier: float = 3.0,
     weights: ResourceWeights | None = None,
@@ -195,7 +183,7 @@ def fcm_fit(
     tol: float = 1e-7,
     seed: int = 0,
 ) -> FuzzyPartition:
-    """Fuzzy c-means over normalized hardware profiles.
+    """Fuzzy c-means over a (n, 3) matrix of normalized capabilities.
 
     Alternates membership and centroid updates until the largest centroid
     movement (in the weighted distance) drops below tol. Centroids that end up
@@ -208,17 +196,20 @@ def fcm_fit(
         raise ValueError(f"fuzzifier must be > 1, got {fuzzifier}")
     if num_clusters < 1:
         raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
-    points = _normalized_matrix(profiles)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+    if not ((points >= 0.0) & (points <= 1.0)).all():
+        raise ValueError("points are not normalized to [0, 1]; call normalize_profiles")
     n = points.shape[0]
     if n < num_clusters:
         raise ValueError(f"{n} profiles cannot fill {num_clusters} clusters")
 
     centroids = _farthest_point_init(points, num_clusters, weights, seed)
-    memberships = np.full((n, num_clusters), 1.0 / num_clusters)
+    dist = _distance_matrix(points, centroids, weights)
     trace: list[float] = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dist = _distance_matrix(points, centroids, weights)
         memberships = _memberships_from_distances(dist, fuzzifier)
         mass = memberships**fuzzifier
         new_centroids = centroids.copy()
@@ -226,18 +217,14 @@ def fcm_fit(
             total = mass[:, cluster].sum()
             if total > 0.0:
                 new_centroids[cluster] = mass[:, cluster] @ points / total
-        moved = max(
-            weighted_distance(new_centroids[c], centroids[c], weights)
-            for c in range(num_clusters)
-        )
+        moved = weighted_distance(new_centroids, centroids, weights).max()
         centroids = new_centroids
-        trace.append(_objective(_distance_matrix(points, centroids, weights), memberships, fuzzifier))
+        dist = _distance_matrix(points, centroids, weights)
+        trace.append(_objective(dist, memberships, fuzzifier))
         if moved < tol:
             break
-    dist = _distance_matrix(points, centroids, weights)
-    memberships = _memberships_from_distances(dist, fuzzifier)
     return FuzzyPartition(
-        memberships=memberships,
+        memberships=_memberships_from_distances(dist, fuzzifier),
         centroids=centroids,
         fuzzifier=fuzzifier,
         iterations_used=iterations,

@@ -12,6 +12,7 @@ calibration.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,10 +159,11 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
     """Read a labeled CSV into a scaled batch.
 
     The header row names the columns; every non-label column must parse as a
-    float. Rows with malformed features are skipped and reported through a
-    RuntimeWarning that lists their line numbers. Labels that all parse as
-    integers are used directly; otherwise labels are mapped to ids in order
-    of first appearance. Features are min-max scaled per column.
+    finite float. Rows with malformed or non-finite features are skipped and
+    reported through a RuntimeWarning that lists their line numbers. Labels
+    that all parse as integers are used directly; otherwise labels are mapped
+    to ids in order of first appearance. Features are min-max scaled per
+    column.
     """
     path = Path(path)
     if not path.exists():
@@ -188,10 +190,13 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
                 bad_rows.append(line_no)
                 continue
             try:
-                rows.append([float(row[i]) for i in feature_idx])
+                values = [float(row[i]) for i in feature_idx]
             except ValueError:
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
                 bad_rows.append(line_no)
                 continue
+            rows.append(values)
             raw_labels.append(row[label_idx])
     if bad_rows:
         warnings.warn(

@@ -132,6 +132,11 @@ def _check_width(model: ModelParams, features: np.ndarray) -> None:
         )
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if (labels >= num_classes).any():
+        raise ValueError(f"label {int(labels.max())} out of range for {num_classes} classes")
+
+
 def _logits(weights: np.ndarray, biases: np.ndarray, features: np.ndarray) -> np.ndarray:
     return features @ weights.T + biases
 
@@ -151,11 +156,7 @@ def predict_proba(model: ModelParams, features: np.ndarray) -> np.ndarray:
 def loss(model: ModelParams, data: LabeledBatch) -> float:
     """Mean cross-entropy of the batch under the model."""
     _check_width(model, data.features)
-    if (data.labels >= model.num_classes).any():
-        raise ValueError(
-            f"label {int(data.labels.max())} out of range for "
-            f"{model.num_classes} classes"
-        )
+    _check_labels(data.labels, model.num_classes)
     z = _logits(model.weights, model.biases, data.features)
     zmax = z.max(axis=1, keepdims=True)
     log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
@@ -178,11 +179,7 @@ def _gradient_arrays(
 def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
     """Gradient of the mean cross-entropy, packed in model shape."""
     _check_width(model, data.features)
-    if (data.labels >= model.num_classes).any():
-        raise ValueError(
-            f"label {int(data.labels.max())} out of range for "
-            f"{model.num_classes} classes"
-        )
+    _check_labels(data.labels, model.num_classes)
     gw, gb = _gradient_arrays(model.weights, model.biases, data.features, data.labels)
     return ModelParams(gw, gb)
 
@@ -208,11 +205,7 @@ def _sgd(
     and is skipped entirely when rho == 0, so the rho = 0 path is bit-identical
     to plain SGD.
     """
-    if (data.labels >= model.num_classes).any():
-        raise ValueError(
-            f"label {int(data.labels.max())} out of range for "
-            f"{model.num_classes} classes"
-        )
+    _check_labels(data.labels, model.num_classes)
     rng = np.random.default_rng(seed)
     w = model.weights.copy()
     b = model.biases.copy()

@@ -154,6 +154,10 @@ class ClusterConfig:
             raise ValueError("participation_floor must lie in [0, 1)")
         if not 0.0 <= self.profile_jitter < 1.0:
             raise ValueError("profile_jitter must lie in [0, 1)")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass
@@ -313,6 +317,13 @@ def _pick_stragglers(scenario: Scenario, archetype_names: list[str]) -> np.ndarr
     return flags
 
 
+def _fleet(scenario: Scenario) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Client archetype names, their raw (n, 3) capabilities and straggler flags."""
+    names = _assign_archetypes(scenario)
+    raw = np.array([ARCHETYPES[name] for name in names])
+    return names, raw, _pick_stragglers(scenario, names)
+
+
 @dataclass
 class ClusterRoundStat:
     """Per-cluster calibration and timing detail for one round."""
@@ -389,8 +400,7 @@ def materialize_scenario(
 def init_state(scenario: Scenario) -> TrainingState:
     """Materialize data and zero-initialize the shared model."""
     clients, holdout = materialize_scenario(scenario)
-    archetype_names = _assign_archetypes(scenario)
-    profiles = np.stack([archetype_profile(name).raw() for name in archetype_names])
+    archetype_names, profiles, stragglers = _fleet(scenario)
     num_features = clients[0].train.features.shape[1]
     num_classes = scenario.dataset.num_classes
     calib = scenario.calib_cfg
@@ -411,7 +421,7 @@ def init_state(scenario: Scenario) -> TrainingState:
         holdout=holdout,
         profiles=profiles,
         archetype_names=archetype_names,
-        stragglers=_pick_stragglers(scenario, archetype_names),
+        stragglers=stragglers,
         calib_states=states,
     )
 
@@ -448,11 +458,8 @@ def _cluster_round(
     """Cluster this round's observed profiles; also returns their normalized matrix."""
     raw = _effective_raw_profiles(scenario, profiles, stragglers, round_index)
     normalized = minmax_scale(raw)
-    observed = [
-        HardwareProfile(*row, normalized=tuple(n)) for row, n in zip(raw, normalized)
-    ]
     partition = fcm_fit(
-        observed,
+        normalized,
         scenario.num_clusters,
         fuzzifier=scenario.cluster_cfg.fuzzifier,
         weights=scenario.cluster_cfg.weights,
@@ -468,7 +475,6 @@ def _client_round_times(
     raw: np.ndarray,
     sizes: np.ndarray,
     stragglers: np.ndarray,
-    method: str,
     model_params: int,
 ) -> np.ndarray:
     lat = scenario.latency
@@ -485,7 +491,7 @@ def _client_round_times(
     times = compute + comm + lat.round_overhead_s
     if scenario.straggler_fraction > 0.0:
         slowdown = scenario.straggler_slowdown
-        if method == "fedprox":
+        if scenario.method == "fedprox":
             slowdown = 1.0 + (slowdown - 1.0) * (1.0 - lat.fedprox_partial_work)
         times = times.copy()
         times[stragglers] *= slowdown
@@ -499,13 +505,14 @@ def _sync_from_times(
 ) -> tuple[float, tuple[float, ...]]:
     """Synchronization latency and the per-cluster completion times.
 
-    Baselines wait on the slowest client. The clustered method synchronizes
-    inside each cluster first (a cluster completes when its slowest
-    participant does), and clients only wait on their own cluster; the
-    reported latency is the participation-mass-weighted mean of cluster
-    completion times plus one cloud join overhead.
+    Without memberships (the baselines) the round waits on the slowest
+    client. The clustered method synchronizes inside each cluster first (a
+    cluster completes when its slowest participant does), and clients only
+    wait on their own cluster; the reported latency is the
+    participation-mass-weighted mean of cluster completion times plus one
+    cloud join overhead.
     """
-    if scenario.method in ("fedavg", "fedprox") or memberships is None:
+    if memberships is None:
         peak = float(times.max())
         return peak, (peak,)
     floor = scenario.cluster_cfg.participation_floor
@@ -528,20 +535,14 @@ def _sync_from_times(
     return sync, tuple(per_cluster)
 
 
-def simulate_latency(
-    scenario: Scenario,
-    memberships: np.ndarray | None = None,
-    sizes: np.ndarray | None = None,
-) -> LatencyReport:
+def simulate_latency(scenario: Scenario, sizes: np.ndarray | None = None) -> LatencyReport:
     """One round of the timing model without any training.
 
-    When memberships are omitted for the clustered method, a clustering pass
-    is run on the scenario's observed profiles; when sizes are omitted the
-    dataset partition is materialized to obtain them.
+    The clustered method runs a clustering pass on the scenario's observed
+    profiles; when sizes are omitted the dataset partition is materialized
+    to obtain them.
     """
-    archetype_names = _assign_archetypes(scenario)
-    profiles = np.stack([archetype_profile(name).raw() for name in archetype_names])
-    stragglers = _pick_stragglers(scenario, archetype_names)
+    _, profiles, stragglers = _fleet(scenario)
     if sizes is None:
         clients, _ = materialize_scenario(scenario)
         sizes = np.array([c.size for c in clients], dtype=np.float64)
@@ -549,10 +550,9 @@ def simulate_latency(
         sizes = np.asarray(sizes, dtype=np.float64)
     source = scenario.dataset.source
     model_params = source.num_classes * (source.num_features + 1)
-    times = _client_round_times(
-        scenario, profiles, sizes, stragglers, scenario.method, model_params
-    )
-    if scenario.method == "cfhfc" and memberships is None:
+    times = _client_round_times(scenario, profiles, sizes, stragglers, model_params)
+    memberships = None
+    if scenario.method == "cfhfc":
         partition, _ = _cluster_round(scenario, profiles, stragglers, round_index=0)
         memberships = partition.memberships
     sync, per_cluster = _sync_from_times(scenario, times, memberships)
@@ -583,9 +583,7 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
             updated.append(prox_local_train(anchor, anchor, client.train, cfg, seed))
 
     model_size = anchor.num_classes * (anchor.num_features + 1)
-    times = _client_round_times(
-        scenario, state.profiles, sizes, state.stragglers, scenario.method, model_size
-    )
+    times = _client_round_times(scenario, state.profiles, sizes, state.stragglers, model_size)
 
     cluster_stats: list[ClusterRoundStat] = []
     if scenario.method in ("fedavg", "fedprox"):

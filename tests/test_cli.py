@@ -165,6 +165,11 @@ class TestRun:
         ("dataset.shards_per_client", 0),
         ("clustering.fuzzifier", 1.0),
         ("calibration.initial_confidence", 0.3),
+        ("rounds", 0),
+        ("clustering.max_iter", 0),
+        ("clustering.max_iter", -5),
+        ("clustering.tol", -1.0),
+        ("clustering.tol", 0.0),
     ])
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
                                                           path, value):
@@ -245,6 +250,18 @@ class TestCompare:
                      "--method", "fedavg", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "at least two methods" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--method", "fedavg", "--method", "fedavg"], "'fedavg' is given more than once"),
+        (["--rounds", "0"], "rounds must be >= 1"),
+    ])
+    def test_config_error_before_any_output(self, tmp_path, config_path, capsys,
+                                             args, message):
+        out = tmp_path / "o"
+        code = main(["compare", "--config", str(config_path), *args, "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

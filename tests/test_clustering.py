@@ -23,8 +23,8 @@ SQRT_03 = 0.5477225575051661  # sqrt(0.3), the cpu-axis unit distance
 
 
 def profile_at(norm_cpu, norm_mem, norm_bw):
-    """A profile whose normalized coordinates are set directly."""
-    return HardwareProfile(1.0, 1.0, 1.0, normalized=(norm_cpu, norm_mem, norm_bw))
+    """A normalized capability triple, set directly."""
+    return np.array([norm_cpu, norm_mem, norm_bw])
 
 
 def random_profiles(rng, n):
@@ -61,25 +61,17 @@ class TestNormalization:
             HardwareProfile(1.8, 8.0, 100.0),
         ]
         normed = normalize_profiles(profiles)
-        cpu = [p.normalized[0] for p in normed]
-        mem = [p.normalized[1] for p in normed]
-        bw = [p.normalized[2] for p in normed]
-        np.testing.assert_allclose(cpu, [0.0, 0.5, 1.0], atol=1e-12)
-        np.testing.assert_allclose(mem, [0.0, 3.0 / 7.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(bw, [0.0, 0.375, 1.0], atol=1e-12)
+        assert normed.shape == (3, 3)
+        np.testing.assert_allclose(normed[:, 0], [0.0, 0.5, 1.0], atol=1e-12)
+        np.testing.assert_allclose(normed[:, 1], [0.0, 3.0 / 7.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(normed[:, 2], [0.0, 0.375, 1.0], atol=1e-12)
 
     def test_constant_axis_maps_to_half(self):
         profiles = [HardwareProfile(2.0, 4.0, 50.0), HardwareProfile(2.0, 8.0, 50.0)]
         normed = normalize_profiles(profiles)
-        assert normed[0].normalized[0] == 0.5
-        assert normed[1].normalized[0] == 0.5
-        assert normed[0].normalized[2] == 0.5
-
-    def test_inputs_not_mutated(self):
-        profiles = [HardwareProfile(1.0, 2.0, 30.0), HardwareProfile(2.0, 4.0, 60.0)]
-        normalize_profiles(profiles)
-        assert profiles[0].normalized is None
-        assert profiles[1].normalized is None
+        assert normed[0, 0] == 0.5
+        assert normed[1, 0] == 0.5
+        assert normed[0, 2] == 0.5
 
     def test_requires_two_profiles(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -125,6 +117,20 @@ class TestWeightedDistance:
         w = ResourceWeights()
         a, b = rng.random(3), rng.random(3)
         assert weighted_distance(a, b, w) == weighted_distance(b, a, w)
+
+    def test_block_matches_row_by_row(self):
+        rng = np.random.default_rng(8)
+        w = ResourceWeights(0.2, 0.3, 0.5)
+        block, other = rng.random((50, 3)), rng.random(3)
+        block[7] = other  # a coincident row
+        rows = [weighted_distance(row, other, w) for row in block]
+        np.testing.assert_array_equal(weighted_distance(block, other, w), rows)
+        pairs = [weighted_distance(a, b, w) for a, b in zip(block, block[::-1])]
+        np.testing.assert_array_equal(weighted_distance(block, block[::-1], w), pairs)
+
+    def test_rejects_wrong_last_axis(self):
+        with pytest.raises(ValueError, match="last axis of 3"):
+            weighted_distance(np.zeros((4, 2)), np.zeros(2), ResourceWeights())
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -181,7 +187,7 @@ class TestFcmFit:
                 for i in range(4)]
         profiles = normalize_profiles(slow + fast)
         part = fcm_fit(profiles, num_clusters=2)
-        groups = [part.dominant_cluster(i) for i in range(8)]
+        groups = part.memberships.argmax(axis=1)
         assert len(set(groups[:4])) == 1
         assert len(set(groups[4:])) == 1
         assert groups[0] != groups[4]
@@ -191,10 +197,9 @@ class TestFcmFit:
         """At the fixed point, memberships match the ratio formula for the
         final centroids and each centroid is the mu^m-weighted mean."""
         rng = np.random.default_rng(2)
-        profiles = normalize_profiles(random_profiles(rng, 20))
+        points = normalize_profiles(random_profiles(rng, 20))
         w = ResourceWeights()
-        part = fcm_fit(profiles, num_clusters=3, weights=w, max_iter=500)
-        points = np.array([p.normalized for p in profiles])
+        part = fcm_fit(points, num_clusters=3, weights=w, max_iter=500)
 
         expected_mu = membership_oracle(points, part.centroids, part.fuzzifier, w)
         np.testing.assert_allclose(part.memberships, expected_mu, atol=1e-9)
@@ -259,12 +264,17 @@ class TestFcmFit:
         rng = np.random.default_rng(6)
         raw = random_profiles(rng, 4)
         with pytest.raises(ValueError, match="not normalized"):
-            fcm_fit(raw, num_clusters=2)
+            fcm_fit(np.stack([p.raw() for p in raw]), num_clusters=2)
         profiles = normalize_profiles(raw)
         with pytest.raises(ValueError, match="cannot fill"):
             fcm_fit(profiles, num_clusters=5)
         with pytest.raises(ValueError, match="fuzzifier"):
             fcm_fit(profiles, num_clusters=2, fuzzifier=1.0)
+
+    def test_rejects_matrix_without_three_columns(self):
+        points = normalize_profiles(random_profiles(np.random.default_rng(6), 4))
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            fcm_fit(points[:, :2], num_clusters=2)
 
     def test_partition_reports_metadata(self):
         rng = np.random.default_rng(7)

@@ -104,6 +104,17 @@ class TestLoadCsv:
         assert len(data) == 2
         np.testing.assert_array_equal(data.labels, [0, 1])
 
+    def test_non_finite_rows_skipped_like_malformed_ones(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "f1,f2,label\n0.1,0.2,normal\nnan,0.4,ddos\n0.5,inf,ddos\n"
+            "0.7,x,normal\n0.5,0.6,ddos\n",
+        )
+        with pytest.warns(RuntimeWarning, match=r"skipped 3 .* line\(s\) \[3, 4, 5\]"):
+            data = load_csv(path, "label", num_classes=2)
+        np.testing.assert_allclose(data.features, [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(data.labels, [0, 1])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv", "label", num_classes=2)
