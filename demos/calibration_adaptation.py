@@ -53,8 +53,7 @@ def main():
                     dropout_rate=0.0),
         seed=5,
     )
-    cluster = ClusterModel(params=model, cluster_id=0,
-                           total_data=len(train), mean_membership=1.0)
+    cluster = ClusterModel(params=model, total_data=len(train), mean_membership=1.0)
 
     # Initial calibration at the default 90% confidence target.
     state = CalibrationState()

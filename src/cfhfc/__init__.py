@@ -30,7 +30,6 @@ from .clustering import (
     FuzzyPartition,
     HardwareProfile,
     ResourceWeights,
-    compute_memberships,
     fcm_fit,
     normalize_profiles,
     weighted_distance,

@@ -30,7 +30,6 @@ class ClusterModel:
     """Aggregated model of one cluster with its weighting statistics."""
 
     params: ModelParams
-    cluster_id: int
     total_data: int  # sum of participant data sizes
     mean_membership: float  # mean participant membership in this cluster
 
@@ -74,8 +73,7 @@ def cluster_aggregate(updates: list[tuple[ModelParams, float, int]]) -> ClusterM
     Parameters are averaged with membership weights.
 
     Returns a ClusterModel carrying the statistics the cloud tier needs:
-    summed data volume and mean membership. cluster_id is filled by the
-    caller via dataclasses.replace or direct assignment; it defaults to -1.
+    summed data volume and mean membership.
     """
     if not updates:
         raise ValueError("cluster has no participating updates")
@@ -89,7 +87,6 @@ def cluster_aggregate(updates: list[tuple[ModelParams, float, int]]) -> ClusterM
     params = weighted_average(models, memberships)
     return ClusterModel(
         params=params,
-        cluster_id=-1,
         total_data=int(sizes.sum()),
         mean_membership=float(memberships.mean()),
     )

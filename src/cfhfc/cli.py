@@ -200,9 +200,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize a Scenario into the config file schema (round-trippable)."""
     out = _encode(scenario)
     if scenario.attack_classes is None:
-        out["attack_classes"] = sorted(
-            scenario.resolved_attack_classes(scenario.dataset.num_classes)
-        )
+        out["attack_classes"] = sorted(scenario.resolved_attack_classes())
     return out
 
 
@@ -258,7 +256,7 @@ def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
     final = reports[-1]
     auc = None
     if state.holdout is not None:
-        attack = scenario.resolved_attack_classes(state.num_classes)
+        attack = scenario.resolved_attack_classes()
         points = roc_sweep(
             state.global_model, state.holdout, attack, np.linspace(0.0, 1.0, 101)
         )
@@ -393,7 +391,7 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     _, holdout = materialize_scenario(scenario)
     if holdout is None:
         raise ConfigError("run has no holdout split; cannot build a report")
-    attack = scenario.resolved_attack_classes(scenario.dataset.num_classes)
+    attack = scenario.resolved_attack_classes()
 
     points = roc_sweep(model, holdout, attack, np.linspace(0.0, 1.0, 101))
     _write_csv(

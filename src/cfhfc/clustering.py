@@ -20,7 +20,6 @@ __all__ = [
     "minmax_scale",
     "normalize_profiles",
     "weighted_distance",
-    "compute_memberships",
     "fcm_fit",
 ]
 
@@ -137,25 +136,6 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     hit = zeros.any(axis=1)
     out[hit] = zeros[hit] / zeros[hit].sum(axis=1, keepdims=True)
     return out
-
-
-def compute_memberships(
-    point: np.ndarray,
-    centroids: np.ndarray,
-    m: float,
-    w: ResourceWeights,
-) -> np.ndarray:
-    """Membership of one normalized capability triple in each centroid's cluster."""
-    if m <= 1.0:
-        raise ValueError(f"fuzzifier must be > 1, got {m}")
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (3,):
-        raise ValueError(f"point must have shape (3,), got {point.shape}")
-    centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 2 or centroids.shape[1] != 3:
-        raise ValueError(f"centroids must have shape (K, 3), got {centroids.shape}")
-    dist = weighted_distance(point, centroids, w)
-    return _memberships_from_distances(dist[None, :], m)[0]
 
 
 def _farthest_point_init(points: np.ndarray, k: int, w: ResourceWeights, seed: int) -> np.ndarray:

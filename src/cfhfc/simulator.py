@@ -239,10 +239,10 @@ class Scenario:
                     f"[0, {num_classes}), got {list(self.attack_classes)}"
                 )
 
-    def resolved_attack_classes(self, num_classes: int) -> frozenset[int]:
+    def resolved_attack_classes(self) -> frozenset[int]:
         if self.attack_classes is not None:
             return frozenset(self.attack_classes)
-        return frozenset(range(1, num_classes))
+        return frozenset(range(1, self.dataset.num_classes))
 
 
 _PRESETS: dict[str, dict] = {
@@ -317,11 +317,10 @@ def _pick_stragglers(scenario: Scenario, archetype_names: list[str]) -> np.ndarr
     return flags
 
 
-def _fleet(scenario: Scenario) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Client archetype names, their raw (n, 3) capabilities and straggler flags."""
+def _fleet(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The clients' raw (n, 3) capabilities and straggler flags."""
     names = _assign_archetypes(scenario)
-    raw = np.array([ARCHETYPES[name] for name in names])
-    return names, raw, _pick_stragglers(scenario, names)
+    return np.array([ARCHETYPES[name] for name in names]), _pick_stragglers(scenario, names)
 
 
 @dataclass
@@ -350,7 +349,6 @@ class RoundReport:
     fpr: float
     fnr: float
     sync_latency_s: float
-    per_cluster_latencies: tuple[float, ...]
     cluster_stats: tuple[ClusterRoundStat, ...]
     wall_clock_s: float = field(default=0.0, compare=False)
 
@@ -374,10 +372,8 @@ class TrainingState:
     clients: list[ClientDataset]
     holdout: LabeledBatch | None
     profiles: np.ndarray  # (num_clients, 3) raw capabilities, as in ARCHETYPES
-    archetype_names: list[str]
     stragglers: np.ndarray
     calib_states: list[CalibrationState]
-    accuracy_trace: list[float] = field(default_factory=list)
     converged_round: int | None = None  # round at which early stopping fired
 
     @property
@@ -400,7 +396,7 @@ def materialize_scenario(
 def init_state(scenario: Scenario) -> TrainingState:
     """Materialize data and zero-initialize the shared model."""
     clients, holdout = materialize_scenario(scenario)
-    archetype_names, profiles, stragglers = _fleet(scenario)
+    profiles, stragglers = _fleet(scenario)
     num_features = clients[0].train.features.shape[1]
     num_classes = scenario.dataset.num_classes
     calib = scenario.calib_cfg
@@ -420,7 +416,6 @@ def init_state(scenario: Scenario) -> TrainingState:
         clients=clients,
         holdout=holdout,
         profiles=profiles,
-        archetype_names=archetype_names,
         stragglers=stragglers,
         calib_states=states,
     )
@@ -498,10 +493,17 @@ def _client_round_times(
     return times
 
 
+def _participants(scenario: Scenario, memberships: np.ndarray) -> list[np.ndarray]:
+    """Each cluster's participant indices: the clients at or above the floor."""
+    floor = scenario.cluster_cfg.participation_floor
+    return [np.flatnonzero(memberships[:, k] >= floor) for k in range(memberships.shape[1])]
+
+
 def _sync_from_times(
     scenario: Scenario,
     times: np.ndarray,
-    memberships: np.ndarray | None,
+    memberships: np.ndarray | None = None,
+    participants: list[np.ndarray] | None = None,
 ) -> tuple[float, tuple[float, ...]]:
     """Synchronization latency and the per-cluster completion times.
 
@@ -515,24 +517,16 @@ def _sync_from_times(
     if memberships is None:
         peak = float(times.max())
         return peak, (peak,)
-    floor = scenario.cluster_cfg.participation_floor
-    per_cluster: list[float] = []
-    masses: list[float] = []
-    for k in range(memberships.shape[1]):
-        participants = np.flatnonzero(memberships[:, k] >= floor)
-        if participants.size == 0:
-            per_cluster.append(0.0)
-            masses.append(0.0)
-            continue
-        per_cluster.append(float(times[participants].max()))
-        masses.append(float(memberships[participants, k].sum()))
-    mass = np.array(masses)
+    per_cluster = np.array([times[idx].max() if idx.size else 0.0 for idx in participants])
+    # gathered, not masked over all clients: a masked sum adds in another order
+    # and moves the reported latency in its last bits
+    mass = np.array([memberships[idx, k].sum() for k, idx in enumerate(participants)])
     busy = mass > 0
     sync = float(
-        (mass[busy] * np.array(per_cluster)[busy]).sum() / mass[busy].sum()
+        (mass[busy] * per_cluster[busy]).sum() / mass[busy].sum()
         + scenario.latency.round_overhead_s
     )
-    return sync, tuple(per_cluster)
+    return sync, tuple(per_cluster.tolist())
 
 
 def simulate_latency(scenario: Scenario, sizes: np.ndarray | None = None) -> LatencyReport:
@@ -542,7 +536,7 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray | None = None) -> Lat
     profiles; when sizes are omitted the dataset partition is materialized
     to obtain them.
     """
-    _, profiles, stragglers = _fleet(scenario)
+    profiles, stragglers = _fleet(scenario)
     if sizes is None:
         clients, _ = materialize_scenario(scenario)
         sizes = np.array([c.size for c in clients], dtype=np.float64)
@@ -551,137 +545,154 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray | None = None) -> Lat
     source = scenario.dataset.source
     model_params = source.num_classes * (source.num_features + 1)
     times = _client_round_times(scenario, profiles, sizes, stragglers, model_params)
-    memberships = None
+    memberships = participants = None
     if scenario.method == "cfhfc":
         partition, _ = _cluster_round(scenario, profiles, stragglers, round_index=0)
         memberships = partition.memberships
-    sync, per_cluster = _sync_from_times(scenario, times, memberships)
+        participants = _participants(scenario, memberships)
+    sync, per_cluster = _sync_from_times(scenario, times, memberships, participants)
     return LatencyReport(tuple(float(t) for t in times), per_cluster, sync)
 
 
-def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, RoundReport]:
-    """Advance the federation by one synchronous round.
-
-    Returns the updated state and the round's report. The input state is
-    mutated in place (round counter, model, calibration states).
-    """
-    started = time.perf_counter()
-    round_index = state.round_index
-    clients = state.clients
-    sizes = np.array([c.size for c in clients], dtype=np.float64)
-    anchor = state.global_model
-    cfg = scenario.train_cfg
-    attack = scenario.resolved_attack_classes(state.num_classes)
-
-    # edge tier: local training
+def _edge(state: TrainingState) -> list[ModelParams]:
+    """Edge tier: every client trains locally from the current global model."""
+    scenario = state.scenario
+    anchor, cfg = state.global_model, scenario.train_cfg
     updated: list[ModelParams] = []
-    for client in clients:
-        seed = _derived_seed(scenario.seed, _TAG_TRAIN, round_index, client.client_id)
+    for client in state.clients:
+        seed = _derived_seed(scenario.seed, _TAG_TRAIN, state.round_index, client.client_id)
         if scenario.method == "fedavg":
             updated.append(local_train(anchor, client.train, cfg, seed))
         else:
             updated.append(prox_local_train(anchor, anchor, client.train, cfg, seed))
+    return updated
 
+
+_UNGATED = (None, None, None, None)
+
+
+def _calibrate_cluster(
+    state: TrainingState,
+    k: int,
+    cluster_model: ClusterModel,
+    participants: np.ndarray,
+    normalized: np.ndarray,
+) -> tuple[float | None, ...]:
+    """Conformally calibrate cluster k's model on its participants' calibration rows.
+
+    Updates the cluster's calibration state and returns its confidence,
+    threshold, fnr_hat and fpr_hat; all None when calibration is disabled or
+    no participant holds calibration rows.
+    """
+    scenario = state.scenario
+    if not scenario.calib_cfg.enabled:
+        return _UNGATED
+    batches = [state.clients[i].calibration for i in participants]
+    batches = [b for b in batches if b is not None]
+    if not batches:
+        return _UNGATED
+    pool = LabeledBatch(
+        np.concatenate([b.features for b in batches]),
+        np.concatenate([b.labels for b in batches]),
+    )
+    resource = float(
+        scenario.cluster_cfg.weights.as_array() @ normalized[participants].mean(axis=0)
+    )
+    old_state = replace(state.calib_states[k], resource_index=resource)
+    calibrated, new_state = calibrate(cluster_model, pool, old_state)
+    decisions = predict_with_calibration(calibrated, pool.features)
+    rates = classification_metrics(
+        confusion(
+            decisions.labels, pool.labels, scenario.resolved_attack_classes(), state.num_classes
+        )
+    )
+    state.calib_states[k] = replace(new_state, recent_fnr=rates.fnr, recent_fpr=rates.fpr)
+    return calibrated.confidence, calibrated.threshold, rates.fnr, rates.fpr
+
+
+def _fog(
+    state: TrainingState, updated: list[ModelParams]
+) -> tuple[ModelParams, float, tuple[ClusterRoundStat, ...]]:
+    """Fog and cloud tiers: the next global model, sync latency and cluster stats.
+
+    The baselines pool every update by data size and wait on the slowest
+    client. The clustered method partitions this round's observed profiles,
+    reduces each cluster's participants with their memberships, calibrates
+    each cluster model and blends the cluster models in the cloud.
+    """
+    scenario = state.scenario
+    sizes = np.array([c.size for c in state.clients], dtype=np.float64)
+    anchor = state.global_model
     model_size = anchor.num_classes * (anchor.num_features + 1)
     times = _client_round_times(scenario, state.profiles, sizes, state.stragglers, model_size)
+    if scenario.method != "cfhfc":
+        sync, _ = _sync_from_times(scenario, times)
+        return weighted_average(updated, sizes), sync, ()
 
-    cluster_stats: list[ClusterRoundStat] = []
-    if scenario.method in ("fedavg", "fedprox"):
-        new_global = weighted_average(updated, sizes)
-        sync, per_cluster = _sync_from_times(scenario, times, None)
-    else:
-        partition, normalized_matrix = _cluster_round(
-            scenario, state.profiles, state.stragglers, round_index
+    partition, normalized = _cluster_round(
+        scenario, state.profiles, state.stragglers, state.round_index
+    )
+    memberships = partition.memberships
+    participants = _participants(scenario, memberships)
+    sync, per_cluster = _sync_from_times(scenario, times, memberships, participants)
+    cluster_models: list[ClusterModel] = []
+    stats: list[ClusterRoundStat] = []
+    for k, idx in enumerate(participants):
+        if idx.size == 0:
+            continue
+        cluster_model = cluster_aggregate(
+            [(updated[i], float(memberships[i, k]), int(sizes[i])) for i in idx]
         )
-        memberships = partition.memberships
-        floor = scenario.cluster_cfg.participation_floor
-        cluster_models: list[ClusterModel] = []
-        sync, per_cluster = _sync_from_times(scenario, times, memberships)
-        for k in range(scenario.num_clusters):
-            participants = np.flatnonzero(memberships[:, k] >= floor)
-            if participants.size == 0:
-                continue
-            updates = [
-                (updated[i], float(memberships[i, k]), int(sizes[i]))
-                for i in participants
-            ]
-            cluster_model = cluster_aggregate(updates)
-            cluster_model.cluster_id = k
-            stat = ClusterRoundStat(
-                cluster_id=k,
-                participants=int(participants.size),
-                confidence=None,
-                threshold=None,
-                fnr_hat=None,
-                fpr_hat=None,
-                latency_s=per_cluster[k],
-            )
-            if scenario.calib_cfg.enabled:
-                cal_batches = [
-                    clients[i].calibration
-                    for i in participants
-                    if clients[i].calibration is not None
-                ]
-                if cal_batches:
-                    pool = LabeledBatch(
-                        np.concatenate([b.features for b in cal_batches]),
-                        np.concatenate([b.labels for b in cal_batches]),
-                    )
-                    resource = float(
-                        scenario.cluster_cfg.weights.as_array()
-                        @ normalized_matrix[participants].mean(axis=0)
-                    )
-                    old_state = replace(
-                        state.calib_states[k], resource_index=resource
-                    )
-                    calibrated, new_state = calibrate(cluster_model, pool, old_state)
-                    decisions = predict_with_calibration(calibrated, pool.features)
-                    rates = classification_metrics(
-                        confusion(decisions.labels, pool.labels, attack, state.num_classes)
-                    )
-                    state.calib_states[k] = replace(
-                        new_state, recent_fnr=rates.fnr, recent_fpr=rates.fpr
-                    )
-                    stat.confidence = calibrated.confidence
-                    stat.threshold = calibrated.threshold
-                    stat.fnr_hat = rates.fnr
-                    stat.fpr_hat = rates.fpr
-            cluster_stats.append(stat)
-            cluster_models.append(cluster_model)
-        if not cluster_models:
-            raise RuntimeError("no cluster had any participants")
-        new_global = global_aggregate(cluster_models)
+        gate = _calibrate_cluster(state, k, cluster_model, idx, normalized)
+        stats.append(ClusterRoundStat(k, int(idx.size), *gate, latency_s=per_cluster[k]))
+        cluster_models.append(cluster_model)
+    if not cluster_models:
+        raise RuntimeError("no cluster had any participants")
+    return global_aggregate(cluster_models), sync, tuple(stats)
 
-    state.global_model = new_global
-    state.round_index = round_index + 1
 
-    if state.holdout is not None:
-        test_loss = loss(new_global, state.holdout)
-        predictions = argmax_decisions(new_global, state.holdout.features)
-        counts = confusion(
-            predictions, state.holdout.labels, attack, state.num_classes
-        )
-        report = classification_metrics(counts)
-    else:
-        test_loss = float("nan")
-        report = MetricReport(*(float("nan"),) * 7)
-    state.accuracy_trace.append(report.accuracy)
+def _evaluate(state: TrainingState) -> tuple[float, MetricReport]:
+    """Holdout loss and argmax rates of the global model; NaN without a holdout."""
+    if state.holdout is None:
+        return float("nan"), MetricReport(*(float("nan"),) * 7)
+    model, holdout = state.global_model, state.holdout
+    test_loss = loss(model, holdout)
+    predictions = argmax_decisions(model, holdout.features)
+    counts = confusion(
+        predictions, holdout.labels, state.scenario.resolved_attack_classes(), state.num_classes
+    )
+    return test_loss, classification_metrics(counts)
 
-    round_report = RoundReport(
+
+def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, RoundReport]:
+    """Advance the federation by one synchronous round: edge, fog, evaluate.
+
+    Everything is read from state.scenario; scenario must equal it. Returns
+    the updated state and the round's report. The input state is mutated in
+    place (round counter, model, calibration states).
+    """
+    if scenario != state.scenario:
+        raise ValueError("run_round was given a scenario other than state.scenario")
+    started = time.perf_counter()
+    updated = _edge(state)
+    state.global_model, sync, cluster_stats = _fog(state, updated)
+    round_index = state.round_index
+    state.round_index += 1
+    test_loss, rates = _evaluate(state)
+    report = RoundReport(
         round_index=round_index,
         global_loss=test_loss,
-        accuracy=report.accuracy,
-        precision=report.precision,
-        recall=report.recall,
-        f1=report.f1,
-        fpr=report.fpr,
-        fnr=report.fnr,
+        accuracy=rates.accuracy,
+        precision=rates.precision,
+        recall=rates.recall,
+        f1=rates.f1,
+        fpr=rates.fpr,
+        fnr=rates.fnr,
         sync_latency_s=sync,
-        per_cluster_latencies=per_cluster,
-        cluster_stats=tuple(cluster_stats),
+        cluster_stats=cluster_stats,
         wall_clock_s=time.perf_counter() - started,
     )
-    return state, round_report
+    return state, report
 
 
 def _should_stop(trace: list[float]) -> bool:
@@ -709,7 +720,7 @@ def run_training(
     for _ in range(scenario.rounds):
         state, report = run_round(state, scenario)
         reports.append(report)
-        if _should_stop(state.accuracy_trace):
+        if _should_stop([r.accuracy for r in reports]):
             state.converged_round = report.round_index
             break
     if return_state:

@@ -424,8 +424,7 @@ def test_criterion_10_calibration_behavior():
 
     snapshot = params.copy()
     batch = LabeledBatch(rng.normal(size=(50, 6)), rng.integers(0, 4, size=50))
-    cluster = ClusterModel(params=params, cluster_id=0, total_data=100,
-                           mean_membership=0.7)
+    cluster = ClusterModel(params=params, total_data=100, mean_membership=0.7)
     calibrated, _ = calibrate(cluster, batch, CalibrationState())
     untouched = np.array_equal(
         calibrated.params.weights, snapshot.weights

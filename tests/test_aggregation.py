@@ -34,10 +34,9 @@ def manual_average(models, weights):
     return ModelParams(w, b)
 
 
-def as_cluster(params, total_data, mean_membership, cluster_id=0):
+def as_cluster(params, total_data, mean_membership):
     return ClusterModel(
         params=params,
-        cluster_id=cluster_id,
         total_data=total_data,
         mean_membership=mean_membership,
     )
@@ -184,7 +183,7 @@ class TestGlobalAggregate:
         rng = np.random.default_rng(13)
         p = random_model(rng)
         neg = ModelParams(-p.weights, -p.biases)
-        clusters = [as_cluster(p, 100, 0.5, 0), as_cluster(neg, 100, 0.5, 1)]
+        clusters = [as_cluster(p, 100, 0.5), as_cluster(neg, 100, 0.5)]
         out = global_aggregate(clusters)
         np.testing.assert_allclose(out.weights, 0.0, atol=1e-15)
         np.testing.assert_allclose(out.biases, 0.0, atol=1e-15)
@@ -192,9 +191,9 @@ class TestGlobalAggregate:
     def test_matches_manual_weighting(self):
         rng = np.random.default_rng(14)
         clusters = [
-            as_cluster(random_model(rng), 120, 0.8, 0),
-            as_cluster(random_model(rng), 60, 0.4, 1),
-            as_cluster(random_model(rng), 200, 0.6, 2),
+            as_cluster(random_model(rng), 120, 0.8),
+            as_cluster(random_model(rng), 60, 0.4),
+            as_cluster(random_model(rng), 200, 0.6),
         ]
         out = global_aggregate(clusters)
         raw = [120 * 0.8, 60 * 0.4, 200 * 0.6]
@@ -204,7 +203,7 @@ class TestGlobalAggregate:
 
     def test_uniform_statistics_reduce_to_plain_mean(self):
         rng = np.random.default_rng(15)
-        clusters = [as_cluster(random_model(rng), 500, 0.25, i) for i in range(4)]
+        clusters = [as_cluster(random_model(rng), 500, 0.25) for _ in range(4)]
         out = global_aggregate(clusters)
         want = weighted_average(
             [c.params for c in clusters], np.ones(4)

@@ -219,8 +219,7 @@ class TestPredictWithCalibration:
 class TestCalibrate:
     @staticmethod
     def make_cluster(params):
-        return ClusterModel(params=params, cluster_id=0, total_data=100,
-                            mean_membership=0.8)
+        return ClusterModel(params=params, total_data=100, mean_membership=0.8)
 
     def test_parameters_pass_through_untouched(self):
         rng = np.random.default_rng(2)

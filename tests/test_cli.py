@@ -44,6 +44,11 @@ SMALL_CONFIG = {
 STRAGGLER_CONFIG = dict(SMALL_CONFIG, straggler_fraction=0.3,
                         clustering={"profile_jitter": 0.1})
 
+# the K=12 path: pi3 devices hold fractional memberships in many clusters
+SCENARIO3_CONFIG = {"preset": "scenario3", "method": "cfhfc", "seed": 0, "rounds": 2,
+                    "straggler_fraction": 0.3, "clustering": {"profile_jitter": 0.1},
+                    "train": {"local_epochs": 1}}
+
 CSV_CONFIG = {
     "method": "fedprox",
     "seed": 5,
@@ -288,19 +293,27 @@ class TestCompare:
 
 
 class TestGoldenArtifacts:
-    def test_run_and_compare_match_golden(self, tmp_path):
-        """Frozen from an earlier build: the same config must keep producing
-        byte-identical artifacts."""
-        config = tmp_path / "straggler.json"
-        config.write_text(json.dumps(STRAGGLER_CONFIG))
+    """Frozen from an earlier build: the same config must keep producing
+    byte-identical artifacts."""
+
+    @staticmethod
+    def check(tmp_path, name, cfg):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(cfg))
         run, cmp = tmp_path / "run", tmp_path / "cmp"
         assert main(["run", "--config", str(config), "--out", str(run)]) == 0
         assert main(["compare", "--config", str(config), "--rounds", "2",
                      "--out", str(cmp)]) == 0
         produced = {**read_all(run, ("rounds.csv", "summary.json")),
                     **read_all(cmp, ("compare.csv", "compare.json"))}
-        for name, data in produced.items():
-            assert data == (GOLDEN / f"straggler.{name}").read_bytes(), name
+        for artifact, data in produced.items():
+            assert data == (GOLDEN / f"{name}.{artifact}").read_bytes(), artifact
+
+    def test_run_and_compare_match_golden(self, tmp_path):
+        self.check(tmp_path, "straggler", STRAGGLER_CONFIG)
+
+    def test_scenario3_run_and_compare_match_golden(self, tmp_path):
+        self.check(tmp_path, "scenario3", SCENARIO3_CONFIG)
 
 
 class TestReport:

@@ -12,19 +12,13 @@ from cfhfc import (
     FuzzyPartition,
     HardwareProfile,
     ResourceWeights,
-    compute_memberships,
     fcm_fit,
     normalize_profiles,
     weighted_distance,
 )
-from cfhfc.clustering import minmax_scale
+from cfhfc.clustering import _memberships_from_distances, minmax_scale
 
 SQRT_03 = 0.5477225575051661  # sqrt(0.3), the cpu-axis unit distance
-
-
-def profile_at(norm_cpu, norm_mem, norm_bw):
-    """A normalized capability triple, set directly."""
-    return np.array([norm_cpu, norm_mem, norm_bw])
 
 
 def random_profiles(rng, n):
@@ -140,37 +134,24 @@ class TestWeightedDistance:
 
 
 class TestComputeMemberships:
+    """The membership rule fcm_fit applies, on one-row distance matrices."""
+
     def test_equidistant_splits_evenly(self):
-        profile = profile_at(0.5, 0.5, 0.5)
-        centroids = np.array([[0.2, 0.5, 0.5], [0.8, 0.5, 0.5]])
-        mu = compute_memberships(profile, centroids, m=3.0, w=ResourceWeights())
-        np.testing.assert_allclose(mu, [0.5, 0.5], atol=1e-12)
+        mu = _memberships_from_distances(np.array([[0.3, 0.3]]), m=3.0)
+        np.testing.assert_allclose(mu, [[0.5, 0.5]], atol=1e-12)
 
     def test_two_to_one_distance_ratio(self):
-        # distances along the cpu axis are sqrt(0.3)*0.1 and sqrt(0.3)*0.2;
         # with m = 3 the membership exponent is 1, so mu = (2/3, 1/3)
-        profile = profile_at(0.2, 0.5, 0.5)
-        centroids = np.array([[0.1, 0.5, 0.5], [0.4, 0.5, 0.5]])
-        mu = compute_memberships(profile, centroids, m=3.0, w=ResourceWeights())
-        np.testing.assert_allclose(mu, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        mu = _memberships_from_distances(np.array([[SQRT_03 * 0.1, SQRT_03 * 0.2]]), m=3.0)
+        np.testing.assert_allclose(mu, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_coincident_centroid_takes_all_mass(self):
-        profile = profile_at(0.3, 0.3, 0.3)
-        centroids = np.array([[0.3, 0.3, 0.3], [0.9, 0.9, 0.9]])
-        mu = compute_memberships(profile, centroids, m=3.0, w=ResourceWeights())
-        np.testing.assert_array_equal(mu, [1.0, 0.0])
+        mu = _memberships_from_distances(np.array([[0.0, 0.6]]), m=3.0)
+        np.testing.assert_array_equal(mu, [[1.0, 0.0]])
 
     def test_two_coincident_centroids_share_mass(self):
-        profile = profile_at(0.3, 0.3, 0.3)
-        centroids = np.array([[0.3, 0.3, 0.3], [0.3, 0.3, 0.3], [0.9, 0.9, 0.9]])
-        mu = compute_memberships(profile, centroids, m=3.0, w=ResourceWeights())
-        np.testing.assert_array_equal(mu, [0.5, 0.5, 0.0])
-
-    def test_rejects_degenerate_fuzzifier(self):
-        profile = profile_at(0.5, 0.5, 0.5)
-        centroids = np.array([[0.2, 0.5, 0.5]])
-        with pytest.raises(ValueError, match="fuzzifier"):
-            compute_memberships(profile, centroids, m=1.0, w=ResourceWeights())
+        mu = _memberships_from_distances(np.array([[0.0, 0.0, 0.6]]), m=3.0)
+        np.testing.assert_array_equal(mu, [[0.5, 0.5, 0.0]])
 
 
 class TestFcmFit:

@@ -119,13 +119,13 @@ class TestScenarioConstruction:
 
     def test_default_attack_classes(self):
         s = small_scenario()
-        assert s.resolved_attack_classes(4) == frozenset({1, 2, 3})
+        assert s.resolved_attack_classes() == frozenset({1, 2, 3})
         explicit = Scenario(
             num_clients=4, num_clusters=1, rounds=1, method="fedavg", seed=0,
             dataset=DatasetSpec(source=SMALL_SOURCE),
             attack_classes=(2,),
         )
-        assert explicit.resolved_attack_classes(4) == frozenset({2})
+        assert explicit.resolved_attack_classes() == frozenset({2})
 
     def test_archetype_profiles_are_increasing(self):
         pi3 = archetype_profile("pi3")
@@ -160,6 +160,15 @@ class TestInitState:
 class TestRoundLoop:
     def test_zero_rounds(self):
         assert run_training(small_scenario(rounds=0)) == []
+
+    def test_round_rejects_a_scenario_other_than_the_states(self):
+        scenario = small_scenario()
+        state = init_state(scenario)
+        with pytest.raises(ValueError, match="state.scenario"):
+            run_round(state, replace(scenario, seed=1))
+        assert state.round_index == 0
+        state, report = run_round(state, replace(scenario))  # equal, not identical
+        assert report.round_index == 0
 
     def test_deterministic_reports(self):
         scenario = small_scenario(method="cfhfc", num_clusters=2, rounds=2)
