@@ -358,7 +358,6 @@ class LatencyReport:
     """Simulated timing of one synchronous round."""
 
     client_times: tuple[float, ...]
-    per_cluster: tuple[float, ...]
     sync_latency_s: float
 
 
@@ -550,8 +549,8 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray | None = None) -> Lat
         partition, _ = _cluster_round(scenario, profiles, stragglers, round_index=0)
         memberships = partition.memberships
         participants = _participants(scenario, memberships)
-    sync, per_cluster = _sync_from_times(scenario, times, memberships, participants)
-    return LatencyReport(tuple(float(t) for t in times), per_cluster, sync)
+    sync, _ = _sync_from_times(scenario, times, memberships, participants)
+    return LatencyReport(tuple(float(t) for t in times), sync)
 
 
 def _edge(state: TrainingState) -> list[ModelParams]:

@@ -37,6 +37,41 @@ def random_model(rng, num_classes, num_features):
     )
 
 
+def reference_sgd(model, anchor, data, cfg, seed):
+    """The per-minibatch SGD loop as first written: a fresh gather, dropout
+    draw and fancy-indexed softmax gradient per minibatch, and an explicit
+    proximal step. local_train and prox_local_train must match it bit for bit."""
+    rng = np.random.default_rng(seed)
+    w = model.weights.copy()
+    b = model.biases.copy()
+    lr = cfg.learning_rate
+    rho = cfg.proximal_coeff if anchor is not None else 0.0
+    shrink = 1.0 / (1.0 + lr * rho)
+    n = len(data)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x = data.features[idx]
+            y = data.labels[idx]
+            if cfg.dropout_rate > 0.0:
+                keep = rng.random(x.shape) >= cfg.dropout_rate
+                x = x * keep / (1.0 - cfg.dropout_rate)
+            z = x @ w.T + b
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            probs = e / e.sum(axis=1, keepdims=True)
+            probs[np.arange(len(y)), y] -= 1.0
+            probs /= len(y)
+            gw, gb = probs.T @ x, probs.sum(axis=0)
+            w = w - lr * gw
+            b = b - lr * gb
+            if rho != 0.0:
+                w = (w + (lr * rho) * anchor.weights) * shrink
+                b = (b + (lr * rho) * anchor.biases) * shrink
+    return w, b
+
+
 def params_distance(a: ModelParams, b: ModelParams) -> float:
     return math.sqrt(
         float(((a.weights - b.weights) ** 2).sum() + ((a.biases - b.biases) ** 2).sum())
@@ -239,13 +274,38 @@ class TestLocalTrain:
             order = replay.permutation(len(batch))
             for start in range(0, len(batch), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                gw, gb = _gradient_arrays(w, b, batch.features[idx], batch.labels[idx])
+                onehot = np.eye(3)[batch.labels[idx]]
+                gw, gb = _gradient_arrays(w, b, batch.features[idx], onehot)
                 w = w - cfg.learning_rate * gw
                 b = b - cfg.learning_rate * gb
 
         out = local_train(model, batch, cfg, seed=seed)
         np.testing.assert_array_equal(out.weights, w)
         np.testing.assert_array_equal(out.biases, b)
+
+    @pytest.mark.parametrize("num_classes", [2, 4, 9])
+    @pytest.mark.parametrize("n", [24, 19, 5])  # 3 full batches, a partial one, under one
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_matches_reference_loop(self, dropout_rate, proximal_coeff, n, num_classes):
+        rng = np.random.default_rng(n * num_classes)
+        model = random_model(rng, num_classes, 6)
+        anchor = random_model(rng, num_classes, 6)
+        batch = random_batch(rng, n, 6, num_classes)
+        inputs = (model.copy(), batch.features.copy(), batch.labels.copy())
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
+                          dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+        for start, out in (
+            (None, local_train(model, batch, cfg, seed=5)),
+            (anchor, prox_local_train(model, anchor, batch, cfg, seed=5)),
+        ):
+            w, b = reference_sgd(model, start, batch, cfg, seed=5)
+            np.testing.assert_array_equal(out.weights, w)
+            np.testing.assert_array_equal(out.biases, b)
+        np.testing.assert_array_equal(model.weights, inputs[0].weights)
+        np.testing.assert_array_equal(model.biases, inputs[0].biases)
+        np.testing.assert_array_equal(batch.features, inputs[1])
+        np.testing.assert_array_equal(batch.labels, inputs[2])
 
     def test_label_out_of_range_rejected(self):
         model = ModelParams.zeros(2, 3)
