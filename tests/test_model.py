@@ -295,11 +295,11 @@ class TestLocalTrain:
         inputs = (model.copy(), batch.features.copy(), batch.labels.copy())
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
                           dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
-        for start, out in (
+        for pulled_to, out in (
             (None, local_train(model, batch, cfg, seed=5)),
             (anchor, prox_local_train(model, anchor, batch, cfg, seed=5)),
         ):
-            w, b = reference_sgd(model, start, batch, cfg, seed=5)
+            w, b = reference_sgd(model, pulled_to, batch, cfg, seed=5)
             np.testing.assert_array_equal(out.weights, w)
             np.testing.assert_array_equal(out.biases, b)
         np.testing.assert_array_equal(model.weights, inputs[0].weights)
