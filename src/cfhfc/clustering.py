@@ -77,15 +77,19 @@ class FuzzyPartition:
 
 
 def minmax_scale(values: np.ndarray) -> np.ndarray:
-    """Column-wise min-max scaling to [0,1]; constant columns map to 0.5."""
-    values = np.asarray(values, dtype=np.float64)
+    """Column-wise min-max scaling to [0,1] into a new array; constant columns map to 0.5."""
+    return minmax_scale_in_place(np.array(values, dtype=np.float64))
+
+
+def minmax_scale_in_place(values: np.ndarray) -> np.ndarray:
+    """minmax_scale that overwrites and returns the float64 matrix values."""
     lo = values.min(axis=0)
     span = values.max(axis=0) - lo
     constant = span == 0.0
-    out = values - lo
-    out /= np.where(constant, 1.0, span)
-    out[:, constant] = 0.5
-    return out
+    values -= lo
+    values /= np.where(constant, 1.0, span)
+    values[:, constant] = 0.5
+    return values
 
 
 def normalize_profiles(profiles: list[HardwareProfile]) -> np.ndarray:

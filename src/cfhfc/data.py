@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import minmax_scale
+from .clustering import minmax_scale_in_place
 from .model import LabeledBatch
 
 __all__ = [
@@ -136,23 +136,22 @@ def generate_synthetic(source: SyntheticSource, seed: int) -> LabeledBatch:
     """Sample the class blobs and scale features into [0, 1].
 
     Class centers sit on a sphere of radius class_separation around the
-    origin (directions drawn from the seed), samples add unit-variance
-    Gaussian noise, and the whole feature matrix is min-max scaled column by
-    column. Output order is by class, which downstream partitioners reshuffle.
+    origin (directions drawn from the seed). One preallocated matrix is
+    filled class by class with unit-variance Gaussian noise plus that class's
+    center, then min-max scaled in place, column by column. Output order is
+    by class, which downstream partitioners reshuffle.
     """
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(source.num_classes, source.num_features))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     centers = source.class_separation * directions / norms
-    features = np.concatenate(
-        [
-            centers[c] + rng.normal(size=(source.samples_per_class, source.num_features))
-            for c in range(source.num_classes)
-        ]
-    )
+    features = np.empty((source.num_classes, source.samples_per_class, source.num_features))
+    for block, center in zip(features, centers):
+        rng.standard_normal(out=block)
+        block += center
     labels = np.repeat(np.arange(source.num_classes), source.samples_per_class)
-    return LabeledBatch(minmax_scale(features), labels)
+    return LabeledBatch(minmax_scale_in_place(features.reshape(-1, source.num_features)), labels)
 
 
 def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBatch:
@@ -221,7 +220,14 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
             f"labels span [{labels.min()}, {labels.max()}] but num_classes is "
             f"{num_classes}"
         )
-    return LabeledBatch(minmax_scale(np.array(rows)), labels)
+    return LabeledBatch(minmax_scale_in_place(np.array(rows)), labels)
+
+
+def _split_rows(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (kept, held) positions of n rows; held is fraction of them, clamped to [1, n-1]."""
+    n_held = min(max(int(round(fraction * n)), 1), n - 1)
+    perm = rng.permutation(n)
+    return perm[n_held:], perm[:n_held]
 
 
 def split_holdout(
@@ -230,23 +236,56 @@ def split_holdout(
     """Split off a seeded IID holdout; returns (remainder, holdout)."""
     if fraction == 0.0:
         return data, None
-    n = len(data)
-    n_holdout = int(round(fraction * n))
-    n_holdout = min(max(n_holdout, 1), n - 1)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    return data.subset(perm[n_holdout:]), data.subset(perm[:n_holdout])
+    kept, held = _split_rows(len(data), fraction, np.random.default_rng(seed))
+    return data.subset(kept), data.subset(held)
 
 
-def _split_calibration(
-    batch: LabeledBatch, fraction: float, rng: np.random.Generator
-) -> tuple[LabeledBatch, LabeledBatch | None]:
-    if fraction == 0.0 or len(batch) < 2:
-        return batch, None
-    n = len(batch)
-    n_cal = min(max(int(round(fraction * n)), 1), n - 1)
-    perm = rng.permutation(n)
-    return batch.subset(perm[n_cal:]), batch.subset(perm[:n_cal])
+def _gather_clients(
+    data: LabeledBatch, owned: list[np.ndarray], fraction: float, rng: np.random.Generator
+) -> list[ClientDataset]:
+    """Gather each client's batches from data once. owned[c] holds client c's rows, ascending;
+    a client with two or more rows sets a seeded fraction of them aside for calibration."""
+    clients = []
+    for client, rows in enumerate(owned):
+        calibration = None
+        if fraction != 0.0 and len(rows) >= 2:
+            kept, held = _split_rows(len(rows), fraction, rng)
+            rows, calibration = rows[kept], data.subset(rows[held])
+        clients.append(ClientDataset(client, data.subset(rows), calibration))
+    return clients
+
+
+def _dirichlet_rows(
+    labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
+    min_samples: int,
+) -> list[np.ndarray]:
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if concentration <= 0:
+        raise ValueError(f"concentration must be positive, got {concentration}")
+    owner = np.empty(len(labels), dtype=np.int64)
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        shares = rng.dirichlet(np.full(num_clients, concentration))
+        # cumulative rounding keeps the class exactly partitioned
+        bounds = np.floor(np.cumsum(shares) * len(idx) + 0.5).astype(int)
+        owner[idx] = np.repeat(np.arange(num_clients), np.diff(bounds, prepend=0))
+    # a stable sort by owner lists each client's rows in ascending order
+    by_owner = np.argsort(owner, kind="stable")
+    owned = np.split(by_owner, np.cumsum(np.bincount(owner, minlength=num_clients))[:-1])
+    shortfall_clients = [c for c, rows in enumerate(owned) if len(rows) < min_samples]
+    for client in shortfall_clients:
+        extra = rng.choice(len(labels), size=min_samples - len(owned[client]), replace=True)
+        owned[client] = np.sort(np.concatenate([owned[client], extra]))
+    if shortfall_clients:
+        warnings.warn(
+            f"topped up {len(shortfall_clients)} client(s) {shortfall_clients} "
+            f"to {min_samples} samples with duplicates from the global pool",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return owned
 
 
 def dirichlet_partition(
@@ -259,47 +298,32 @@ def dirichlet_partition(
 ) -> list[ClientDataset]:
     """Label-skewed partition: per-class client shares ~ Dirichlet.
 
-    Small concentration values concentrate each class on few clients. Clients
-    that land below min_samples are topped up with seeded draws from the
-    global pool (duplicates, reported via RuntimeWarning) so that everyone
-    can run at least one minibatch epoch. Each client then reserves
-    calibration_fraction of its samples for conformal calibration.
+    Small concentration values concentrate each class on few clients; every
+    row gets one owner. Clients that land below min_samples are topped up
+    with seeded draws from the global pool (duplicates, reported via
+    RuntimeWarning) so that everyone can run at least one minibatch epoch.
+    Each client then reserves calibration_fraction of its rows for conformal
+    calibration; train and calibration are gathered from data once.
     """
+    rng = np.random.default_rng(seed)
+    owned = _dirichlet_rows(data.labels, num_clients, concentration, rng, min_samples)
+    return _gather_clients(data, owned, calibration_fraction, rng)
+
+
+def _shard_rows(
+    labels: np.ndarray, num_clients: int, shards_per_client: int, rng: np.random.Generator
+) -> list[np.ndarray]:
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if concentration <= 0:
-        raise ValueError(f"concentration must be positive, got {concentration}")
-    rng = np.random.default_rng(seed)
-    assignments: list[list[int]] = [[] for _ in range(num_clients)]
-    for cls in np.unique(data.labels):
-        idx = np.flatnonzero(data.labels == cls)
-        rng.shuffle(idx)
-        shares = rng.dirichlet(np.full(num_clients, concentration))
-        # cumulative rounding keeps the class exactly partitioned
-        bounds = np.floor(np.cumsum(shares) * len(idx) + 0.5).astype(int)
-        start = 0
-        for client, stop in enumerate(bounds):
-            assignments[client].extend(idx[start:stop])
-            start = stop
-    shortfall_clients = []
-    for client, owned in enumerate(assignments):
-        if len(owned) < min_samples:
-            shortfall_clients.append(client)
-            extra = rng.choice(len(data), size=min_samples - len(owned), replace=True)
-            owned.extend(int(i) for i in extra)
-    if shortfall_clients:
-        warnings.warn(
-            f"topped up {len(shortfall_clients)} client(s) {shortfall_clients} "
-            f"to {min_samples} samples with duplicates from the global pool",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    clients = []
-    for client, owned in enumerate(assignments):
-        batch = data.subset(np.array(sorted(owned), dtype=np.int64))
-        train, cal = _split_calibration(batch, calibration_fraction, rng)
-        clients.append(ClientDataset(client, train, cal))
-    return clients
+    if shards_per_client < 1:
+        raise ValueError(f"shards_per_client must be >= 1, got {shards_per_client}")
+    num_shards = num_clients * shards_per_client
+    if num_shards > len(labels):
+        raise ValueError(f"num_clients x shards_per_client = {num_clients} x {shards_per_client} "
+                         f"= {num_shards} shards, but the pool has only {len(labels)} rows")
+    shards = np.array_split(np.argsort(labels, kind="stable"), num_shards)
+    shard_ids = rng.permutation(num_shards).reshape(num_clients, shards_per_client)
+    return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
 
 
 def shard_partition(
@@ -312,26 +336,12 @@ def shard_partition(
     """Classic shard partition: sort by label, deal shards to clients.
 
     With shards_per_client small each client sees few classes; sizes are
-    equal whenever the data divides evenly into shards.
+    equal whenever the data divides evenly into shards, of which there are
+    no more than rows.
     """
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if shards_per_client < 1:
-        raise ValueError(
-            f"shards_per_client must be >= 1, got {shards_per_client}"
-        )
     rng = np.random.default_rng(seed)
-    order = np.argsort(data.labels, kind="stable")
-    shards = np.array_split(order, num_clients * shards_per_client)
-    shard_ids = rng.permutation(num_clients * shards_per_client)
-    clients = []
-    for client in range(num_clients):
-        mine = shard_ids[client * shards_per_client : (client + 1) * shards_per_client]
-        idx = np.concatenate([shards[s] for s in mine])
-        batch = data.subset(np.sort(idx))
-        train, cal = _split_calibration(batch, calibration_fraction, rng)
-        clients.append(ClientDataset(client, train, cal))
-    return clients
+    owned = _shard_rows(data.labels, num_clients, shards_per_client, rng)
+    return _gather_clients(data, owned, calibration_fraction, rng)
 
 
 def materialize_clients(
@@ -341,29 +351,20 @@ def materialize_clients(
 
     Returns (client datasets, holdout batch). The holdout is an IID sample
     never shown to any client; it is None when holdout_fraction is zero.
+    Client batches are gathered straight from the loaded matrix.
     """
     if isinstance(spec.source, SyntheticSource):
         full = generate_synthetic(spec.source, spec.seed)
     else:
-        full = load_csv(
-            spec.source.path, spec.source.label_column, spec.source.num_classes
-        )
-    pool, holdout = split_holdout(full, spec.holdout_fraction, spec.seed)
+        full = load_csv(spec.source.path, spec.source.label_column, spec.source.num_classes)
+    pool, holdout = np.arange(len(full)), None
+    if spec.holdout_fraction != 0.0:
+        pool, held = _split_rows(len(full), spec.holdout_fraction, np.random.default_rng(spec.seed))
+        holdout = full.subset(held)
+    labels, rng = full.labels[pool], np.random.default_rng(spec.seed)
     if spec.partition == "dirichlet":
-        clients = dirichlet_partition(
-            pool,
-            num_clients,
-            spec.concentration,
-            spec.seed,
-            spec.calibration_fraction,
-            min_samples,
-        )
+        owned = _dirichlet_rows(labels, num_clients, spec.concentration, rng, min_samples)
     else:
-        clients = shard_partition(
-            pool,
-            num_clients,
-            spec.shards_per_client,
-            spec.seed,
-            spec.calibration_fraction,
-        )
+        owned = _shard_rows(labels, num_clients, spec.shards_per_client, rng)
+    clients = _gather_clients(full, [pool[rows] for rows in owned], spec.calibration_fraction, rng)
     return clients, holdout

@@ -528,19 +528,14 @@ def _sync_from_times(
     return sync, tuple(per_cluster.tolist())
 
 
-def simulate_latency(scenario: Scenario, sizes: np.ndarray | None = None) -> LatencyReport:
+def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
     """One round of the timing model without any training.
 
-    The clustered method runs a clustering pass on the scenario's observed
-    profiles; when sizes are omitted the dataset partition is materialized
-    to obtain them.
+    sizes holds each client's data size, in client order. The clustered
+    method runs a clustering pass on the scenario's observed profiles.
     """
     profiles, stragglers = _fleet(scenario)
-    if sizes is None:
-        clients, _ = materialize_scenario(scenario)
-        sizes = np.array([c.size for c in clients], dtype=np.float64)
-    else:
-        sizes = np.asarray(sizes, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
     source = scenario.dataset.source
     model_params = source.num_classes * (source.num_features + 1)
     times = _client_round_times(scenario, profiles, sizes, stragglers, model_params)

@@ -80,6 +80,7 @@ class TestNormalization:
         scaled = minmax_scale(data)
         np.testing.assert_allclose(scaled[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
         np.testing.assert_array_equal(scaled[:, 1], 0.5)
+        np.testing.assert_array_equal(data, [[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
 
     def test_positive_raw_values_required(self):
         with pytest.raises(ValueError, match="cpu_ghz"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfhfc import (
+    ClientDataset,
     CsvSource,
     DatasetSpec,
     LabeledBatch,
@@ -21,6 +22,7 @@ from cfhfc import (
     shard_partition,
     split_holdout,
 )
+from cfhfc.clustering import minmax_scale
 
 FIT_CFG = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=5,
                       dropout_rate=0.0)
@@ -258,6 +260,11 @@ class TestShardPartition:
         for client in clients:
             assert len(np.unique(client.train.labels)) <= 2
 
+    def test_more_shards_than_rows_rejected(self):
+        data = self.pool(n_per_class=2, num_classes=2)
+        with pytest.raises(ValueError, match=r"3 x 2 = 6 shards, but the pool has only 4 rows"):
+            shard_partition(data, 3, 2, seed=0)
+
     def test_deterministic(self):
         data = self.pool()
         a = shard_partition(data, 4, 2, seed=2)
@@ -322,3 +329,233 @@ class TestMaterializeClients:
         )
         clients, _ = materialize_clients(spec, 2, min_samples=4)
         assert sum(c.size for c in clients) == 60
+
+
+# The data layer as first written: a pool copied out of the generated matrix,
+# one Python int per owned row sorted with sorted(), a client batch copied out
+# of the pool and split again into train and calibration. The row-index data
+# layer must reproduce it bit for bit.
+
+def ref_generate_synthetic(source, seed):
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(source.num_classes, source.num_features))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    centers = source.class_separation * directions / norms
+    features = np.concatenate(
+        [
+            centers[c] + rng.normal(size=(source.samples_per_class, source.num_features))
+            for c in range(source.num_classes)
+        ]
+    )
+    labels = np.repeat(np.arange(source.num_classes), source.samples_per_class)
+    return LabeledBatch(minmax_scale(features), labels)
+
+
+def ref_split_holdout(data, fraction, seed):
+    if fraction == 0.0:
+        return data, None
+    n = len(data)
+    n_holdout = int(round(fraction * n))
+    n_holdout = min(max(n_holdout, 1), n - 1)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    return data.subset(perm[n_holdout:]), data.subset(perm[:n_holdout])
+
+
+def ref_split_calibration(batch, fraction, rng):
+    if fraction == 0.0 or len(batch) < 2:
+        return batch, None
+    n = len(batch)
+    n_cal = min(max(int(round(fraction * n)), 1), n - 1)
+    perm = rng.permutation(n)
+    return batch.subset(perm[n_cal:]), batch.subset(perm[:n_cal])
+
+
+def ref_dirichlet_partition(data, num_clients, concentration, seed,
+                            calibration_fraction=0.1, min_samples=64):
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if concentration <= 0:
+        raise ValueError(f"concentration must be positive, got {concentration}")
+    rng = np.random.default_rng(seed)
+    assignments = [[] for _ in range(num_clients)]
+    for cls in np.unique(data.labels):
+        idx = np.flatnonzero(data.labels == cls)
+        rng.shuffle(idx)
+        shares = rng.dirichlet(np.full(num_clients, concentration))
+        # cumulative rounding keeps the class exactly partitioned
+        bounds = np.floor(np.cumsum(shares) * len(idx) + 0.5).astype(int)
+        start = 0
+        for client, stop in enumerate(bounds):
+            assignments[client].extend(idx[start:stop])
+            start = stop
+    shortfall_clients = []
+    for client, owned in enumerate(assignments):
+        if len(owned) < min_samples:
+            shortfall_clients.append(client)
+            extra = rng.choice(len(data), size=min_samples - len(owned), replace=True)
+            owned.extend(int(i) for i in extra)
+    if shortfall_clients:
+        warnings.warn(
+            f"topped up {len(shortfall_clients)} client(s) {shortfall_clients} "
+            f"to {min_samples} samples with duplicates from the global pool",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    clients = []
+    for client, owned in enumerate(assignments):
+        batch = data.subset(np.array(sorted(owned), dtype=np.int64))
+        train, cal = ref_split_calibration(batch, calibration_fraction, rng)
+        clients.append(ClientDataset(client, train, cal))
+    return clients
+
+
+def ref_shard_partition(data, num_clients, shards_per_client, seed,
+                        calibration_fraction=0.1):
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if shards_per_client < 1:
+        raise ValueError(
+            f"shards_per_client must be >= 1, got {shards_per_client}"
+        )
+    rng = np.random.default_rng(seed)
+    order = np.argsort(data.labels, kind="stable")
+    shards = np.array_split(order, num_clients * shards_per_client)
+    shard_ids = rng.permutation(num_clients * shards_per_client)
+    clients = []
+    for client in range(num_clients):
+        mine = shard_ids[client * shards_per_client : (client + 1) * shards_per_client]
+        idx = np.concatenate([shards[s] for s in mine])
+        batch = data.subset(np.sort(idx))
+        train, cal = ref_split_calibration(batch, calibration_fraction, rng)
+        clients.append(ClientDataset(client, train, cal))
+    return clients
+
+
+def ref_materialize_clients(spec, num_clients, min_samples=64):
+    if isinstance(spec.source, SyntheticSource):
+        full = ref_generate_synthetic(spec.source, spec.seed)
+    else:
+        full = load_csv(
+            spec.source.path, spec.source.label_column, spec.source.num_classes
+        )
+    pool, holdout = ref_split_holdout(full, spec.holdout_fraction, spec.seed)
+    if spec.partition == "dirichlet":
+        clients = ref_dirichlet_partition(
+            pool,
+            num_clients,
+            spec.concentration,
+            spec.seed,
+            spec.calibration_fraction,
+            min_samples,
+        )
+    else:
+        clients = ref_shard_partition(
+            pool,
+            num_clients,
+            spec.shards_per_client,
+            spec.seed,
+            spec.calibration_fraction,
+        )
+    return clients, holdout
+
+
+def assert_batches_equal(got, want):
+    if want is None:
+        assert got is None
+        return
+    np.testing.assert_array_equal(got.features, want.features)
+    np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def replay(call, reference):
+    """Run both sides and return their results and top-up warning texts; a
+    ValueError on the reference side must be a ValueError on ours too."""
+    out = []
+    for fn in (call, reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = fn()
+            except ValueError:
+                result = None
+        out.append((result, [str(w.message) for w in caught
+                             if issubclass(w.category, RuntimeWarning)]))
+    (got, got_warned), (want, want_warned) = out
+    assert (got is None) == (want is None)
+    assert got_warned == want_warned
+    return got, want
+
+
+def assert_clients_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.client_id == w.client_id
+        assert_batches_equal(g.train, w.train)
+        assert_batches_equal(g.calibration, w.calibration)
+
+
+class TestReferenceReplay:
+    """Every client's rows, and the holdout, match the data layer as first
+    written, over client counts from one to more than there are rows."""
+
+    @staticmethod
+    def gapped_pool():
+        # 40 rows whose labels skip class 2
+        rng = np.random.default_rng(11)
+        return LabeledBatch(rng.random((40, 3)), rng.choice([0, 1, 3], size=40))
+
+    @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("min_samples", [0, 1, 12])
+    @pytest.mark.parametrize("num_clients", [1, 5, 60])
+    def test_dirichlet_partition(self, num_clients, min_samples, calibration_fraction):
+        data = self.gapped_pool()
+        features, labels = data.features.copy(), data.labels.copy()
+        args = (data, num_clients, 0.5, 3, calibration_fraction, min_samples)
+        got, want = replay(lambda: dirichlet_partition(*args),
+                           lambda: ref_dirichlet_partition(*args))
+        if want is not None:
+            assert_clients_equal(got, want)
+        np.testing.assert_array_equal(data.features, features)
+        np.testing.assert_array_equal(data.labels, labels)
+
+    @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("num_clients", [1, 5, 60])
+    def test_shard_partition(self, num_clients, calibration_fraction):
+        data = self.gapped_pool()
+        features, labels = data.features.copy(), data.labels.copy()
+        args = (data, num_clients, 3, 4, calibration_fraction)
+        got, want = replay(lambda: shard_partition(*args),
+                           lambda: ref_shard_partition(*args))
+        if want is not None:
+            assert_clients_equal(got, want)
+        np.testing.assert_array_equal(data.features, features)
+        np.testing.assert_array_equal(data.labels, labels)
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
+    @pytest.mark.parametrize("num_clients", [1, 4, 60])
+    def test_materialize_clients(self, num_clients, partition, calibration_fraction,
+                                 holdout_fraction):
+        spec = DatasetSpec(
+            source=SyntheticSource(num_classes=3, num_features=4, samples_per_class=15),
+            partition=partition,
+            concentration=0.4,
+            calibration_fraction=calibration_fraction,
+            holdout_fraction=holdout_fraction,
+            seed=9,
+        )
+        got, want = replay(lambda: materialize_clients(spec, num_clients, 12),
+                           lambda: ref_materialize_clients(spec, num_clients, 12))
+        if want is not None:
+            assert_clients_equal(got[0], want[0])
+            assert_batches_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generate_synthetic(self, seed):
+        source = SyntheticSource(num_classes=3, num_features=5, samples_per_class=40,
+                                 class_separation=2.0)
+        assert_batches_equal(generate_synthetic(source, seed),
+                             ref_generate_synthetic(source, seed))

