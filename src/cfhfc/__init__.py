@@ -39,12 +39,9 @@ from .data import (
     CsvSource,
     DatasetSpec,
     SyntheticSource,
-    dirichlet_partition,
     generate_synthetic,
     load_csv,
     materialize_clients,
-    shard_partition,
-    split_holdout,
 )
 from .metrics import (
     ConfusionCounts,
@@ -58,7 +55,6 @@ from .model import (
     LabeledBatch,
     ModelParams,
     TrainConfig,
-    accuracy,
     gradient,
     local_train,
     loss,

@@ -84,10 +84,6 @@ class Decision:
     label: int | None
     prediction_set: tuple[int, ...]
 
-    @property
-    def set_size(self) -> int:
-        return len(self.prediction_set)
-
 
 @dataclass(frozen=True)
 class Decisions:

@@ -30,6 +30,7 @@ from .metrics import (
 )
 from .model import ModelParams
 from .simulator import (  # init_state and run_round stay importable from here
+    _PRESETS,
     METHODS,
     RoundReport,
     Scenario,
@@ -374,12 +375,9 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
 def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     """Turn a finished run directory into ROC, confusion, and text summaries."""
     run_path = Path(run_dir)
-    rounds_csv = run_path / "rounds.csv"
-    if not rounds_csv.exists():
-        raise ConfigError(f"missing run artifacts: {rounds_csv} not found")
     config_path = run_path / "config.resolved.json"
     model_path = run_path / "final_model.json"
-    for p in (config_path, model_path):
+    for p in (run_path / "rounds.csv", config_path, model_path):
         if not p.exists():
             raise ConfigError(f"missing run artifacts: {p} not found")
     out = Path(out_dir) if out_dir is not None else run_path
@@ -434,28 +432,19 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, repeat_method: bool) -> None:
-    parser.add_argument("--preset", choices=sorted(_preset_names()), default=None)
+    parser.add_argument("--preset", choices=sorted(_PRESETS), default=None)
     parser.add_argument("--config", default=None, help="strict JSON config file")
-    if repeat_method:
-        parser.add_argument(
-            "--method",
-            action="append",
-            choices=list(METHODS),
-            default=None,
-            help="repeatable; defaults to all three methods",
-        )
-    else:
-        parser.add_argument("--method", choices=list(METHODS), default=None)
+    parser.add_argument(
+        "--method",
+        action="append" if repeat_method else "store",
+        choices=list(METHODS),
+        default=None,
+        help="repeatable; defaults to all three methods" if repeat_method else None,
+    )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--rounds", type=int, default=None)
     parser.add_argument("--straggler-fraction", type=float, default=None)
     parser.add_argument("--straggler-slowdown", type=float, default=None)
-
-
-def _preset_names() -> list[str]:
-    from .simulator import _PRESETS
-
-    return list(_PRESETS)
 
 
 def _load_config_file(path: str | None) -> dict | None:
@@ -501,30 +490,18 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "report":
             return cmd_report(args.run_dir, args.out)
-        config = _load_config_file(args.config)
+        scenario = resolve_scenario(
+            args.preset,
+            _load_config_file(args.config),
+            method=args.method if args.command == "run" else None,
+            seed=args.seed,
+            rounds=args.rounds,
+            straggler_fraction=args.straggler_fraction,
+            straggler_slowdown=args.straggler_slowdown,
+        )
         if args.command == "run":
-            scenario = resolve_scenario(
-                args.preset,
-                config,
-                method=args.method,
-                seed=args.seed,
-                rounds=args.rounds,
-                straggler_fraction=args.straggler_fraction,
-                straggler_slowdown=args.straggler_slowdown,
-            )
             return cmd_run(scenario, args.out)
-        if args.command == "compare":
-            methods = args.method if args.method else list(METHODS)
-            scenario = resolve_scenario(
-                args.preset,
-                config,
-                seed=args.seed,
-                rounds=args.rounds,
-                straggler_fraction=args.straggler_fraction,
-                straggler_slowdown=args.straggler_slowdown,
-            )
-            return cmd_compare(scenario, methods, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_compare(scenario, args.method or list(METHODS), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

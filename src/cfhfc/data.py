@@ -29,9 +29,6 @@ __all__ = [
     "ClientDataset",
     "generate_synthetic",
     "load_csv",
-    "dirichlet_partition",
-    "shard_partition",
-    "split_holdout",
     "materialize_clients",
 ]
 
@@ -114,6 +111,14 @@ class DatasetSpec:
     @property
     def num_classes(self) -> int:
         return self.source.num_classes
+
+    def check_shards(self, num_clients: int) -> None:
+        """Reject, before any data exists, more shards than a synthetic pool has rows."""
+        if self.partition == "by_class_shards" and isinstance(self.source, SyntheticSource):
+            rows = self.source.num_classes * self.source.samples_per_class
+            if self.holdout_fraction != 0.0:
+                rows -= _held_count(rows, self.holdout_fraction)
+            _check_shards(num_clients, self.shards_per_client, rows)
 
 
 @dataclass
@@ -223,21 +228,16 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
     return LabeledBatch(minmax_scale_in_place(np.array(rows)), labels)
 
 
+def _held_count(n: int, fraction: float) -> int:
+    """Rows a split of n sets aside: fraction of them, clamped to [1, n-1]."""
+    return min(max(int(round(fraction * n)), 1), n - 1)
+
+
 def _split_rows(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded (kept, held) positions of n rows; held is fraction of them, clamped to [1, n-1]."""
-    n_held = min(max(int(round(fraction * n)), 1), n - 1)
+    """Seeded (kept, held) positions of n rows, with _held_count(n, fraction) held."""
+    n_held = _held_count(n, fraction)
     perm = rng.permutation(n)
     return perm[n_held:], perm[:n_held]
-
-
-def split_holdout(
-    data: LabeledBatch, fraction: float, seed: int
-) -> tuple[LabeledBatch, LabeledBatch | None]:
-    """Split off a seeded IID holdout; returns (remainder, holdout)."""
-    if fraction == 0.0:
-        return data, None
-    kept, held = _split_rows(len(data), fraction, np.random.default_rng(seed))
-    return data.subset(kept), data.subset(held)
 
 
 def _gather_clients(
@@ -259,10 +259,6 @@ def _dirichlet_rows(
     labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
     min_samples: int,
 ) -> list[np.ndarray]:
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if concentration <= 0:
-        raise ValueError(f"concentration must be positive, got {concentration}")
     owner = np.empty(len(labels), dtype=np.int64)
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
@@ -288,60 +284,21 @@ def _dirichlet_rows(
     return owned
 
 
-def dirichlet_partition(
-    data: LabeledBatch,
-    num_clients: int,
-    concentration: float,
-    seed: int,
-    calibration_fraction: float = 0.1,
-    min_samples: int = 64,
-) -> list[ClientDataset]:
-    """Label-skewed partition: per-class client shares ~ Dirichlet.
-
-    Small concentration values concentrate each class on few clients; every
-    row gets one owner. Clients that land below min_samples are topped up
-    with seeded draws from the global pool (duplicates, reported via
-    RuntimeWarning) so that everyone can run at least one minibatch epoch.
-    Each client then reserves calibration_fraction of its rows for conformal
-    calibration; train and calibration are gathered from data once.
-    """
-    rng = np.random.default_rng(seed)
-    owned = _dirichlet_rows(data.labels, num_clients, concentration, rng, min_samples)
-    return _gather_clients(data, owned, calibration_fraction, rng)
+def _check_shards(num_clients: int, shards_per_client: int, rows: int) -> None:
+    if num_clients * shards_per_client > rows:
+        raise ValueError(f"num_clients x shards_per_client = {num_clients} x {shards_per_client} "
+                         f"= {num_clients * shards_per_client} shards, but the pool has only "
+                         f"{rows} rows")
 
 
 def _shard_rows(
     labels: np.ndarray, num_clients: int, shards_per_client: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if shards_per_client < 1:
-        raise ValueError(f"shards_per_client must be >= 1, got {shards_per_client}")
+    _check_shards(num_clients, shards_per_client, len(labels))
     num_shards = num_clients * shards_per_client
-    if num_shards > len(labels):
-        raise ValueError(f"num_clients x shards_per_client = {num_clients} x {shards_per_client} "
-                         f"= {num_shards} shards, but the pool has only {len(labels)} rows")
     shards = np.array_split(np.argsort(labels, kind="stable"), num_shards)
     shard_ids = rng.permutation(num_shards).reshape(num_clients, shards_per_client)
     return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
-
-
-def shard_partition(
-    data: LabeledBatch,
-    num_clients: int,
-    shards_per_client: int,
-    seed: int,
-    calibration_fraction: float = 0.1,
-) -> list[ClientDataset]:
-    """Classic shard partition: sort by label, deal shards to clients.
-
-    With shards_per_client small each client sees few classes; sizes are
-    equal whenever the data divides evenly into shards, of which there are
-    no more than rows.
-    """
-    rng = np.random.default_rng(seed)
-    owned = _shard_rows(data.labels, num_clients, shards_per_client, rng)
-    return _gather_clients(data, owned, calibration_fraction, rng)
 
 
 def materialize_clients(
@@ -351,8 +308,17 @@ def materialize_clients(
 
     Returns (client datasets, holdout batch). The holdout is an IID sample
     never shown to any client; it is None when holdout_fraction is zero.
-    Client batches are gathered straight from the loaded matrix.
+    The dirichlet partition draws each class's client shares from a
+    symmetric Dirichlet and tops clients below min_samples up with seeded
+    duplicates from the pool (reported via RuntimeWarning); the shard
+    partition sorts the pool by label and deals shards_per_client shards to
+    each client. Each client then sets calibration_fraction of its rows
+    aside, and its batches are gathered straight from the loaded matrix.
     """
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     if isinstance(spec.source, SyntheticSource):
         full = generate_synthetic(spec.source, spec.seed)
     else:

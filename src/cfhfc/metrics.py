@@ -3,10 +3,10 @@
 Evaluation is binary at heart (attack vs normal traffic, selected by the
 attack_classes set) with a full per-class confusion matrix on the side.
 Suspicious decisions carry no resolved label; following the deployment rule
-they are booked as attack flags, and in the per-class matrix they land on the
-lowest attack class id so row sums still match per-class support. Every rate
-with a zero denominator is reported as 0.0 and flagged as degenerate rather
-than raising.
+they always count as attack flags, and in the per-class matrix they land on
+the lowest attack class id so row sums still match per-class support. Every
+rate with a zero denominator is reported as 0.0 and flagged as degenerate
+rather than raising.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def merged(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.tn + other.tn,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.per_class + other.per_class,
-        )
-
 
 @dataclass
 class MetricReport:
@@ -72,33 +63,20 @@ class MetricReport:
     fnr: float
     degenerate: tuple[str, ...] = field(default=())
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-        }
-
 
 def confusion(
     predictions: np.ndarray,
     truths: np.ndarray,
     attack_classes: frozenset[int] | set[int],
     num_classes: int,
-    suspicious_as_attack: bool = True,
 ) -> ConfusionCounts:
     """Tabulate predicted labels against ground truth.
 
     predictions holds one class id per row, or SUSPICIOUS where the
     prediction set was empty. Binary counts treat membership in
-    attack_classes as the positive class. Suspicious decisions are booked as
-    attack flags when suspicious_as_attack is set (the deployment default);
-    in the per-class matrix they are assigned the lowest attack class id so
-    the matrix keeps full support.
+    attack_classes as the positive class. Suspicious decisions always count
+    as attack flags; in the per-class matrix they are assigned the lowest
+    attack class id so the matrix keeps full support.
     """
     predictions = np.asarray(predictions, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
@@ -116,17 +94,12 @@ def confusion(
         if bad.size:
             raise ValueError(f"{name} label {int(bad[0])} out of range")
     is_attack = np.isin(np.arange(num_classes), list(attack))
-    if suspicious_as_attack or is_attack.all():
-        suspicious_slot = min(attack)
-    else:
-        suspicious_slot = int(np.argmin(is_attack))
-    suspicious = predictions == SUSPICIOUS
-    predicted = np.where(suspicious, suspicious_slot, predictions)
+    predicted = np.where(predictions == SUSPICIOUS, min(attack), predictions)
     per_class = np.bincount(
         truths * num_classes + predicted, minlength=num_classes * num_classes
     ).reshape(num_classes, num_classes)
     truly_attack = is_attack[truths]
-    flagged_attack = np.where(suspicious, suspicious_as_attack, is_attack[predicted])
+    flagged_attack = is_attack[predicted]
     tp = int((truly_attack & flagged_attack).sum())
     fn = int((truly_attack & ~flagged_attack).sum())
     fp = int((~truly_attack & flagged_attack).sum())

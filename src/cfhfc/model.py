@@ -20,7 +20,6 @@ __all__ = [
     "predict_proba",
     "loss",
     "gradient",
-    "accuracy",
     "local_train",
     "prox_local_train",
 ]
@@ -205,12 +204,6 @@ def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
     onehot = np.eye(model.num_classes)[data.labels]
     gw, gb = _gradient_arrays(model.weights, model.biases, data.features, onehot)
     return ModelParams(gw, gb)
-
-
-def accuracy(model: ModelParams, data: LabeledBatch) -> float:
-    """Fraction of the batch classified correctly by argmax."""
-    probs = predict_proba(model, data.features)
-    return float(np.mean(probs.argmax(axis=1) == data.labels))
 
 
 def _sgd(

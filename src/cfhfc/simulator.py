@@ -16,7 +16,6 @@ pair reproduces bit-identical results.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -229,6 +228,7 @@ class Scenario:
         for name, _ in self.archetype_mix:
             if name not in ARCHETYPES:
                 raise ValueError(f"unknown archetype {name!r}")
+        self.dataset.check_shards(self.num_clients)
         if self.attack_classes is not None:
             num_classes = self.dataset.num_classes
             if not self.attack_classes or not all(
@@ -350,7 +350,6 @@ class RoundReport:
     fnr: float
     sync_latency_s: float
     cluster_stats: tuple[ClusterRoundStat, ...]
-    wall_clock_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -501,21 +500,17 @@ def _participants(scenario: Scenario, memberships: np.ndarray) -> list[np.ndarra
 def _sync_from_times(
     scenario: Scenario,
     times: np.ndarray,
-    memberships: np.ndarray | None = None,
-    participants: list[np.ndarray] | None = None,
+    memberships: np.ndarray,
+    participants: list[np.ndarray],
 ) -> tuple[float, tuple[float, ...]]:
-    """Synchronization latency and the per-cluster completion times.
+    """The clustered method's synchronization latency and per-cluster completion times.
 
-    Without memberships (the baselines) the round waits on the slowest
-    client. The clustered method synchronizes inside each cluster first (a
-    cluster completes when its slowest participant does), and clients only
-    wait on their own cluster; the reported latency is the
-    participation-mass-weighted mean of cluster completion times plus one
-    cloud join overhead.
+    Each cluster synchronizes inside itself first (it completes when its
+    slowest participant does), and clients only wait on their own cluster;
+    the reported latency is the participation-mass-weighted mean of cluster
+    completion times plus one cloud join overhead. The baselines wait on the
+    slowest client instead.
     """
-    if memberships is None:
-        peak = float(times.max())
-        return peak, (peak,)
     per_cluster = np.array([times[idx].max() if idx.size else 0.0 for idx in participants])
     # gathered, not masked over all clients: a masked sum adds in another order
     # and moves the reported latency in its last bits
@@ -532,19 +527,19 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
     """One round of the timing model without any training.
 
     sizes holds each client's data size, in client order. The clustered
-    method runs a clustering pass on the scenario's observed profiles.
+    method runs a clustering pass on the scenario's observed profiles; the
+    baselines wait on the slowest client.
     """
     profiles, stragglers = _fleet(scenario)
     sizes = np.asarray(sizes, dtype=np.float64)
     source = scenario.dataset.source
     model_params = source.num_classes * (source.num_features + 1)
     times = _client_round_times(scenario, profiles, sizes, stragglers, model_params)
-    memberships = participants = None
+    sync = float(times.max())
     if scenario.method == "cfhfc":
         partition, _ = _cluster_round(scenario, profiles, stragglers, round_index=0)
-        memberships = partition.memberships
-        participants = _participants(scenario, memberships)
-    sync, _ = _sync_from_times(scenario, times, memberships, participants)
+        participants = _participants(scenario, partition.memberships)
+        sync, _ = _sync_from_times(scenario, times, partition.memberships, participants)
     return LatencyReport(tuple(float(t) for t in times), sync)
 
 
@@ -620,8 +615,7 @@ def _fog(
     model_size = anchor.num_classes * (anchor.num_features + 1)
     times = _client_round_times(scenario, state.profiles, sizes, state.stragglers, model_size)
     if scenario.method != "cfhfc":
-        sync, _ = _sync_from_times(scenario, times)
-        return weighted_average(updated, sizes), sync, ()
+        return weighted_average(updated, sizes), float(times.max()), ()
 
     partition, normalized = _cluster_round(
         scenario, state.profiles, state.stragglers, state.round_index
@@ -667,7 +661,6 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
     """
     if scenario != state.scenario:
         raise ValueError("run_round was given a scenario other than state.scenario")
-    started = time.perf_counter()
     updated = _edge(state)
     state.global_model, sync, cluster_stats = _fog(state, updated)
     round_index = state.round_index
@@ -684,7 +677,6 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
         fnr=rates.fnr,
         sync_latency_s=sync,
         cluster_stats=cluster_stats,
-        wall_clock_s=time.perf_counter() - started,
     )
     return state, report
 

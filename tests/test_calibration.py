@@ -130,7 +130,7 @@ class TestPredictWithCalibration:
         assert decision.kind == "single_label"
         assert decision.label == 0
         assert decision.prediction_set == (0,)
-        assert decision.set_size == 1
+        assert len(decision.prediction_set) == 1
 
     def test_tie_resolved_to_most_probable(self):
         model = CalibratedModel(bias_model([0.8, 0.15, 0.05]), threshold=0.9,
@@ -146,7 +146,7 @@ class TestPredictWithCalibration:
         (decision,) = predict_with_calibration(model, zero_features(1))
         assert decision.kind == "suspicious"
         assert decision.label is None
-        assert decision.set_size == 0
+        assert len(decision.prediction_set) == 0
 
     def test_sets_grow_with_threshold(self):
         rng = np.random.default_rng(0)

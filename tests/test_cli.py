@@ -192,6 +192,22 @@ class TestRun:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_more_shards_than_synthetic_rows_is_config_error(self, tmp_path, capsys):
+        """A synthetic pool's size follows from the config, so it is checked there."""
+        config = tmp_path / "shards.json"
+        config.write_text(json.dumps({
+            "num_clients": 10, "num_clusters": 2, "rounds": 1,
+            "dataset": {"partition": "by_class_shards",
+                        "source": {"type": "synthetic", "samples_per_class": 3}},
+        }))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: num_clients x shards_per_client = 10 x 2 = 20 shards, "
+            "but the pool has only 10 rows\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestResolve:
     def test_partial_source_merges_onto_preset(self):

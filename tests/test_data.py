@@ -13,16 +13,14 @@ from cfhfc import (
     ModelParams,
     SyntheticSource,
     TrainConfig,
-    accuracy,
-    dirichlet_partition,
     generate_synthetic,
     load_csv,
     local_train,
     materialize_clients,
-    shard_partition,
-    split_holdout,
+    predict_proba,
 )
 from cfhfc.clustering import minmax_scale
+from cfhfc.data import _dirichlet_rows, _gather_clients, _shard_rows
 
 FIT_CFG = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=5,
                       dropout_rate=0.0)
@@ -31,7 +29,7 @@ FIT_CFG = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=5,
 def fit_and_score(data: LabeledBatch, num_classes: int) -> float:
     model = ModelParams.zeros(num_classes, data.features.shape[1])
     trained = local_train(model, data, FIT_CFG, seed=0)
-    return accuracy(trained, data)
+    return float(np.mean(predict_proba(trained, data.features).argmax(axis=1) == data.labels))
 
 
 class TestGenerateSynthetic:
@@ -139,85 +137,84 @@ class TestLoadCsv:
             load_csv(path, "label", num_classes=2)
 
 
+def synthetic_spec(n_per_class, num_classes, seed, partition="dirichlet", **fields):
+    """A spec over class-balanced synthetic rows with no holdout unless fields set one."""
+    source = SyntheticSource(num_classes=num_classes, num_features=5,
+                             samples_per_class=n_per_class)
+    fields.setdefault("holdout_fraction", 0.0)
+    return DatasetSpec(source=source, partition=partition, seed=seed, **fields)
+
+
+def client_labels(client):
+    return np.concatenate([client.train.labels]
+                          + ([client.calibration.labels] if client.calibration else []))
+
+
 class TestSplitHoldout:
     @staticmethod
-    def pool(n=100, seed=0):
-        rng = np.random.default_rng(seed)
-        return LabeledBatch(rng.random((n, 3)), rng.integers(0, 2, size=n))
+    def spec(holdout_fraction, seed=1):
+        # a shard partition without calibration gives every pool row to one client
+        return synthetic_spec(50, 2, seed, "by_class_shards", holdout_fraction=holdout_fraction,
+                              calibration_fraction=0.0)
 
     def test_sizes_and_disjointness(self):
-        data = self.pool()
-        remainder, holdout = split_holdout(data, 0.2, seed=1)
+        spec = self.spec(0.2)
+        clients, holdout = materialize_clients(spec, 4, min_samples=8)
         assert len(holdout) == 20
-        assert len(remainder) == 80
-        combined = np.vstack([remainder.features, holdout.features])
-        assert combined.shape == data.features.shape
-        # every original row appears exactly once across the two splits
-        original = {tuple(r) for r in data.features}
+        assert sum(c.size for c in clients) == 80
+        combined = np.vstack([c.train.features for c in clients] + [holdout.features])
+        assert combined.shape == (100, 5)
+        # every generated row appears exactly once across the clients and the holdout
+        original = {tuple(r) for r in generate_synthetic(spec.source, spec.seed).features}
         assert {tuple(r) for r in combined} == original
 
     def test_zero_fraction_returns_none(self):
-        data = self.pool()
-        remainder, holdout = split_holdout(data, 0.0, seed=1)
+        clients, holdout = materialize_clients(self.spec(0.0), 4, min_samples=8)
         assert holdout is None
-        assert remainder is data
+        assert sum(c.size for c in clients) == 100
 
     def test_deterministic(self):
-        data = self.pool()
-        _, h1 = split_holdout(data, 0.2, seed=7)
-        _, h2 = split_holdout(data, 0.2, seed=7)
+        _, h1 = materialize_clients(self.spec(0.2, seed=7), 4, min_samples=8)
+        _, h2 = materialize_clients(self.spec(0.2, seed=7), 4, min_samples=8)
         np.testing.assert_array_equal(h1.features, h2.features)
 
 
 class TestDirichletPartition:
     @staticmethod
-    def pool(n_per_class=200, num_classes=4, seed=0):
-        rng = np.random.default_rng(seed)
-        features = rng.random((n_per_class * num_classes, 5))
-        labels = np.repeat(np.arange(num_classes), n_per_class)
-        return LabeledBatch(features, labels)
+    def spec(seed, concentration, n_per_class=200, num_classes=4, **fields):
+        return synthetic_spec(n_per_class, num_classes, seed, concentration=concentration,
+                              **fields)
 
     def test_single_client_gets_everything(self):
-        data = self.pool()
-        clients = dirichlet_partition(data, 1, 0.3, seed=0, min_samples=1)
+        clients, _ = materialize_clients(self.spec(0, 0.3), 1, min_samples=1)
         assert len(clients) == 1
-        assert clients[0].size == len(data)
+        assert clients[0].size == 800
 
     def test_sample_conservation_without_topup(self):
-        data = self.pool()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any top-up warning fails the test
-            clients = dirichlet_partition(data, 4, 10.0, seed=1, min_samples=8)
-        assert sum(c.size for c in clients) == len(data)
+            clients, _ = materialize_clients(self.spec(1, 10.0), 4, min_samples=8)
+        assert sum(c.size for c in clients) == 800
 
     def test_high_concentration_approaches_global_mix(self):
-        data = self.pool()
-        clients = dirichlet_partition(data, 4, 1e6, seed=2, min_samples=8)
+        clients, _ = materialize_clients(self.spec(2, 1e6), 4, min_samples=8)
         for client in clients:
-            labels = np.concatenate(
-                [client.train.labels]
-                + ([client.calibration.labels] if client.calibration else [])
-            )
+            labels = client_labels(client)
             proportions = np.bincount(labels, minlength=4) / len(labels)
             np.testing.assert_allclose(proportions, 0.25, atol=0.05)
 
     def test_low_concentration_skews_clients(self):
-        data = self.pool()
-        clients = dirichlet_partition(data, 4, 0.1, seed=3, min_samples=8)
+        clients, _ = materialize_clients(self.spec(3, 0.1), 4, min_samples=8)
         max_share = 0.0
         for client in clients:
-            labels = np.concatenate(
-                [client.train.labels]
-                + ([client.calibration.labels] if client.calibration else [])
-            )
+            labels = client_labels(client)
             share = np.bincount(labels, minlength=4).max() / len(labels)
             max_share = max(max_share, share)
         assert max_share > 0.5  # at least one client is dominated by one class
 
     def test_train_and_calibration_disjoint(self):
-        data = self.pool()
-        clients = dirichlet_partition(data, 3, 0.5, seed=4, calibration_fraction=0.2,
-                                      min_samples=8)
+        spec = self.spec(4, 0.5, calibration_fraction=0.2)
+        clients, _ = materialize_clients(spec, 3, min_samples=8)
         for client in clients:
             assert client.calibration is not None
             train_rows = {tuple(r) for r in client.train.features}
@@ -225,50 +222,69 @@ class TestDirichletPartition:
             assert not train_rows & cal_rows
 
     def test_small_pool_tops_up_to_minimum(self):
-        data = self.pool(n_per_class=30, num_classes=2)
-        with pytest.warns(RuntimeWarning, match="topped up"):
-            clients = dirichlet_partition(data, 5, 0.05, seed=5, min_samples=24)
+        spec = self.spec(5, 0.05, n_per_class=30, num_classes=2)
+        with pytest.warns(RuntimeWarning, match=r"topped up \d+ client\(s\) \[.*\] to 24 "
+                          "samples with duplicates from the global pool"):
+            clients, _ = materialize_clients(spec, 5, min_samples=24)
         for client in clients:
             assert client.size >= 24
 
     def test_deterministic(self):
-        data = self.pool()
-        a = dirichlet_partition(data, 4, 0.3, seed=6, min_samples=8)
-        b = dirichlet_partition(data, 4, 0.3, seed=6, min_samples=8)
+        a, _ = materialize_clients(self.spec(6, 0.3), 4, min_samples=8)
+        b, _ = materialize_clients(self.spec(6, 0.3), 4, min_samples=8)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.train.features, cb.train.features)
             np.testing.assert_array_equal(ca.train.labels, cb.train.labels)
 
+    def test_min_samples_below_one_rejected_before_generation(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("data generated before min_samples was checked")
+
+        monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
+        spec = DatasetSpec(source=SyntheticSource(samples_per_class=10))
+        with pytest.raises(ValueError, match="min_samples must be >= 1, got 0"):
+            materialize_clients(spec, 60, min_samples=0)
+
 
 class TestShardPartition:
     @staticmethod
-    def pool(n_per_class=100, num_classes=4, seed=0):
-        rng = np.random.default_rng(seed)
-        features = rng.random((n_per_class * num_classes, 5))
-        labels = np.repeat(np.arange(num_classes), n_per_class)
-        return LabeledBatch(features, labels)
+    def spec(seed, n_per_class=100, num_classes=4, **fields):
+        return synthetic_spec(n_per_class, num_classes, seed, "by_class_shards",
+                              shards_per_client=2, **fields)
 
     def test_equal_sizes_when_divisible(self):
-        data = self.pool()  # 400 rows into 4 clients x 2 shards = 8 shards of 50
-        clients = shard_partition(data, 4, 2, seed=0, calibration_fraction=0.0)
+        # 400 rows into 4 clients x 2 shards = 8 shards of 50
+        clients, _ = materialize_clients(self.spec(0, calibration_fraction=0.0), 4)
         assert all(c.size == 100 for c in clients)
-        assert sum(c.size for c in clients) == len(data)
+        assert sum(c.size for c in clients) == 400
 
     def test_label_diversity_bounded_by_shards(self):
-        data = self.pool()
-        clients = shard_partition(data, 4, 2, seed=1, calibration_fraction=0.0)
+        clients, _ = materialize_clients(self.spec(1, calibration_fraction=0.0), 4)
         for client in clients:
             assert len(np.unique(client.train.labels)) <= 2
 
     def test_more_shards_than_rows_rejected(self):
-        data = self.pool(n_per_class=2, num_classes=2)
+        spec = self.spec(0, n_per_class=2, num_classes=2)
         with pytest.raises(ValueError, match=r"3 x 2 = 6 shards, but the pool has only 4 rows"):
-            shard_partition(data, 3, 2, seed=0)
+            materialize_clients(spec, 3)
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("samples_per_class", [4, 5, 6, 7])
+    def test_config_check_agrees_with_the_generated_pool(self, samples_per_class,
+                                                         holdout_fraction):
+        spec = self.spec(0, n_per_class=samples_per_class, holdout_fraction=holdout_fraction)
+        errors = []
+        for call in (lambda: spec.check_shards(10), lambda: materialize_clients(spec, 10)):
+            try:
+                call()
+                errors.append(None)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
 
     def test_deterministic(self):
-        data = self.pool()
-        a = shard_partition(data, 4, 2, seed=2)
-        b = shard_partition(data, 4, 2, seed=2)
+        a, _ = materialize_clients(self.spec(2), 4)
+        b, _ = materialize_clients(self.spec(2), 4)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.train.features, cb.train.features)
 
@@ -496,6 +512,21 @@ def assert_clients_equal(got, want):
         assert_batches_equal(g.calibration, w.calibration)
 
 
+def dirichlet_clients(data, num_clients, concentration, seed, calibration_fraction,
+                      min_samples):
+    """materialize_clients' dirichlet route, run on a hand-made pool."""
+    rng = np.random.default_rng(seed)
+    owned = _dirichlet_rows(data.labels, num_clients, concentration, rng, min_samples)
+    return _gather_clients(data, owned, calibration_fraction, rng)
+
+
+def shard_clients(data, num_clients, shards_per_client, seed, calibration_fraction):
+    """materialize_clients' shard route, run on a hand-made pool."""
+    rng = np.random.default_rng(seed)
+    owned = _shard_rows(data.labels, num_clients, shards_per_client, rng)
+    return _gather_clients(data, owned, calibration_fraction, rng)
+
+
 class TestReferenceReplay:
     """Every client's rows, and the holdout, match the data layer as first
     written, over client counts from one to more than there are rows."""
@@ -513,7 +544,7 @@ class TestReferenceReplay:
         data = self.gapped_pool()
         features, labels = data.features.copy(), data.labels.copy()
         args = (data, num_clients, 0.5, 3, calibration_fraction, min_samples)
-        got, want = replay(lambda: dirichlet_partition(*args),
+        got, want = replay(lambda: dirichlet_clients(*args),
                            lambda: ref_dirichlet_partition(*args))
         if want is not None:
             assert_clients_equal(got, want)
@@ -526,7 +557,7 @@ class TestReferenceReplay:
         data = self.gapped_pool()
         features, labels = data.features.copy(), data.labels.copy()
         args = (data, num_clients, 3, 4, calibration_fraction)
-        got, want = replay(lambda: shard_partition(*args),
+        got, want = replay(lambda: shard_clients(*args),
                            lambda: ref_shard_partition(*args))
         if want is not None:
             assert_clients_equal(got, want)

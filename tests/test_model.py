@@ -13,7 +13,6 @@ from cfhfc import (
     LabeledBatch,
     ModelParams,
     TrainConfig,
-    accuracy,
     gradient,
     local_train,
     loss,
@@ -138,7 +137,7 @@ class TestLoss:
         direction = np.ones((1, batch.features.shape[1]))
         model = ModelParams(np.vstack([-direction, direction]) * 50.0, np.zeros(2))
         assert loss(model, batch) < 1e-6
-        assert accuracy(model, batch) == 1.0
+        assert (predict_proba(model, batch.features).argmax(axis=1) == batch.labels).all()
 
 
 class TestGradient:
@@ -254,7 +253,7 @@ class TestLocalTrain:
             learning_rate=0.1, batch_size=32, local_epochs=20, dropout_rate=0.0
         )
         trained = local_train(ModelParams.zeros(2, 5), batch, cfg, seed=0)
-        assert accuracy(trained, batch) >= 0.95
+        assert np.mean(predict_proba(trained, batch.features).argmax(axis=1) == batch.labels) >= 0.95
 
     def test_matches_manual_sgd_replay(self):
         """Bit-for-bit replay of the loop: seeded shuffle, mean gradient,

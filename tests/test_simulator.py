@@ -174,7 +174,7 @@ class TestRoundLoop:
         scenario = small_scenario(method="cfhfc", num_clusters=2, rounds=2)
         a = run_training(scenario)
         b = run_training(scenario)
-        assert a == b  # wall_clock_s is excluded from comparison
+        assert a == b
 
     def test_report_shape(self):
         reports = run_training(small_scenario(rounds=2))
