@@ -39,6 +39,7 @@ from .data import (
     CsvSource,
     DatasetSpec,
     SyntheticSource,
+    client_sizes,
     generate_synthetic,
     load_csv,
     materialize_clients,

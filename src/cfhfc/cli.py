@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import CsvSource, SyntheticSource
+from .data import CsvSource, SyntheticSource, _holdout_rows, _load
 from .metrics import (
     argmax_decisions,
     classification_metrics,
@@ -36,7 +36,6 @@ from .simulator import (  # init_state and run_round stay importable from here
     Scenario,
     build_scenario,
     init_state,
-    materialize_scenario,
     run_round,
     run_training,
     straggler_metrics,
@@ -386,9 +385,12 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     scenario = resolve_scenario(None, json.loads(config_path.read_text()))
     raw_model = json.loads(model_path.read_text())
     model = ModelParams(np.array(raw_model["weights"]), np.array(raw_model["biases"]))
-    _, holdout = materialize_scenario(scenario)
-    if holdout is None:
+    # the holdout is drawn before any partition, so no client is built for it
+    full = _load(scenario.dataset)
+    _, held = _holdout_rows(scenario.dataset, len(full))
+    if held is None:
         raise ConfigError("run has no holdout split; cannot build a report")
+    holdout = full.subset(held)
     attack = scenario.resolved_attack_classes()
 
     points = roc_sweep(model, holdout, attack, np.linspace(0.0, 1.0, 101))

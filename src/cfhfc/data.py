@@ -30,6 +30,7 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "materialize_clients",
+    "client_sizes",
 ]
 
 
@@ -155,8 +156,13 @@ def generate_synthetic(source: SyntheticSource, seed: int) -> LabeledBatch:
     for block, center in zip(features, centers):
         rng.standard_normal(out=block)
         block += center
-    labels = np.repeat(np.arange(source.num_classes), source.samples_per_class)
-    return LabeledBatch(minmax_scale_in_place(features.reshape(-1, source.num_features)), labels)
+    return LabeledBatch(minmax_scale_in_place(features.reshape(-1, source.num_features)),
+                        _synthetic_labels(source))
+
+
+def _synthetic_labels(source: SyntheticSource) -> np.ndarray:
+    """generate_synthetic's labels, in its by-class order, with no draw."""
+    return np.repeat(np.arange(source.num_classes), source.samples_per_class)
 
 
 def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBatch:
@@ -279,7 +285,7 @@ def _dirichlet_rows(
             f"topped up {len(shortfall_clients)} client(s) {shortfall_clients} "
             f"to {min_samples} samples with duplicates from the global pool",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of materialize_clients or client_sizes
         )
     return owned
 
@@ -301,6 +307,40 @@ def _shard_rows(
     return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
 
 
+def _check_request(num_clients: int, min_samples: int) -> None:
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+
+
+def _load(spec: DatasetSpec) -> LabeledBatch:
+    if isinstance(spec.source, SyntheticSource):
+        return generate_synthetic(spec.source, spec.seed)
+    return load_csv(spec.source.path, spec.source.label_column, spec.source.num_classes)
+
+
+def _holdout_rows(spec: DatasetSpec, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (pool, held) rows of n loaded rows; held is None without a holdout."""
+    if spec.holdout_fraction == 0.0:
+        return np.arange(n), None
+    return _split_rows(n, spec.holdout_fraction, np.random.default_rng(spec.seed))
+
+
+def _client_rows(
+    spec: DatasetSpec, labels: np.ndarray, num_clients: int, min_samples: int
+) -> tuple[np.ndarray | None, list[np.ndarray], np.random.Generator]:
+    """The row bookkeeping behind every client: (held rows, each client's rows of the
+    loaded data, the partition RNG). It reads the labels and nothing else."""
+    pool, held = _holdout_rows(spec, len(labels))
+    rng = np.random.default_rng(spec.seed)
+    if spec.partition == "dirichlet":
+        owned = _dirichlet_rows(labels[pool], num_clients, spec.concentration, rng, min_samples)
+    else:
+        owned = _shard_rows(labels[pool], num_clients, spec.shards_per_client, rng)
+    return held, [pool[rows] for rows in owned], rng
+
+
 def materialize_clients(
     spec: DatasetSpec, num_clients: int, min_samples: int = 64
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
@@ -315,22 +355,23 @@ def materialize_clients(
     each client. Each client then sets calibration_fraction of its rows
     aside, and its batches are gathered straight from the loaded matrix.
     """
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+    _check_request(num_clients, min_samples)
+    full = _load(spec)
+    held, owned, rng = _client_rows(spec, full.labels, num_clients, min_samples)
+    clients = _gather_clients(full, owned, spec.calibration_fraction, rng)
+    return clients, None if held is None else full.subset(held)
+
+
+def client_sizes(spec: DatasetSpec, num_clients: int, min_samples: int = 64) -> list[int]:
+    """Each client's row count under materialize_clients, without its batches.
+
+    The partition runs on the labels alone, so a synthetic source generates
+    no features; a CSV source is still read. The calibration split only
+    divides a client's rows, so it cannot change a size.
+    """
+    _check_request(num_clients, min_samples)
     if isinstance(spec.source, SyntheticSource):
-        full = generate_synthetic(spec.source, spec.seed)
+        labels = _synthetic_labels(spec.source)
     else:
-        full = load_csv(spec.source.path, spec.source.label_column, spec.source.num_classes)
-    pool, holdout = np.arange(len(full)), None
-    if spec.holdout_fraction != 0.0:
-        pool, held = _split_rows(len(full), spec.holdout_fraction, np.random.default_rng(spec.seed))
-        holdout = full.subset(held)
-    labels, rng = full.labels[pool], np.random.default_rng(spec.seed)
-    if spec.partition == "dirichlet":
-        owned = _dirichlet_rows(labels, num_clients, spec.concentration, rng, min_samples)
-    else:
-        owned = _shard_rows(labels, num_clients, spec.shards_per_client, rng)
-    clients = _gather_clients(full, [pool[rows] for rows in owned], spec.calibration_fraction, rng)
-    return clients, holdout
+        labels = _load(spec).labels
+    return [len(rows) for rows in _client_rows(spec, labels, num_clients, min_samples)[1]]

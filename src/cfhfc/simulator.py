@@ -34,7 +34,7 @@ from .clustering import (
     fcm_fit,
     minmax_scale,
 )
-from .data import ClientDataset, DatasetSpec, SyntheticSource, materialize_clients
+from .data import ClientDataset, DatasetSpec, SyntheticSource, client_sizes, materialize_clients
 from .metrics import (
     MetricReport,
     argmax_decisions,
@@ -379,16 +379,17 @@ class TrainingState:
         return self.global_model.num_classes
 
 
+def _min_samples(scenario: Scenario) -> int:
+    """A dirichlet partition tops each client up to two minibatches, and to no
+    fewer than 64 rows."""
+    return max(2 * scenario.train_cfg.batch_size, 64)
+
+
 def materialize_scenario(
     scenario: Scenario,
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
-    """The scenario's client datasets and holdout.
-
-    A dirichlet partition tops each client up to two minibatches, and to no
-    fewer than 64 rows.
-    """
-    min_samples = max(2 * scenario.train_cfg.batch_size, 64)
-    return materialize_clients(scenario.dataset, scenario.num_clients, min_samples)
+    """The scenario's client datasets and holdout."""
+    return materialize_clients(scenario.dataset, scenario.num_clients, _min_samples(scenario))
 
 
 def init_state(scenario: Scenario) -> TrainingState:
@@ -747,14 +748,13 @@ def straggler_metrics(
     reports relative_pct = 100 * T(fraction) / T(0) and sme = T(0) /
     T(fraction), the straggler mitigation effectiveness. Client data sizes
     are held uniform at the scenario's mean so the sweep isolates hardware
-    heterogeneity and straggler effects from partition skew.
+    heterogeneity and straggler effects from partition skew. The sizes come
+    from the partition alone (client_sizes), without generating features.
     """
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:
-        clients, _ = materialize_scenario(
-            _scaled_scenario(scenario, n, scenario.method, 0.0)
-        )
-        mean_size = float(np.mean([c.size for c in clients]))
+        scaled = _scaled_scenario(scenario, n, scenario.method, 0.0)
+        mean_size = float(np.mean(client_sizes(scaled.dataset, n, _min_samples(scaled))))
         sizes = np.full(n, round(mean_size), dtype=np.float64)
         for method in methods:
             zero = _scaled_scenario(scenario, n, method, 0.0)

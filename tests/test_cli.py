@@ -6,6 +6,7 @@ repeat invocations must produce byte-identical files.
 
 import copy
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,21 @@ class TestReport:
         for field in ("accuracy:", "precision:", "recall:", "f1:", "fpr:",
                       "fnr:", "auc:"):
             assert field in text
+
+    def test_builds_no_clients(self, tmp_path):
+        # a dirichlet split this skewed tops clients up while the run trains
+        config = copy.deepcopy(SMALL_CONFIG)
+        config.update(rounds=1, num_clients=8)
+        config["dataset"].update(partition="dirichlet", concentration=0.05)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        with pytest.warns(RuntimeWarning, match="topped up"):
+            assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", str(run_dir)]) == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_separate_output_directory(self, tmp_path, config_path):
         run_dir = tmp_path / "run"

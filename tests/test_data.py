@@ -1,5 +1,6 @@
 """Tests for synthetic data generation, CSV loading and client partitioning."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from cfhfc import (
     ModelParams,
     SyntheticSource,
     TrainConfig,
+    client_sizes,
     generate_synthetic,
     load_csv,
     local_train,
@@ -345,6 +347,78 @@ class TestMaterializeClients:
         )
         clients, _ = materialize_clients(spec, 2, min_samples=4)
         assert sum(c.size for c in clients) == 60
+
+
+def outcome(call):
+    """(result or ValueError text, RuntimeWarning texts) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+    return result, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestClientSizes:
+    """client_sizes returns the sizes of materialize_clients' clients, with the same
+    top-up warnings and the same errors, and leaves its spec alone."""
+
+    @staticmethod
+    def assert_sizes_match(spec, num_clients, min_samples):
+        before = copy.deepcopy(spec)
+        got = outcome(lambda: client_sizes(spec, num_clients, min_samples))
+        want = outcome(lambda: [c.size for c in materialize_clients(spec, num_clients,
+                                                                    min_samples)[0]])
+        assert got == want
+        assert spec == before
+        return got
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
+    @pytest.mark.parametrize("num_clients", [1, 4, 60])
+    def test_synthetic(self, num_clients, partition, calibration_fraction, holdout_fraction):
+        # 40 rows: 60 clients force dirichlet top-ups and are more shards than rows
+        spec = synthetic_spec(10, 4, 9, partition, concentration=0.4,
+                              calibration_fraction=calibration_fraction,
+                              holdout_fraction=holdout_fraction)
+        sizes, warned = self.assert_sizes_match(spec, num_clients, 12)
+        if num_clients == 60:
+            if partition == "dirichlet":
+                assert min(sizes) == 12
+                assert warned and warned[0].startswith("topped up ")
+            else:
+                assert sizes.startswith("ValueError: num_clients x shards_per_client = 60 x 2")
+
+    @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
+    def test_csv_with_string_labels(self, tmp_path, partition):
+        rng = np.random.default_rng(4)
+        names = ["normal", "scan", "flood"]
+        rows = [f"{a:.6f},{b:.6f},{names[k]}"
+                for a, b, k in zip(rng.random(50), rng.random(50), rng.integers(0, 3, 50))]
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(["f1,f2,label", *rows]) + "\n")
+        spec = DatasetSpec(source=CsvSource(path=str(path), num_classes=3),
+                           partition=partition, holdout_fraction=0.2, seed=2)
+        sizes, _ = self.assert_sizes_match(spec, 5, 10)
+        assert len(sizes) == 5
+
+    def test_generates_no_features(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("client_sizes generated features")
+
+        monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
+        spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), holdout_fraction=0.0)
+        assert sum(client_sizes(spec, 5, min_samples=1)) == 400
+
+    @pytest.mark.parametrize("num_clients, min_samples, message", [
+        (0, 64, "num_clients must be >= 1, got 0"),
+        (5, 0, "min_samples must be >= 1, got 0"),
+    ])
+    def test_bad_request_rejected(self, num_clients, min_samples, message):
+        with pytest.raises(ValueError, match=message):
+            client_sizes(DatasetSpec(), num_clients, min_samples)
 
 
 # The data layer as first written: a pool copied out of the generated matrix,

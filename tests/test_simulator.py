@@ -6,7 +6,11 @@ reproduce the flat baselines bit for bit, because every aggregation path
 collapses to the same normalized weights.
 """
 
+import json
+import re
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,10 @@ from cfhfc import (
     simulate_latency,
     straggler_metrics,
 )
-from cfhfc.simulator import _TAG_TRAIN, _derived_seed
+from cfhfc import simulator
+from cfhfc.simulator import _TAG_TRAIN, _derived_seed, materialize_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_SOURCE = SyntheticSource(num_classes=4, num_features=8, samples_per_class=200)
 
@@ -459,3 +466,42 @@ class TestStragglerMetrics:
             assert cell["sme"] == pytest.approx(
                 100.0 / cell["relative_pct"], rel=1e-12
             )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_full_sweep_matches_golden(self, seed):
+        # every method at 20/50/80/100 clients and the default fractions, floats
+        # stored with repr precision
+        def keyed(table):
+            if isinstance(table, dict):
+                return {str(key): keyed(value) for key, value in table.items()}
+            return table
+
+        golden = json.loads((GOLDEN / "straggler_sweep.json").read_text())[str(seed)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scenario1 tops clients up
+            assert keyed(straggler_metrics(build_scenario("scenario1", seed=seed))) == golden
+
+
+class TestTopUpWarning:
+    """The top-up warning keeps its text and names the simulator's line that asked
+    for the clients, not a line inside the data layer."""
+
+    @staticmethod
+    def scenario():
+        dataset = DatasetSpec(source=SMALL_SOURCE, concentration=0.05, seed=3)
+        return replace(small_scenario(num_clients=8), dataset=dataset)
+
+    @pytest.mark.parametrize("call", [
+        materialize_scenario,
+        lambda scenario: straggler_metrics(scenario, fractions=(0.0,), client_counts=(8,),
+                                           methods=("fedavg",)),
+    ], ids=["materialize_scenario", "straggler_metrics"])
+    def test_points_at_the_simulator(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(self.scenario())
+        topped = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(topped) == 1
+        assert re.fullmatch(r"topped up \d+ client\(s\) \[[\d, ]+\] to 64 samples with "
+                            r"duplicates from the global pool", str(topped[0].message))
+        assert topped[0].filename == simulator.__file__
