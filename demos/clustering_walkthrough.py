@@ -13,7 +13,7 @@ Run: python3 demos/clustering_walkthrough.py
 import numpy as np
 
 from cfhfc import (
-    archetype_profile,
+    ARCHETYPES,
     clusters_for_clients,
     fcm_fit,
     normalize_profiles,
@@ -30,7 +30,7 @@ def main():
     fleet = []
     names = []
     for archetype in ("pi3", "pi4", "pi400"):
-        base = archetype_profile(archetype)
+        base = HardwareProfile(*ARCHETYPES[archetype])
         for i in range(4):
             fleet.append(
                 HardwareProfile(
@@ -68,7 +68,7 @@ def main():
     # Show why soft membership matters: nudge one pi4 toward pi3 territory
     # and watch its weight split instead of flipping.
     borderline = list(fleet)
-    base3, base4 = archetype_profile("pi3"), archetype_profile("pi4")
+    base3, base4 = HardwareProfile(*ARCHETYPES["pi3"]), HardwareProfile(*ARCHETYPES["pi4"])
     borderline[4] = HardwareProfile(
         cpu_ghz=0.5 * (base3.cpu_ghz + base4.cpu_ghz),
         memory_gb=0.5 * (base3.memory_gb + base4.memory_gb),

@@ -17,6 +17,7 @@ from .aggregation import (
 )
 from .calibration import (
     CalibratedModel,
+    CalibrationConfig,
     CalibrationState,
     SUSPICIOUS,
     Decision,
@@ -64,12 +65,10 @@ from .model import (
 )
 from .simulator import (
     ARCHETYPES,
-    CalibrationConfig,
     ClusterConfig,
     LatencyModel,
     RoundReport,
     Scenario,
-    archetype_profile,
     build_scenario,
     clusters_for_clients,
     init_state,

@@ -1,12 +1,13 @@
 """Adaptive conformal calibration of cluster models.
 
 Each fog cluster keeps a confidence level that drifts with the error rates
-observed on its calibration split: missed attacks push confidence up, false
-alarms push it down, and well-resourced clusters are allowed to run slightly
-more conservative thresholds. The threshold itself is a finite-sample
-quantile of nonconformity scores, so prediction sets inherit the usual split
-conformal coverage. Calibration only ever tunes the decision rule; model
-weights pass through untouched.
+observed on its calibration split: missed attacks push confidence down, so
+the threshold falls and more rows get an empty prediction set, which is
+booked as an attack; false alarms push it up, and well-resourced clusters
+are allowed to run slightly more conservative thresholds. The threshold
+itself is a finite-sample quantile of nonconformity scores, so prediction
+sets inherit the usual split conformal coverage. Calibration only ever tunes
+the decision rule; model weights pass through untouched.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .aggregation import ClusterModel
 from .model import LabeledBatch, ModelParams, _check_labels, predict_proba
 
 __all__ = [
+    "CalibrationConfig",
     "CalibrationState",
     "CalibratedModel",
     "Decision",
@@ -38,17 +40,35 @@ SUSPICIOUS = -1  # label of a row whose prediction set is empty
 
 
 @dataclass
-class CalibrationState:
-    """Per-cluster calibration bookkeeping carried across rounds."""
+class CalibrationConfig:
+    """Adaptive conformal calibration knobs; disable for ablations."""
 
-    confidence: float = 0.9
-    threshold: float = 1.0
-    recent_fnr: float = 0.0
-    recent_fpr: float = 0.0
-    resource_index: float = 0.0
+    enabled: bool = True
+    initial_confidence: float = 0.9
     fnr_sensitivity: float = 0.5
     fpr_sensitivity: float = 0.2
     resource_sensitivity: float = 0.05
+
+    def __post_init__(self) -> None:
+        lo, hi = CONFIDENCE_BOUNDS
+        if not lo <= self.initial_confidence <= hi:
+            raise ValueError(
+                f"initial_confidence must lie in [{lo}, {hi}], "
+                f"got {self.initial_confidence}"
+            )
+        for name in ("fnr_sensitivity", "fpr_sensitivity", "resource_sensitivity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
+@dataclass
+class CalibrationState:
+    """What a cluster carries from one calibration update into the next."""
+
+    confidence: float = CalibrationConfig.initial_confidence
+    recent_fnr: float = 0.0
+    recent_fpr: float = 0.0
+    resource_index: float = 0.0
 
     def __post_init__(self) -> None:
         lo, hi = CONFIDENCE_BOUNDS
@@ -135,19 +155,19 @@ def quantile(scores: np.ndarray, q: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
-def update_confidence(state: CalibrationState) -> float:
+def update_confidence(state: CalibrationState, cfg: CalibrationConfig) -> float:
     """Next confidence level from recent error rates and cluster resources.
 
     Missed attacks (FNR) lower the confidence so prediction sets tighten
     around fewer, more certain labels; false alarms (FPR) raise it; richer
     clusters (resource index) can afford slightly larger sets. The result is
-    clamped to the documented bounds.
+    clamped to the documented bounds. The sensitivities come from cfg.
     """
     q = (
         state.confidence
-        - state.fnr_sensitivity * state.recent_fnr
-        + state.fpr_sensitivity * state.recent_fpr
-        + state.resource_sensitivity * state.resource_index
+        - cfg.fnr_sensitivity * state.recent_fnr
+        + cfg.fpr_sensitivity * state.recent_fpr
+        + cfg.resource_sensitivity * state.resource_index
     )
     lo, hi = CONFIDENCE_BOUNDS
     return float(min(max(q, lo), hi))
@@ -168,26 +188,27 @@ def predict_with_calibration(
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     probs = predict_proba(model.params, features)
     members = 1.0 - probs <= model.threshold
-    best = np.where(members, probs, -np.inf).argmax(axis=1)
-    return Decisions(np.where(members.any(axis=1), best, SUSPICIOUS), members)
+    # 1 - p is monotone, so the most probable class is in every non-empty set
+    return Decisions(np.where(members.any(axis=1), probs.argmax(axis=1), SUSPICIOUS), members)
 
 
 def calibrate(
     model: ClusterModel,
     calibration_data: LabeledBatch,
     state: CalibrationState,
+    cfg: CalibrationConfig | None = None,
 ) -> tuple[CalibratedModel, CalibrationState]:
     """Refresh a cluster's confidence and threshold on new calibration data.
 
     Consumes the recent error rates stored in the state, updates the
-    confidence, and recomputes the threshold as the matching quantile of the
-    fresh score set. The model parameters are carried through unchanged; only
-    the decision rule moves.
+    confidence with cfg's sensitivities (the defaults when cfg is None), and
+    recomputes the threshold as the matching quantile of the fresh score set.
+    The model parameters are carried through unchanged; only the decision
+    rule moves.
     """
     if len(calibration_data) == 0:
         raise ValueError("calibration data must be non-empty")
     scores = build_score_set(model.params, calibration_data)
-    q = update_confidence(state)
+    q = update_confidence(state, cfg or CalibrationConfig())
     tau = quantile(scores, q)
-    new_state = replace(state, confidence=q, threshold=tau)
-    return CalibratedModel(params=model.params, threshold=tau, confidence=q), new_state
+    return CalibratedModel(model.params, tau, q), replace(state, confidence=q)

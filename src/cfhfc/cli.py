@@ -29,7 +29,7 @@ from .metrics import (
     trapezoid_auc,
 )
 from .model import ModelParams
-from .simulator import (  # init_state and run_round stay importable from here
+from .simulator import (  # bench/test_bench.py reads init_state and run_round here
     _PRESETS,
     METHODS,
     RoundReport,

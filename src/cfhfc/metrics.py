@@ -58,7 +58,6 @@ class MetricReport:
     precision: float
     recall: float
     f1: float
-    tpr: float
     fpr: float
     fnr: float
     degenerate: tuple[str, ...] = field(default=())
@@ -124,12 +123,9 @@ def classification_metrics(counts: ConfusionCounts) -> MetricReport:
         f1 = 0.0
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    tpr = recall
     fpr = _rate(counts.fp, counts.fp + counts.tn, "fpr", degenerate)
     fnr = _rate(counts.fn, counts.tp + counts.fn, "fnr", degenerate)
-    return MetricReport(
-        accuracy, precision, recall, f1, tpr, fpr, fnr, tuple(degenerate)
-    )
+    return MetricReport(accuracy, precision, recall, f1, fpr, fnr, tuple(degenerate))
 
 
 def argmax_decisions(params: ModelParams, features: np.ndarray) -> np.ndarray:

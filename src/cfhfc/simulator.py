@@ -22,14 +22,13 @@ import numpy as np
 
 from .aggregation import ClusterModel, cluster_aggregate, global_aggregate, weighted_average
 from .calibration import (
-    CONFIDENCE_BOUNDS,
+    CalibrationConfig,
     CalibrationState,
     calibrate,
     predict_with_calibration,
 )
 from .clustering import (
     FuzzyPartition,
-    HardwareProfile,
     ResourceWeights,
     fcm_fit,
     minmax_scale,
@@ -52,7 +51,6 @@ from .model import (
 
 __all__ = [
     "ARCHETYPES",
-    "archetype_profile",
     "clusters_for_clients",
     "LatencyModel",
     "ClusterConfig",
@@ -90,15 +88,8 @@ _TAG_JITTER = 2
 _TAG_STRAGGLER = 3
 
 
-def archetype_profile(name: str) -> HardwareProfile:
-    if name not in ARCHETYPES:
-        raise ValueError(f"unknown archetype {name!r}, expected one of {sorted(ARCHETYPES)}")
-    cpu, mem, bw = ARCHETYPES[name]
-    return HardwareProfile(cpu, mem, bw)
-
-
 def clusters_for_clients(num_clients: int) -> int:
-    """Cluster budget for a client count, interpolating the three presets."""
+    """Cluster budget for a client count: 4, 8 and 12 at the presets' 20, 50 and 80."""
     return max(1, min(num_clients, round(4 + (num_clients - 20) / 7.5)))
 
 
@@ -157,28 +148,6 @@ class ClusterConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-
-
-@dataclass
-class CalibrationConfig:
-    """Adaptive conformal calibration knobs; disable for ablations."""
-
-    enabled: bool = True
-    initial_confidence: float = 0.9
-    fnr_sensitivity: float = 0.5
-    fpr_sensitivity: float = 0.2
-    resource_sensitivity: float = 0.05
-
-    def __post_init__(self) -> None:
-        lo, hi = CONFIDENCE_BOUNDS
-        if not lo <= self.initial_confidence <= hi:
-            raise ValueError(
-                f"initial_confidence must lie in [{lo}, {hi}], "
-                f"got {self.initial_confidence}"
-            )
-        for name in ("fnr_sensitivity", "fpr_sensitivity", "resource_sensitivity"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -245,18 +214,17 @@ class Scenario:
         return frozenset(range(1, self.dataset.num_classes))
 
 
-_PRESETS: dict[str, dict] = {
-    "scenario1": {"num_clients": 20, "num_clusters": 4, "samples_per_class": 10000},
-    "scenario2": {"num_clients": 50, "num_clusters": 8, "samples_per_class": 25000},
-    "scenario3": {"num_clients": 80, "num_clusters": 12, "samples_per_class": 40000},
-}
+# each preset is a client count; clusters and data scale with it
+_PRESETS: dict[str, int] = {"scenario1": 20, "scenario2": 50, "scenario3": 80}
+_PRESET_SAMPLES_PER_CLIENT = 500  # per class
 
 
 def build_scenario(preset: str | None = None, **overrides) -> Scenario:
     """A Scenario from a named preset plus field overrides.
 
-    Presets fix the deployment scale (clients/clusters and a matching
-    synthetic dataset size); every Scenario field can still be overridden.
+    Presets fix the deployment scale: a client count, the cluster budget of
+    clusters_for_clients and a synthetic dataset of 500 samples per class per
+    client. Every Scenario field can still be overridden.
     """
     fields: dict = {}
     if preset is not None:
@@ -264,11 +232,11 @@ def build_scenario(preset: str | None = None, **overrides) -> Scenario:
             raise ValueError(
                 f"unknown preset {preset!r}, expected one of {sorted(_PRESETS)}"
             )
-        p = _PRESETS[preset]
-        fields["num_clients"] = p["num_clients"]
-        fields["num_clusters"] = p["num_clusters"]
+        n = _PRESETS[preset]
+        fields["num_clients"] = n
+        fields["num_clusters"] = clusters_for_clients(n)
         fields["dataset"] = DatasetSpec(
-            source=SyntheticSource(samples_per_class=p["samples_per_class"])
+            source=SyntheticSource(samples_per_class=n * _PRESET_SAMPLES_PER_CLIENT)
         )
     caller_dataset = "dataset" in overrides
     fields.update(overrides)
@@ -356,7 +324,6 @@ class RoundReport:
 class LatencyReport:
     """Simulated timing of one synchronous round."""
 
-    client_times: tuple[float, ...]
     sync_latency_s: float
 
 
@@ -373,10 +340,6 @@ class TrainingState:
     stragglers: np.ndarray
     calib_states: list[CalibrationState]
     converged_round: int | None = None  # round at which early stopping fired
-
-    @property
-    def num_classes(self) -> int:
-        return self.global_model.num_classes
 
 
 def _min_samples(scenario: Scenario) -> int:
@@ -398,14 +361,8 @@ def init_state(scenario: Scenario) -> TrainingState:
     profiles, stragglers = _fleet(scenario)
     num_features = clients[0].train.features.shape[1]
     num_classes = scenario.dataset.num_classes
-    calib = scenario.calib_cfg
     states = [
-        CalibrationState(
-            confidence=calib.initial_confidence,
-            fnr_sensitivity=calib.fnr_sensitivity,
-            fpr_sensitivity=calib.fpr_sensitivity,
-            resource_sensitivity=calib.resource_sensitivity,
-        )
+        CalibrationState(scenario.calib_cfg.initial_confidence)
         for _ in range(scenario.num_clusters)
     ]
     return TrainingState(
@@ -431,9 +388,8 @@ def _effective_raw_profiles(
     Straggling devices expose their slowed-down cpu (utilization is what the
     fog can actually measure); optional jitter models run-to-run load noise.
     """
-    if scenario.straggler_fraction > 0.0:
-        raw = raw.copy()
-        raw[stragglers, 0] /= scenario.straggler_slowdown
+    raw = raw.copy()
+    raw[stragglers, 0] /= scenario.straggler_slowdown
     jitter = scenario.cluster_cfg.profile_jitter
     if jitter > 0.0:
         rng = np.random.default_rng(
@@ -483,12 +439,10 @@ def _client_round_times(
     bytes_per_round = 2.0 * model_params * lat.bytes_per_param
     comm = bytes_per_round / (raw[:, 2] * 1e6 / 8.0)
     times = compute + comm + lat.round_overhead_s
-    if scenario.straggler_fraction > 0.0:
-        slowdown = scenario.straggler_slowdown
-        if scenario.method == "fedprox":
-            slowdown = 1.0 + (slowdown - 1.0) * (1.0 - lat.fedprox_partial_work)
-        times = times.copy()
-        times[stragglers] *= slowdown
+    slowdown = scenario.straggler_slowdown
+    if scenario.method == "fedprox":
+        slowdown = 1.0 + (slowdown - 1.0) * (1.0 - lat.fedprox_partial_work)
+    times[stragglers] *= slowdown
     return times
 
 
@@ -541,7 +495,7 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
         partition, _ = _cluster_round(scenario, profiles, stragglers, round_index=0)
         participants = _participants(scenario, partition.memberships)
         sync, _ = _sync_from_times(scenario, times, partition.memberships, participants)
-    return LatencyReport(tuple(float(t) for t in times), sync)
+    return LatencyReport(sync)
 
 
 def _edge(state: TrainingState) -> list[ModelParams]:
@@ -589,13 +543,11 @@ def _calibrate_cluster(
         scenario.cluster_cfg.weights.as_array() @ normalized[participants].mean(axis=0)
     )
     old_state = replace(state.calib_states[k], resource_index=resource)
-    calibrated, new_state = calibrate(cluster_model, pool, old_state)
+    calibrated, new_state = calibrate(cluster_model, pool, old_state, scenario.calib_cfg)
     decisions = predict_with_calibration(calibrated, pool.features)
-    rates = classification_metrics(
-        confusion(
-            decisions.labels, pool.labels, scenario.resolved_attack_classes(), state.num_classes
-        )
-    )
+    attack = scenario.resolved_attack_classes()
+    counts = confusion(decisions.labels, pool.labels, attack, scenario.dataset.num_classes)
+    rates = classification_metrics(counts)
     state.calib_states[k] = replace(new_state, recent_fnr=rates.fnr, recent_fpr=rates.fpr)
     return calibrated.confidence, calibrated.threshold, rates.fnr, rates.fpr
 
@@ -643,13 +595,12 @@ def _fog(
 def _evaluate(state: TrainingState) -> tuple[float, MetricReport]:
     """Holdout loss and argmax rates of the global model; NaN without a holdout."""
     if state.holdout is None:
-        return float("nan"), MetricReport(*(float("nan"),) * 7)
-    model, holdout = state.global_model, state.holdout
+        return float("nan"), MetricReport(*(float("nan"),) * 6)
+    model, holdout, scenario = state.global_model, state.holdout, state.scenario
     test_loss = loss(model, holdout)
     predictions = argmax_decisions(model, holdout.features)
-    counts = confusion(
-        predictions, holdout.labels, state.scenario.resolved_attack_classes(), state.num_classes
-    )
+    attack = scenario.resolved_attack_classes()
+    counts = confusion(predictions, holdout.labels, attack, scenario.dataset.num_classes)
     return test_loss, classification_metrics(counts)
 
 

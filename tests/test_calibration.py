@@ -13,6 +13,7 @@ import pytest
 from cfhfc import (
     CalibratedModel,
     SUSPICIOUS,
+    CalibrationConfig,
     CalibrationState,
     ClusterModel,
     Decision,
@@ -96,22 +97,34 @@ class TestQuantile:
 class TestUpdateConfidence:
     def test_no_signal_keeps_confidence(self):
         state = CalibrationState(confidence=0.9)
-        assert update_confidence(state) == 0.9
+        assert update_confidence(state, CalibrationConfig()) == 0.9
 
     def test_weighted_feedback_combination(self):
         # 0.90 - 0.5*0.02 + 0.2*0.01 + 0.05*0.5 = 0.917
         state = CalibrationState(
             confidence=0.90, recent_fnr=0.02, recent_fpr=0.01, resource_index=0.5
         )
-        assert update_confidence(state) == pytest.approx(0.917, abs=1e-12)
+        assert update_confidence(state, CalibrationConfig()) == pytest.approx(0.917, abs=1e-12)
 
     def test_lower_clamp(self):
         state = CalibrationState(confidence=0.5, recent_fnr=1.0)
-        assert update_confidence(state) == 0.5
+        assert update_confidence(state, CalibrationConfig()) == 0.5
 
     def test_upper_clamp(self):
         state = CalibrationState(confidence=0.999, resource_index=1.0)
-        assert update_confidence(state) == 0.999
+        assert update_confidence(state, CalibrationConfig()) == 0.999
+
+    def test_sensitivities_come_from_the_config(self):
+        # 0.90 - 1.0*0.02 + 0.0*0.01 + 0.1*0.5 = 0.93
+        state = CalibrationState(
+            confidence=0.90, recent_fnr=0.02, recent_fpr=0.01, resource_index=0.5
+        )
+        cfg = CalibrationConfig(fnr_sensitivity=1.0, fpr_sensitivity=0.0,
+                                resource_sensitivity=0.1)
+        assert update_confidence(state, cfg) == pytest.approx(0.93, abs=1e-12)
+
+    def test_default_confidence_is_the_config_default(self):
+        assert CalibrationState().confidence == CalibrationConfig().initial_confidence
 
     def test_state_validation(self):
         with pytest.raises(ValueError, match="confidence"):
@@ -210,6 +223,35 @@ class TestPredictWithCalibration:
             kinds.update(d.kind for d in expected)
         assert kinds == {"suspicious", "single_label", "resolved_tie"}
 
+    def test_label_is_the_argmax_of_a_non_empty_set(self):
+        """Across random models and thresholds, a row with a non-empty set is
+        labelled with the most probable member, which is the row's argmax."""
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            num_classes = int(rng.integers(2, 7))
+            params = ModelParams(rng.normal(size=(num_classes, 4)), rng.normal(size=num_classes))
+            features = rng.normal(size=(60, 4))
+            probs = predict_proba(params, features)
+            tau = float(rng.uniform(0.0, 1.0))
+            decisions = predict_with_calibration(CalibratedModel(params, tau, 0.9), features)
+            members = 1.0 - probs <= tau
+            masked = np.where(members, probs, -np.inf).argmax(axis=1)
+            expected = np.where(members.any(axis=1), masked, SUSPICIOUS)
+            np.testing.assert_array_equal(decisions.labels, expected)
+            np.testing.assert_array_equal(decisions.members, members)
+
+    @pytest.mark.parametrize("probs, label", [
+        ([0.3, 0.3, 0.3, 0.1], 0),
+        ([0.1, 0.4, 0.4, 0.1], 1),
+        ([0.2, 0.2, 0.3, 0.3], 2),
+    ])
+    def test_tied_probabilities_resolve_to_the_lowest_id(self, probs, label):
+        for tau in (0.71, 0.85, 0.95):
+            model = CalibratedModel(bias_model(probs), tau, 0.9)
+            decisions = predict_with_calibration(model, zero_features(3))
+            assert decisions.members.any()
+            np.testing.assert_array_equal(decisions.labels, [label] * 3)
+
     def test_requires_matrix_features(self):
         model = CalibratedModel(bias_model([0.5, 0.5]), 0.5, 0.9)
         with pytest.raises(ValueError, match="2-D"):
@@ -241,13 +283,25 @@ class TestCalibrate:
                                  recent_fpr=0.05, resource_index=0.2)
         calibrated, new_state = calibrate(self.make_cluster(params), batch, state)
 
-        expected_q = update_confidence(state)
+        expected_q = update_confidence(state, CalibrationConfig())
         expected_scores = build_score_set(params, batch)
         expected_tau = quantile(expected_scores, expected_q)
         assert calibrated.confidence == expected_q
         assert calibrated.threshold == expected_tau
         assert new_state.confidence == expected_q
-        assert new_state.threshold == expected_tau
+
+    def test_config_sensitivities_reach_the_update(self):
+        rng = np.random.default_rng(3)
+        params = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3))
+        batch = LabeledBatch(rng.normal(size=(25, 4)), rng.integers(0, 3, size=25))
+        state = CalibrationState(confidence=0.85, recent_fnr=0.1,
+                                 recent_fpr=0.05, resource_index=0.2)
+        cfg = CalibrationConfig(fnr_sensitivity=0.0, fpr_sensitivity=0.0,
+                                resource_sensitivity=0.0)
+        calibrated, new_state = calibrate(self.make_cluster(params), batch, state, cfg)
+        assert calibrated.confidence == new_state.confidence == 0.85
+        default, _ = calibrate(self.make_cluster(params), batch, state)
+        assert default.confidence == update_confidence(state, CalibrationConfig()) != 0.85
 
     def test_input_state_not_mutated(self):
         rng = np.random.default_rng(4)
