@@ -21,20 +21,16 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import CsvSource, SyntheticSource, _holdout_rows, _load
-from .metrics import (
-    argmax_decisions,
-    classification_metrics,
-    confusion,
-    roc_sweep,
-    trapezoid_auc,
-)
-from .model import ModelParams
+from .metrics import RATE_NAMES, classification_metrics, roc_sweep, trapezoid_auc
+from .model import LabeledBatch, ModelParams
 from .simulator import (  # bench/test_bench.py reads init_state and run_round here
     _PRESETS,
     METHODS,
+    ClusterRoundStat,
     RoundReport,
     Scenario,
     build_scenario,
+    holdout_confusion,
     init_state,
     run_round,
     run_training,
@@ -63,6 +59,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_json(path: Path, data) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +161,16 @@ def _encode(value):
     return value
 
 
-def resolve_scenario(
-    preset: str | None,
-    config: dict | None,
-    method: str | None = None,
-    seed: int | None = None,
-    rounds: int | None = None,
-    straggler_fraction: float | None = None,
-    straggler_slowdown: float | None = None,
-) -> Scenario:
+def resolve_scenario(preset: str | None, config: dict | None, **flags) -> Scenario:
     """Merge preset, config file, and CLI overrides into a Scenario.
 
+    flags are Scenario fields set on the command line; a None flag is unset.
     Every section of the config merges onto the preset's values. A seed
     also seeds the dataset unless the config sets dataset.seed itself.
     """
     cfg = dict(config) if config else {}
     file_preset = _decode(cfg.pop("preset", None), str | None, "preset")
     preset = preset or file_preset
-    flags = {
-        "method": method,
-        "seed": seed,
-        "rounds": rounds,
-        "straggler_fraction": straggler_fraction,
-        "straggler_slowdown": straggler_slowdown,
-    }
     cfg.update({k: v for k, v in flags.items() if v is not None})
     try:
         scenario = build_scenario(preset) if preset else Scenario()
@@ -209,16 +195,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 # RoundReport fields written per round by run and compare, after the round index
-_ROUND_COLUMNS = (
-    "global_loss",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "fpr",
-    "fnr",
-    "sync_latency_s",
+_ROUND_COLUMNS = tuple(
+    f.name for f in fields(RoundReport) if f.name not in ("round_index", "cluster_stats")
 )
+# ClusterRoundStat fields written per cluster by run, as cluster{k}_{field}
+_CLUSTER_COLUMNS = ("latency_s", "confidence", "threshold", "fnr_hat", "fpr_hat")
 
 
 def _round_row(report: RoundReport) -> list:
@@ -227,54 +208,45 @@ def _round_row(report: RoundReport) -> list:
 
 def _rounds_rows(scenario: Scenario, reports: list[RoundReport]):
     header = ["round", *_ROUND_COLUMNS]
-    cluster_detail = scenario.method == "cfhfc"
-    if cluster_detail:
-        for k in range(scenario.num_clusters):
-            header += [
-                f"cluster{k}_latency_s",
-                f"cluster{k}_confidence",
-                f"cluster{k}_threshold",
-                f"cluster{k}_fnr_hat",
-                f"cluster{k}_fpr_hat",
-            ]
+    clusters = range(scenario.num_clusters) if scenario.method == "cfhfc" else ()
+    header += [f"cluster{k}_{c}" for k in clusters for c in _CLUSTER_COLUMNS]
     rows = []
     for r in reports:
         row = _round_row(r)
-        if cluster_detail:
-            stats = {s.cluster_id: s for s in r.cluster_stats}
-            for k in range(scenario.num_clusters):
-                s = stats.get(k)
-                if s is None:
-                    row += [0.0, None, None, None, None]
-                else:
-                    row += [s.latency_s, s.confidence, s.threshold, s.fnr_hat, s.fpr_hat]
+        stats = {s.cluster_id: s for s in r.cluster_stats}
+        for k in clusters:
+            # a cluster without participants took no time and set no gate
+            s = stats.get(k, ClusterRoundStat(k, 0, None, None, None, None, latency_s=0.0))
+            row += [getattr(s, c) for c in _CLUSTER_COLUMNS]
         rows.append(row)
     return header, rows
+
+
+def _roc(
+    scenario: Scenario, model: ModelParams, holdout: LabeledBatch
+) -> tuple[list[tuple[float, float, float]], float]:
+    """The model's holdout ROC points at 101 thresholds, and their AUC."""
+    attack = scenario.resolved_attack_classes()
+    points = roc_sweep(model, holdout, attack, np.linspace(0.0, 1.0, 101))
+    return points, trapezoid_auc(points)
 
 
 def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
     final = reports[-1]
     auc = None
     if state.holdout is not None:
-        attack = scenario.resolved_attack_classes()
-        points = roc_sweep(
-            state.global_model, state.holdout, attack, np.linspace(0.0, 1.0, 101)
-        )
-        auc = trapezoid_auc(points)
+        _, auc = _roc(scenario, state.global_model, state.holdout)
     syncs = [r.sync_latency_s for r in reports]
+    rates = {name: getattr(final, name) for name in RATE_NAMES}
     return {
         "method": scenario.method,
         "seed": scenario.seed,
         "rounds_run": len(reports),
         "converged_round": state.converged_round,
+        # without a holdout the loss and rates are NaN, which JSON writes as null
         "final": {
-            "loss": final.global_loss,
-            "accuracy": final.accuracy,
-            "precision": final.precision,
-            "recall": final.recall,
-            "f1": final.f1,
-            "fpr": final.fpr,
-            "fnr": final.fnr,
+            k: v if math.isfinite(v) else None
+            for k, v in {"loss": final.global_loss, **rates}.items()
         },
         "auc": auc,
         "latency": {
@@ -297,11 +269,8 @@ def cmd_run(scenario: Scenario, out_dir: str | Path) -> int:
     reports, state = run_training(scenario, return_state=True)
     header, rows = _rounds_rows(scenario, reports)
     _write_csv(out / "rounds.csv", header, rows)
-    summary = _final_summary(scenario, reports, state)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    (out / "config.resolved.json").write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out / "summary.json", _final_summary(scenario, reports, state))
+    _write_json(out / "config.resolved.json", scenario_to_dict(scenario))
     model = state.global_model
     (out / "final_model.json").write_text(
         json.dumps(
@@ -340,17 +309,16 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
 
     reference = "fedavg" if "fedavg" in methods else methods[0]
     sweep = straggler_metrics(
-        scenario,
-        fractions=(0.0, 0.1, 0.2, 0.3),
-        client_counts=(scenario.num_clients,),
-        methods=tuple(methods),
+        scenario, client_counts=(scenario.num_clients,), methods=tuple(methods)
     )
+    accuracy = {m: finals[m]["final"]["accuracy"] for m in methods}
     comparison = {
         "methods": list(methods),
         "reference": reference,
-        "final_accuracy": {m: finals[m]["final"]["accuracy"] for m in methods},
+        "final_accuracy": accuracy,
         "final_accuracy_gap": {
-            m: finals[m]["final"]["accuracy"] - finals[reference]["final"]["accuracy"]
+            m: None if None in (accuracy[m], accuracy[reference])
+            else accuracy[m] - accuracy[reference]
             for m in methods
         },
         "mean_sync_latency_s": mean_sync,
@@ -358,16 +326,11 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
             m: 100.0 * (1.0 - mean_sync[m] / mean_sync[reference]) for m in methods
         },
         "sme_per_straggler_fraction": {
-            m: {
-                str(frac): sweep[m][scenario.num_clients][frac]["sme"]
-                for frac in (0.0, 0.1, 0.2, 0.3)
-            }
+            m: {str(frac): row["sme"] for frac, row in sweep[m][scenario.num_clients].items()}
             for m in methods
         },
     }
-    (out / "compare.json").write_text(
-        json.dumps(comparison, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out / "compare.json", comparison)
     return 0
 
 
@@ -379,30 +342,23 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     for p in (run_path / "rounds.csv", config_path, model_path):
         if not p.exists():
             raise ConfigError(f"missing run artifacts: {p} not found")
+    scenario = resolve_scenario(None, json.loads(config_path.read_text()))
+    if scenario.dataset.holdout_fraction == 0.0:
+        raise ConfigError("run has no holdout split; cannot build a report")
     out = Path(out_dir) if out_dir is not None else run_path
     out.mkdir(parents=True, exist_ok=True)
 
-    scenario = resolve_scenario(None, json.loads(config_path.read_text()))
     raw_model = json.loads(model_path.read_text())
     model = ModelParams(np.array(raw_model["weights"]), np.array(raw_model["biases"]))
     # the holdout is drawn before any partition, so no client is built for it
     full = _load(scenario.dataset)
     _, held = _holdout_rows(scenario.dataset, len(full))
-    if held is None:
-        raise ConfigError("run has no holdout split; cannot build a report")
     holdout = full.subset(held)
-    attack = scenario.resolved_attack_classes()
 
-    points = roc_sweep(model, holdout, attack, np.linspace(0.0, 1.0, 101))
-    _write_csv(
-        out / "roc_sweep.csv",
-        ["threshold", "fpr", "tpr"],
-        [[t, f, p] for t, f, p in points],
-    )
-    auc = trapezoid_auc(points)
+    points, auc = _roc(scenario, model, holdout)
+    _write_csv(out / "roc_sweep.csv", ["threshold", "fpr", "tpr"], points)
 
-    decisions = argmax_decisions(model, holdout.features)
-    counts = confusion(decisions, holdout.labels, attack, scenario.dataset.num_classes)
+    counts = holdout_confusion(scenario, model, holdout)
     num_classes = scenario.dataset.num_classes
     _write_csv(
         out / "confusion.csv",
@@ -411,26 +367,26 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     )
 
     report = classification_metrics(counts)
-    lines = [
-        f"run:       {run_path}",
-        f"method:    {scenario.method}",
-        f"seed:      {scenario.seed}",
-        f"holdout:   {len(holdout)} samples",
-        "",
-        f"accuracy:  {report.accuracy:.6f}",
-        f"precision: {report.precision:.6f}",
-        f"recall:    {report.recall:.6f}",
-        f"f1:        {report.f1:.6f}",
-        f"fpr:       {report.fpr:.6f}",
-        f"fnr:       {report.fnr:.6f}",
-        f"auc:       {auc:.6f}",
-    ]
+    about = {
+        "run": run_path,
+        "method": scenario.method,
+        "seed": scenario.seed,
+        "holdout": f"{len(holdout)} samples",
+    }
+    scores = {**{name: getattr(report, name) for name in RATE_NAMES}, "auc": auc}
+    lines = [f"{k + ':':<11}{v}" for k, v in about.items()] + [""]
+    lines += [f"{k + ':':<11}{v:.6f}" for k, v in scores.items()]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+# Scenario fields that run and compare also take as flags; an underscore in a
+# field's name is a dash in its flag
+_FLAGS = ("seed", "rounds", "straggler_fraction", "straggler_slowdown")
 
 
 def _add_common(parser: argparse.ArgumentParser, repeat_method: bool) -> None:
@@ -443,10 +399,9 @@ def _add_common(parser: argparse.ArgumentParser, repeat_method: bool) -> None:
         default=None,
         help="repeatable; defaults to all three methods" if repeat_method else None,
     )
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--straggler-fraction", type=float, default=None)
-    parser.add_argument("--straggler-slowdown", type=float, default=None)
+    hints = get_type_hints(Scenario)
+    for name in _FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=hints[name], default=None)
 
 
 def _load_config_file(path: str | None) -> dict | None:
@@ -496,18 +451,12 @@ def main(argv: list[str] | None = None) -> int:
             args.preset,
             _load_config_file(args.config),
             method=args.method if args.command == "run" else None,
-            seed=args.seed,
-            rounds=args.rounds,
-            straggler_fraction=args.straggler_fraction,
-            straggler_slowdown=args.straggler_slowdown,
+            **{name: getattr(args, name) for name in _FLAGS},
         )
         if args.command == "run":
             return cmd_run(scenario, args.out)
         return cmd_compare(scenario, args.method or list(METHODS), args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -11,7 +11,7 @@ rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class MetricReport:
     fpr: float
     fnr: float
     degenerate: tuple[str, ...] = field(default=())
+
+
+# the rates of a MetricReport, in field order
+RATE_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "degenerate")
 
 
 def confusion(

@@ -35,6 +35,8 @@ from .clustering import (
 )
 from .data import ClientDataset, DatasetSpec, SyntheticSource, client_sizes, materialize_clients
 from .metrics import (
+    RATE_NAMES,
+    ConfusionCounts,
     MetricReport,
     argmax_decisions,
     classification_metrics,
@@ -102,9 +104,10 @@ class LatencyModel:
     (rescaled into [cpu_floor, 1] so slow devices do not divide by zero),
     plus a model upload and download over its bandwidth, plus fixed
     round-trip overhead. Stragglers multiply their whole round time by the
-    scenario slowdown; under fedprox they absorb part of the slowdown by
-    doing proportionally less local work (fedprox_partial_work is the
-    absorbed fraction).
+    scenario slowdown. Under fedprox the bill assumes a straggler absorbs
+    part of the slowdown by doing proportionally less local work
+    (fedprox_partial_work is the absorbed fraction); training still runs
+    every client for the full local_epochs, so only the bill is reduced.
     """
 
     work_units_per_sample: float = 2.5e-5  # seconds per sample-epoch at full speed
@@ -592,16 +595,22 @@ def _fog(
     return global_aggregate(cluster_models), sync, tuple(stats)
 
 
+def holdout_confusion(
+    scenario: Scenario, model: ModelParams, holdout: LabeledBatch
+) -> ConfusionCounts:
+    """The confusion counts of the model's argmax decisions on the holdout."""
+    decisions = argmax_decisions(model, holdout.features)
+    attack = scenario.resolved_attack_classes()
+    return confusion(decisions, holdout.labels, attack, scenario.dataset.num_classes)
+
+
 def _evaluate(state: TrainingState) -> tuple[float, MetricReport]:
     """Holdout loss and argmax rates of the global model; NaN without a holdout."""
     if state.holdout is None:
-        return float("nan"), MetricReport(*(float("nan"),) * 6)
-    model, holdout, scenario = state.global_model, state.holdout, state.scenario
+        return float("nan"), MetricReport(*(float("nan"),) * len(RATE_NAMES))
+    model, holdout = state.global_model, state.holdout
     test_loss = loss(model, holdout)
-    predictions = argmax_decisions(model, holdout.features)
-    attack = scenario.resolved_attack_classes()
-    counts = confusion(predictions, holdout.labels, attack, scenario.dataset.num_classes)
-    return test_loss, classification_metrics(counts)
+    return test_loss, classification_metrics(holdout_confusion(state.scenario, model, holdout))
 
 
 def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, RoundReport]:
@@ -619,14 +628,9 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
     state.round_index += 1
     test_loss, rates = _evaluate(state)
     report = RoundReport(
-        round_index=round_index,
-        global_loss=test_loss,
-        accuracy=rates.accuracy,
-        precision=rates.precision,
-        recall=rates.recall,
-        f1=rates.f1,
-        fpr=rates.fpr,
-        fnr=rates.fnr,
+        round_index,
+        test_loss,
+        **{name: getattr(rates, name) for name in RATE_NAMES},
         sync_latency_s=sync,
         cluster_stats=cluster_stats,
     )

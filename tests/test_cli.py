@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cfhfc import cli
 from cfhfc.cli import main, resolve_scenario, scenario_to_dict
 from cfhfc.simulator import _assign_archetypes
 
@@ -50,6 +51,11 @@ SCENARIO3_CONFIG = {"preset": "scenario3", "method": "cfhfc", "seed": 0, "rounds
                     "straggler_fraction": 0.3, "clustering": {"profile_jitter": 0.1},
                     "train": {"local_epochs": 1}}
 
+# every rate of a run without a holdout is undefined
+NO_HOLDOUT_CONFIG = copy.deepcopy(SMALL_CONFIG)
+NO_HOLDOUT_CONFIG.update(rounds=1)
+NO_HOLDOUT_CONFIG["dataset"]["holdout_fraction"] = 0.0
+
 CSV_CONFIG = {
     "method": "fedprox",
     "seed": 5,
@@ -85,6 +91,14 @@ def read_all(directory, names):
 
 RUN_ARTIFACTS = ("rounds.csv", "summary.json", "config.resolved.json",
                  "final_model.json")
+REPORT_ARTIFACTS = ("roc_sweep.csv", "confusion.csv", "summary.txt")
+
+
+def strict_json(path):
+    """The file's JSON, refusing the NaN and Infinity that json.dumps writes by default."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestRun:
@@ -208,6 +222,60 @@ class TestRun:
             "but the pool has only 10 rows\n"
         )
         assert not (tmp_path / "o").exists()
+
+    def test_no_holdout_writes_null_not_nan(self, tmp_path):
+        """Without a holdout the loss and rates are undefined: JSON null, as auc is."""
+        config = tmp_path / "no_holdout.json"
+        config.write_text(json.dumps(NO_HOLDOUT_CONFIG))
+        run, cmp = tmp_path / "run", tmp_path / "cmp"
+        assert main(["run", "--config", str(config), "--out", str(run)]) == 0
+        summary = strict_json(run / "summary.json")
+        assert set(summary["final"]) == {"loss", "accuracy", "precision", "recall",
+                                         "f1", "fpr", "fnr"}
+        assert set(summary["final"].values()) == {None}
+        assert summary["auc"] is None
+        assert main(["compare", "--config", str(config), "--method", "fedavg",
+                     "--method", "cfhfc", "--out", str(cmp)]) == 0
+        comparison = strict_json(cmp / "compare.json")
+        assert comparison["final_accuracy"] == {"cfhfc": None, "fedavg": None}
+        assert comparison["final_accuracy_gap"] == {"cfhfc": None, "fedavg": None}
+
+
+class TestOverrideFlags:
+    """Each Scenario override flag lands in config.resolved.json; a mistyped one
+    is refused by the parser."""
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--seed", "7", "seed", 7),
+        ("--rounds", "2", "rounds", 2),
+        ("--straggler-fraction", "0.25", "straggler_fraction", 0.25),
+        ("--straggler-slowdown", "4.5", "straggler_slowdown", 4.5),
+    ])
+    def test_flag_reaches_resolved_config(self, tmp_path, config_path, flag, value,
+                                          field, expected):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), flag, value, "--out", str(out)]) == 0
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved[field] == expected
+        assert type(resolved[field]) is type(expected)
+        if field == "seed":
+            assert resolved["dataset"]["seed"] == expected
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--seed", "1.5", "int"),
+        ("--rounds", "two", "int"),
+        ("--straggler-fraction", "a third", "float"),
+        ("--straggler-slowdown", "3x", "float"),
+    ])
+    def test_mistyped_flag_is_rejected_by_the_parser(self, tmp_path, capsys, command,
+                                                     flag, value, kind):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--preset", "scenario1", flag, value, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"{flag}: invalid {kind} value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestResolve:
@@ -383,6 +451,30 @@ class TestReport:
         code = main(["report", str(tmp_path / "nowhere")])
         assert code == 1
         assert "missing run artifacts" in capsys.readouterr().err
+
+    def test_report_matches_golden(self, tmp_path, config_path, monkeypatch):
+        """Frozen from an earlier build; run from tmp_path so the run: line reads `run`."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config_path), "--out", "run"]) == 0
+        assert main(["report", "run"]) == 0
+        for name in REPORT_ARTIFACTS:
+            golden = (GOLDEN / f"report.{name}").read_bytes()
+            assert (tmp_path / "run" / name).read_bytes() == golden, name
+
+    def test_no_holdout_is_rejected_before_loading_data(self, tmp_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        config = tmp_path / "no_holdout.json"
+        config.write_text(json.dumps(NO_HOLDOUT_CONFIG))
+        assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+        loads = []
+        monkeypatch.setattr(cli, "_load", lambda spec: loads.append(spec))
+        assert main(["report", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: run has no holdout split; cannot build a report\n"
+        )
+        assert loads == []
+        for name in REPORT_ARTIFACTS:
+            assert not (run_dir / name).exists(), name
 
 
 class TestDefaults:
