@@ -265,8 +265,10 @@ def _dirichlet_rows(
     labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
     min_samples: int,
 ) -> list[np.ndarray]:
-    owner = np.empty(len(labels), dtype=np.int64)
-    for cls in np.unique(labels):
+    # narrow owners (uint8 up to 256 clients, then uint16) make numpy's stable
+    # sort a radix sort; a stable sort has one result, so the rows are the same
+    owner = np.empty(len(labels), dtype=np.min_scalar_type(num_clients - 1))
+    for cls in np.flatnonzero(np.bincount(labels)):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         shares = rng.dirichlet(np.full(num_clients, concentration))
@@ -302,7 +304,8 @@ def _shard_rows(
 ) -> list[np.ndarray]:
     _check_shards(num_clients, shards_per_client, len(labels))
     num_shards = num_clients * shards_per_client
-    shards = np.array_split(np.argsort(labels, kind="stable"), num_shards)
+    narrow = labels.astype(np.min_scalar_type(labels.max()))  # radix-sorted, as above
+    shards = np.array_split(np.argsort(narrow, kind="stable"), num_shards)
     shard_ids = rng.permutation(num_shards).reshape(num_clients, shards_per_client)
     return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
 

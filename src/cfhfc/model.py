@@ -183,18 +183,30 @@ def loss(model: ModelParams, data: LabeledBatch) -> float:
 
 
 def _gradient_arrays(
-    weights: np.ndarray, biases: np.ndarray, features: np.ndarray, onehot: np.ndarray
+    weights: np.ndarray,
+    biases: np.ndarray,
+    features: np.ndarray,
+    onehot: np.ndarray,
+    grad: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy gradient of a block of rows with one-hot targets.
 
     The one softmax-gradient kernel: gradient() and every SGD step call it.
     Subtracting the one-hot rows gives the same doubles as subtracting 1 at
-    each label, because p - 0.0 is exactly p.
+    each label, because p - 0.0 is exactly p. Given a (C, d+1) grad block, it
+    writes the weight gradient into its first d columns and the bias gradient
+    into its last, and returns those two views; the matmul and the sum are the
+    same calls with an out= target, so they round the same.
     """
     residual = _softmax_rows(_logits(weights, biases, features))
     residual -= onehot
     residual /= len(residual)
-    return residual.T @ features, residual.sum(axis=0)
+    if grad is None:
+        return residual.T @ features, residual.sum(axis=0)
+    gw, gb = grad[:, :-1], grad[:, -1]
+    np.matmul(residual.T, features, out=gw)
+    residual.sum(axis=0, out=gb)
+    return gw, gb
 
 
 def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
@@ -221,50 +233,62 @@ def _sgd(
     and is skipped entirely when rho == 0, so the rho = 0 path is bit-identical
     to plain SGD.
 
-    Each epoch gathers the shuffled features and one-hot labels once, and its
-    minibatches are row slices of these copies. One rng.random((n, d)) draw
-    masks the whole epoch: the generator yields one double per element in
-    row order, so it hands out the same doubles, in the same order, as one
-    draw per minibatch would. Dropout and every update act in place on
-    arrays this function owns, never on the model or the batch it was given,
-    and each step does the same floating-point operations in the same order
-    as a per-minibatch gather with freshly allocated results. Each step's
-    gradient comes from _gradient_arrays, the kernel gradient() also calls;
-    _softmax_rows says why its row max runs over columns and its row sum
-    does not.
+    Every output is bit-identical to a loop that gathers, masks and scales
+    each minibatch afresh (tests/test_model.py keeps that loop):
+    - Each epoch gathers the shuffled features and one-hot labels once with
+      take(order, axis=0), a plain row copy like features[order] but with
+      less overhead, and its minibatches are row slices of these copies.
+    - One rng.random(out=draw) call masks the whole epoch. The generator
+      yields one double per element in row order, so it hands out the same
+      doubles, in the same order, as one draw per minibatch would, and
+      filling a reused buffer consumes the stream as a fresh array does.
+    - The features are divided by 1 - dropout_rate once per call, and each
+      epoch only multiplies by its 0/1 mask. (x / s) * m equals (x * m) / s
+      bit for bit: at m = 1 both are x / s, and at m = 0 both are a zero with
+      the sign of x, since s > 0. This holds for every x whose x / s is
+      finite, i.e. every feature of magnitude below s times the largest
+      double.
+    - The weights and bias live in one (C, d+1) block, and so does each
+      step's gradient, so an update is four elementwise ops on the block
+      instead of eight on two arrays; elementwise ops round the same
+      whatever the layout.
+    Dropout and every update act in place on arrays this function owns, never
+    on the model or the batch it was given. Each step's gradient comes from
+    _gradient_arrays, the kernel gradient() also calls; _softmax_rows says
+    why its row max runs over columns and its row sum does not.
     """
     _check_labels(data.labels, model.num_classes)
     rng = np.random.default_rng(seed)
-    w = model.weights.copy()
-    b = model.biases.copy()
     lr = cfg.learning_rate
     rho = cfg.proximal_coeff if anchor is not None else 0.0
+    params = np.column_stack([model.weights, model.biases])
+    w, b = params[:, :-1], params[:, -1]
+    grad = np.empty_like(params)
     if rho != 0.0:
         shrink = 1.0 / (1.0 + lr * rho)
-        pull_w = (lr * rho) * anchor.weights
-        pull_b = (lr * rho) * anchor.biases
+        pull = (lr * rho) * np.column_stack([anchor.weights, anchor.biases])
     onehot = np.eye(model.num_classes)[data.labels]
+    features = data.features
+    if cfg.dropout_rate > 0.0:
+        features = features / (1.0 - cfg.dropout_rate)
+        draw = np.empty_like(features)
     n = len(data)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
-        xs = data.features[order]
-        ys = onehot[order]
+        xs = features.take(order, axis=0)
+        ys = onehot.take(order, axis=0)
         if cfg.dropout_rate > 0.0:
-            xs *= rng.random(xs.shape) >= cfg.dropout_rate
-            xs /= 1.0 - cfg.dropout_rate
+            rng.random(out=draw)
+            xs *= draw >= cfg.dropout_rate
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            gw, gb = _gradient_arrays(w, b, xs[start:stop], ys[start:stop])
-            gw *= lr
-            w -= gw
-            gb *= lr
-            b -= gb
+            _gradient_arrays(w, b, xs[start:stop], ys[start:stop], grad)
+            grad *= lr
+            params -= grad
             if rho != 0.0:
-                w += pull_w
-                w *= shrink
-                b += pull_b
-                b *= shrink
-    return ModelParams(w, b)
+                params += pull
+                params *= shrink
+    return ModelParams(np.ascontiguousarray(w), b.copy())
 
 
 def local_train(

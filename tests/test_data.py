@@ -638,6 +638,24 @@ class TestReferenceReplay:
         np.testing.assert_array_equal(data.features, features)
         np.testing.assert_array_equal(data.labels, labels)
 
+    @staticmethod
+    def wide_pool():
+        # 1,200 rows over 150 even labels up to 298, so shard labels need 16 bits
+        rng = np.random.default_rng(12)
+        return LabeledBatch(rng.random((1200, 2)), rng.choice(np.arange(0, 300, 2), size=1200))
+
+    # owners fit 8 bits up to 256 clients and need 16 bits from 257
+    @pytest.mark.parametrize("num_clients", [256, 257, 300])
+    def test_more_than_255_clients(self, num_clients):
+        data = self.wide_pool()
+        for ours, reference, args in (
+            (dirichlet_clients, ref_dirichlet_partition, (data, num_clients, 0.5, 3, 0.2, 5)),
+            (shard_clients, ref_shard_partition, (data, num_clients, 4, 4, 0.2)),
+        ):
+            got, want = replay(lambda: ours(*args), lambda: reference(*args))
+            assert want is not None
+            assert_clients_equal(got, want)
+
     @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
     @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
     @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])

@@ -71,6 +71,23 @@ def reference_sgd(model, anchor, data, cfg, seed):
     return w, b
 
 
+def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: unlike assert_array_equal, -0.0 is not 0.0."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_reference(model, anchor, batch, cfg, seed=5):
+    """local_train and prox_local_train reproduce reference_sgd byte for byte."""
+    for pulled_to, out in (
+        (None, local_train(model, batch, cfg, seed=seed)),
+        (anchor, prox_local_train(model, anchor, batch, cfg, seed=seed)),
+    ):
+        w, b = reference_sgd(model, pulled_to, batch, cfg, seed=seed)
+        assert_same_bytes(out.weights, w)
+        assert_same_bytes(out.biases, b)
+
+
 def params_distance(a: ModelParams, b: ModelParams) -> float:
     return math.sqrt(
         float(((a.weights - b.weights) ** 2).sum() + ((a.biases - b.biases) ** 2).sum())
@@ -215,6 +232,21 @@ class TestGradient:
         np.testing.assert_allclose(g1.weights, g2.weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(g1.biases, g2.biases, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("num_classes", [2, 4, 9])
+    def test_block_output_matches_fresh_arrays(self, num_classes):
+        """Written into a (C, d+1) block, the kernel gives the same bytes."""
+        rng = np.random.default_rng(num_classes)
+        model = random_model(rng, num_classes, 5)
+        batch = random_batch(rng, 13, 5, num_classes)
+        onehot = np.eye(num_classes)[batch.labels]
+        args = (model.weights, model.biases, batch.features, onehot)
+        grad = np.full((num_classes, 6), np.nan)
+        gw, gb = _gradient_arrays(*args, grad)
+        want_w, want_b = _gradient_arrays(*args)
+        assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
+        assert_same_bytes(grad[:, :-1], want_w)
+        assert_same_bytes(grad[:, -1], want_b)
+
 
 class TestLocalTrain:
     def test_zero_learning_rate_is_identity(self):
@@ -294,17 +326,31 @@ class TestLocalTrain:
         inputs = (model.copy(), batch.features.copy(), batch.labels.copy())
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
                           dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
-        for pulled_to, out in (
-            (None, local_train(model, batch, cfg, seed=5)),
-            (anchor, prox_local_train(model, anchor, batch, cfg, seed=5)),
-        ):
-            w, b = reference_sgd(model, pulled_to, batch, cfg, seed=5)
-            np.testing.assert_array_equal(out.weights, w)
-            np.testing.assert_array_equal(out.biases, b)
-        np.testing.assert_array_equal(model.weights, inputs[0].weights)
-        np.testing.assert_array_equal(model.biases, inputs[0].biases)
-        np.testing.assert_array_equal(batch.features, inputs[1])
-        np.testing.assert_array_equal(batch.labels, inputs[2])
+        assert_matches_reference(model, anchor, batch, cfg)
+        assert_same_bytes(model.weights, inputs[0].weights)
+        assert_same_bytes(model.biases, inputs[0].biases)
+        assert_same_bytes(batch.features, inputs[1])
+        assert_same_bytes(batch.labels, inputs[2])
+
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    def test_signed_zero_features_match_reference_bytes(self, proximal_coeff):
+        # dropout scales before it masks, and a masked negative feature is -0.0.
+        # A feature that is 0.0 or -0.0 on every row leaves its -0.0 weights at
+        # -0.0, which assert_array_equal could not tell from 0.0.
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 3, 6)
+        anchor = random_model(rng, 3, 6)
+        model.weights[:, 0] = anchor.weights[:, 0] = -0.0
+        features = -np.abs(rng.normal(size=(21, 6)))
+        features[::3, ::2] = 0.0
+        features[1::3, 1::2] = -0.0
+        features[2::3, 1:4] *= -1.0
+        features[:, 0] = np.where(np.arange(21) % 2, 0.0, -0.0)
+        batch = LabeledBatch(features, rng.integers(0, 3, size=21))
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
+                          dropout_rate=0.1, proximal_coeff=proximal_coeff)
+        assert_matches_reference(model, anchor, batch, cfg)
+        assert np.signbit(local_train(model, batch, cfg, seed=5).weights[:, 0]).all()
 
     def test_label_out_of_range_rejected(self):
         model = ModelParams.zeros(2, 3)

@@ -6,6 +6,7 @@ reproduce the flat baselines bit for bit, because every aggregation path
 collapses to the same normalized weights.
 """
 
+import hashlib
 import json
 import re
 import warnings
@@ -367,6 +368,31 @@ class TestGoldenTraces:
             rtol=0, atol=1e-12,
         )
         assert reports[0].sync_latency_s == pytest.approx(2.0537304, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["cfhfc", "fedavg"])
+    def test_scenario1_edge_matches_golden(self, method):
+        # every client's sha256 of weights.tobytes() + biases.tobytes() after the
+        # edge tier of scenario1's rounds 0 and 1 at seed 0: 20 clients of
+        # 2,000-odd rows, 20 epochs of 128-row minibatches, pulled toward the
+        # zero model and then toward a trained one
+        golden = json.loads((GOLDEN / "edge_scenario1.json").read_text())[method]
+        assert edge_digests(method) == golden
+
+
+def edge_digests(method: str) -> list[list[str]]:
+    """Per round (0 and 1), one hex digest per client of its model after the
+    edge tier of scenario1 at seed 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scenario1 tops clients up
+        state = init_state(build_scenario("scenario1", seed=0, method=method))
+    rounds = []
+    for _ in range(2):
+        rounds.append([
+            hashlib.sha256(m.weights.tobytes() + m.biases.tobytes()).hexdigest()
+            for m in simulator._edge(state)
+        ])
+        state, _ = run_round(state, state.scenario)
+    return rounds
 
 
 class TestLatencyModel:
