@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import ClusterModel
-from .model import LabeledBatch, ModelParams, _check_labels, predict_proba
+from .model import LabeledBatch, ModelParams, _check_labels, _row_any, _row_argmax, predict_proba
 
 __all__ = [
     "CalibrationConfig",
@@ -189,7 +189,7 @@ def predict_with_calibration(
     probs = predict_proba(model.params, features)
     members = 1.0 - probs <= model.threshold
     # 1 - p is monotone, so the most probable class is in every non-empty set
-    return Decisions(np.where(members.any(axis=1), probs.argmax(axis=1), SUSPICIOUS), members)
+    return Decisions(np.where(_row_any(members), _row_argmax(probs), SUSPICIOUS), members)
 
 
 def calibrate(

@@ -116,12 +116,32 @@ def weighted_distance(a: np.ndarray, b: np.ndarray, w: ResourceWeights) -> np.nd
         raise ValueError(
             f"capability triples must have a last axis of 3, got {a.shape} and {b.shape}"
         )
-    d = a - b
-    return np.sqrt(np.sum(w.as_array() * d * d, axis=-1))
+    return _weighted_norm(a, b, w.as_array())[()]
 
 
-def _distance_matrix(points: np.ndarray, centroids: np.ndarray, w: ResourceWeights) -> np.ndarray:
-    return weighted_distance(points[:, None, :], centroids[None, :, :], w)
+def _weighted_norm(
+    a: np.ndarray, b: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """sqrt(sum_j w[j] * (a[..., j] - b[..., j])**2), into out if given.
+
+    Built one axis at a time: each axis adds (w[j] * d) * d to a running sum,
+    from the first axis to the last, and the square root comes last. That
+    gives the doubles of np.sqrt(np.sum(w * d * d, axis=-1)), since numpy
+    adds a 3-wide last axis left to right, but makes no (..., 3) temporaries.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    diff = np.empty_like(out)
+    term = np.empty_like(out)
+    for j in range(3):
+        np.subtract(a[..., j], b[..., j], out=diff)
+        np.multiply(w[j], diff, out=out if j == 0 else term)
+        if j == 0:
+            out *= diff
+        else:
+            term *= diff
+            out += term
+    return np.sqrt(out, out=out)
 
 
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
@@ -135,10 +155,12 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     # mu_ik = 1 / sum_r (d_ik / d_ir)^(2/(m-1)), numerically safe for tiny d;
     # rows with a zero distance divide by zero here and are overwritten below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = (dist[:, :, None] / dist[:, None, :]) ** (2.0 / (m - 1.0))
+        ratios = dist[:, :, None] / dist[:, None, :]
+        ratios **= 2.0 / (m - 1.0)
         out = 1.0 / ratios.sum(axis=2)
-    hit = zeros.any(axis=1)
-    out[hit] = zeros[hit] / zeros[hit].sum(axis=1, keepdims=True)
+    if zeros.any():  # past the first iteration, centroids rarely sit on a point
+        hit = zeros.any(axis=1)
+        out[hit] = zeros[hit] / zeros[hit].sum(axis=1, keepdims=True)
     return out
 
 
@@ -152,10 +174,6 @@ def _farthest_point_init(points: np.ndarray, k: int, w: ResourceWeights, seed: i
         chosen.append(nxt)
         min_dist = np.minimum(min_dist, weighted_distance(points, points[nxt], w))
     return points[chosen].copy()
-
-
-def _objective(dist: np.ndarray, memberships: np.ndarray, m: float) -> float:
-    return float(np.sum(memberships**m * dist**2))
 
 
 def fcm_fit(
@@ -190,21 +208,25 @@ def fcm_fit(
         raise ValueError(f"{n} profiles cannot fill {num_clusters} clusters")
 
     centroids = _farthest_point_init(points, num_clusters, weights, seed)
-    dist = _distance_matrix(points, centroids, weights)
+    w = weights.as_array()
+    # every (point, centroid) distance, rewritten in place each iteration
+    dist = _weighted_norm(points[:, None, :], centroids, w)
     trace: list[float] = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
         memberships = _memberships_from_distances(dist, fuzzifier)
         mass = memberships**fuzzifier
+        # each row of mass.T @ points rounds like mass[:, k] @ points, and the
+        # contiguous rows sum like mass[:, k].sum(); mass.sum(axis=0) would not
+        sums = mass.T @ points
+        totals = np.ascontiguousarray(mass.T).sum(axis=1)
+        live = totals > 0.0
         new_centroids = centroids.copy()
-        for cluster in range(num_clusters):
-            total = mass[:, cluster].sum()
-            if total > 0.0:
-                new_centroids[cluster] = mass[:, cluster] @ points / total
-        moved = weighted_distance(new_centroids, centroids, weights).max()
+        new_centroids[live] = sums[live] / totals[live, None]
+        moved = _weighted_norm(new_centroids, centroids, w).max()
         centroids = new_centroids
-        dist = _distance_matrix(points, centroids, weights)
-        trace.append(_objective(dist, memberships, fuzzifier))
+        _weighted_norm(points[:, None, :], centroids, w, out=dist)
+        trace.append(float(np.sum(mass * dist**2)))
         if moved < tol:
             break
     return FuzzyPartition(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .calibration import SUSPICIOUS
-from .model import LabeledBatch, ModelParams, predict_proba
+from .model import LabeledBatch, ModelParams, _row_argmax, predict_proba
 
 __all__ = [
     "ConfusionCounts",
@@ -96,16 +96,17 @@ def confusion(
         bad = labels[(labels < low) | (labels >= num_classes)]
         if bad.size:
             raise ValueError(f"{name} label {int(bad[0])} out of range")
-    is_attack = np.isin(np.arange(num_classes), list(attack))
+    is_attack = np.zeros(num_classes, dtype=bool)
+    is_attack[list(attack)] = True
     predicted = np.where(predictions == SUSPICIOUS, min(attack), predictions)
     per_class = np.bincount(
         truths * num_classes + predicted, minlength=num_classes * num_classes
     ).reshape(num_classes, num_classes)
-    truly_attack = is_attack[truths]
-    flagged_attack = is_attack[predicted]
-    tp = int((truly_attack & flagged_attack).sum())
-    fn = int((truly_attack & ~flagged_attack).sum())
-    fp = int((~truly_attack & flagged_attack).sum())
+    # the binary counts are blocks of the per-class matrix
+    attack_rows, normal_rows = per_class[is_attack], per_class[~is_attack]
+    tp = int(attack_rows[:, is_attack].sum())
+    fn = int(attack_rows[:, ~is_attack].sum())
+    fp = int(normal_rows[:, is_attack].sum())
     return ConfusionCounts(tp, len(truths) - tp - fn - fp, fp, fn, per_class)
 
 
@@ -134,7 +135,7 @@ def classification_metrics(counts: ConfusionCounts) -> MetricReport:
 
 def argmax_decisions(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Plain argmax classification: one predicted label per row."""
-    return predict_proba(params, features).argmax(axis=1)
+    return _row_argmax(predict_proba(params, features))
 
 
 def roc_sweep(

@@ -142,21 +142,59 @@ def _logits(weights: np.ndarray, biases: np.ndarray, features: np.ndarray) -> np
     return z
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Turn each row of logits into probabilities, in place, and return z.
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """The (n, 1) column of each row's largest entry, built over columns.
 
-    The row max is built from C-1 np.maximum calls over columns. A max is
-    exact in any order, and numpy's reduction along a short axis is slow: on
-    a 128x4 block (2-core Xeon VM) the column calls took 8 us against 11 us
-    for z.max(axis=1). The row sum stays numpy's axis-1 sum. That sum adds 8
-    or more terms in unrolled partial sums, so adding the columns one by one
-    would round differently: on 3,000 random blocks each it differed in
-    about 2,950 with 8, 9 or 12 classes, and in none with 2, 4 or 7.
+    Numpy's reduction along a short last axis is slow: on a 32,000x4 block
+    (2-core Xeon VM) z.max(axis=1) took 1.4 ms, and the C-1 np.maximum calls
+    over columns 55-75 us. A max is exact in any order; only the sign of a
+    zero maximum can differ from z.max(axis=1) on rows of +0.0 and -0.0 ties,
+    and no caller can tell: the softmax and loss subtract the max, and
+    _row_argmax only compares with it.
     """
     top = np.maximum(z[:, :1], z[:, -1:])
     for c in range(1, z.shape[1] - 1):
         np.maximum(top, z[:, c : c + 1], out=top)
-    z -= top
+    return top
+
+
+def _row_argmax(z: np.ndarray) -> np.ndarray:
+    """Each row's z.argmax(axis=1), as intp, built over columns.
+
+    The first maximum wins: a row's index is the number of leading columns
+    that lie below its maximum. A row holding a NaN reports its first NaN,
+    as argmax does.
+    """
+    top = _row_max(z)[:, 0]
+    below = z[:, 0] < top
+    idx = below.astype(np.intp)
+    for c in range(1, z.shape[1] - 1):
+        below &= z[:, c] < top
+        idx += below
+    nan = np.isnan(top)
+    if nan.any():
+        idx[nan] = np.isnan(z[nan]).argmax(axis=1)
+    return idx
+
+
+def _row_any(mask: np.ndarray) -> np.ndarray:
+    """Each row's mask.any(axis=1), ORed over columns for the same reason."""
+    hit = mask[:, 0] | mask[:, -1]
+    for c in range(1, mask.shape[1] - 1):
+        hit |= mask[:, c]
+    return hit
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Turn each row of logits into probabilities, in place, and return z.
+
+    The row max comes from _row_max. The row sum stays numpy's axis-1 sum.
+    That sum adds 8 or more terms in unrolled partial sums, so adding the
+    columns one by one would round differently: on 3,000 random blocks each
+    it differed in about 2,950 with 8, 9 or 12 classes, and in none with 2,
+    4 or 7.
+    """
+    z -= _row_max(z)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
@@ -176,10 +214,15 @@ def loss(model: ModelParams, data: LabeledBatch) -> float:
     _check_width(model, data.features)
     _check_labels(data.labels, model.num_classes)
     z = _logits(model.weights, model.biases, data.features)
-    zmax = z.max(axis=1, keepdims=True)
-    log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    zmax = _row_max(z)
     picked = z[np.arange(len(data)), data.labels]
-    return float(np.mean(log_norm - picked))
+    # log-sum-exp in place on the logits: no (n, C) temporaries
+    z -= zmax
+    np.exp(z, out=z)
+    log_norm = np.log(z.sum(axis=1))
+    log_norm += zmax[:, 0]
+    log_norm -= picked
+    return float(np.mean(log_norm))
 
 
 def _gradient_arrays(

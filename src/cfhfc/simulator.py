@@ -197,9 +197,12 @@ class Scenario:
         total = sum(frac for _, frac in self.archetype_mix)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"archetype fractions must sum to 1, got {total}")
-        for name, _ in self.archetype_mix:
+        names = [name for name, _ in self.archetype_mix]
+        for i, name in enumerate(names):
             if name not in ARCHETYPES:
                 raise ValueError(f"unknown archetype {name!r}")
+            if name in names[:i]:
+                raise ValueError(f"archetype {name!r} is listed more than once")
         self.dataset.check_shards(self.num_clients)
         if self.attack_classes is not None:
             num_classes = self.dataset.num_classes
@@ -261,37 +264,32 @@ def _largest_remainder_counts(fractions: list[float], total: int) -> list[int]:
     return counts
 
 
-def _assign_archetypes(scenario: Scenario) -> list[str]:
-    """Client archetypes, dealt in name order so the mix's order is irrelevant."""
-    mix = sorted(scenario.archetype_mix)
-    counts = _largest_remainder_counts([frac for _, frac in mix], scenario.num_clients)
-    return [name for (name, _), count in zip(mix, counts) for _ in range(count)]
-
-
 def _derived_seed(scenario_seed: int, *tags: int) -> int:
     seq = np.random.SeedSequence((scenario_seed, *tags))
     return int(seq.generate_state(1)[0])
 
 
-def _pick_stragglers(scenario: Scenario, archetype_names: list[str]) -> np.ndarray:
-    """Fixed straggler set, stratified per archetype so incidence is even."""
-    flags = np.zeros(scenario.num_clients, dtype=bool)
-    if scenario.straggler_fraction == 0.0:
-        return flags
-    rng = np.random.default_rng(_derived_seed(scenario.seed, _TAG_STRAGGLER))
-    names = np.array(archetype_names)
-    for name in dict.fromkeys(archetype_names):
-        group = np.flatnonzero(names == name)
-        k = int(round(scenario.straggler_fraction * len(group)))
-        if k > 0:
-            flags[rng.choice(group, size=k, replace=False)] = True
-    return flags
-
-
 def _fleet(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The clients' raw (n, 3) capabilities and straggler flags."""
-    names = _assign_archetypes(scenario)
-    return np.array([ARCHETYPES[name] for name in names]), _pick_stragglers(scenario, names)
+    """The clients' raw (n, 3) capabilities and straggler flags.
+
+    Archetypes are dealt in name order, so the mix's order is irrelevant, and
+    each archetype's clients form one contiguous block. The straggler set is
+    fixed and stratified per block, so incidence is even across archetypes.
+    """
+    mix = sorted(scenario.archetype_mix)
+    counts = _largest_remainder_counts([frac for _, frac in mix], scenario.num_clients)
+    profiles = np.repeat(np.array([ARCHETYPES[name] for name, _ in mix]), counts, axis=0)
+    stragglers = np.zeros(scenario.num_clients, dtype=bool)
+    if scenario.straggler_fraction == 0.0:
+        return profiles, stragglers
+    rng = np.random.default_rng(_derived_seed(scenario.seed, _TAG_STRAGGLER))
+    start = 0
+    for count in counts:
+        k = int(round(scenario.straggler_fraction * count))
+        if k > 0:
+            stragglers[start + rng.choice(count, size=k, replace=False)] = True
+        start += count
+    return profiles, stragglers
 
 
 @dataclass

@@ -249,6 +249,7 @@ def test_criterion_05_conformal_coverage():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_06_heterogeneity_benefit():
     """Accuracy race on the default 20-client preset, 10 seeds.
 

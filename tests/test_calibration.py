@@ -161,6 +161,25 @@ class TestPredictWithCalibration:
         assert decision.label is None
         assert len(decision.prediction_set) == 0
 
+    def test_matches_axis_reduction_formula(self):
+        """Labels and sets as the axis-1 any and argmax give them, on 2 to 13
+        classes, with tied probabilities and empty sets."""
+        rng = np.random.default_rng(5)
+        for num_classes in range(2, 14):
+            weights = rng.normal(size=(num_classes, 3))
+            weights[1] = weights[0]  # classes 0 and 1 always tie
+            params = ModelParams(weights, np.zeros(num_classes))
+            features = rng.normal(size=(200, 3))
+            features[:3] = 0.0  # rows where every class ties
+            for tau in (0.0, 0.5, 1.0 - 1.0 / num_classes, 0.95):
+                model = CalibratedModel(params, threshold=tau, confidence=0.9)
+                decisions = predict_with_calibration(model, features)
+                probs = predict_proba(params, features)
+                members = 1.0 - probs <= tau
+                want = np.where(members.any(axis=1), probs.argmax(axis=1), SUSPICIOUS)
+                assert decisions.labels.tobytes() == want.tobytes()
+                assert decisions.members.tobytes() == members.tobytes()
+
     def test_sets_grow_with_threshold(self):
         rng = np.random.default_rng(0)
         params = ModelParams(rng.normal(size=(4, 6)), rng.normal(size=4))

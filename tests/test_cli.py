@@ -5,15 +5,17 @@ repeat invocations must produce byte-identical files.
 """
 
 import copy
+import hashlib
 import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cfhfc import cli
+from cfhfc import cli, simulator
 from cfhfc.cli import main, resolve_scenario, scenario_to_dict
-from cfhfc.simulator import _assign_archetypes
+from cfhfc.simulator import _fleet
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +52,9 @@ STRAGGLER_CONFIG = dict(SMALL_CONFIG, straggler_fraction=0.3,
 SCENARIO3_CONFIG = {"preset": "scenario3", "method": "cfhfc", "seed": 0, "rounds": 2,
                     "straggler_fraction": 0.3, "clustering": {"profile_jitter": 0.1},
                     "train": {"local_epochs": 1}}
+
+# the regime where FCM iterates and memberships are fractional, for 3 rounds
+JITTER_CONFIG = dict(SCENARIO3_CONFIG, rounds=3)
 
 # every rate of a run without a holdout is undefined
 NO_HOLDOUT_CONFIG = copy.deepcopy(SMALL_CONFIG)
@@ -306,12 +311,16 @@ class TestResolve:
         """The resolved config lists the mix in name order; the fleet must
         not depend on the order the config file listed it in."""
         scenario = resolve_scenario(
-            None, {"num_clients": 4, "archetype_mix": {"pi400": 0.5, "pi3": 0.5}}
+            None, {"num_clients": 4, "archetype_mix": {"pi400": 0.5, "pi3": 0.5},
+                   "straggler_fraction": 0.5}
         )
         written = json.dumps(scenario_to_dict(scenario), sort_keys=True)
         assert written.index('"pi3"') < written.index('"pi400"')
         rerun = resolve_scenario(None, json.loads(written))
-        assert _assign_archetypes(rerun) == _assign_archetypes(scenario)
+        (profiles, stragglers), (again, rerun_stragglers) = _fleet(scenario), _fleet(rerun)
+        assert profiles.tobytes() == again.tobytes()
+        assert stragglers.tolist() == rerun_stragglers.tolist()
+        assert stragglers.sum() == 2
 
 
 class TestCompare:
@@ -399,6 +408,40 @@ class TestGoldenArtifacts:
 
     def test_scenario3_run_and_compare_match_golden(self, tmp_path):
         self.check(tmp_path, "scenario3", SCENARIO3_CONFIG)
+
+    def test_jittered_fcm_matches_golden(self, tmp_path, monkeypatch):
+        """Each round's FCM partition, to the byte, and the run's rounds.csv.
+
+        Per round the golden holds iterations_used and the sha256 of the
+        memberships, centroids, iterations_used (int64) and objective trace.
+        """
+        partitions = []
+        real = simulator.fcm_fit
+
+        def recording(*args, **kwargs):
+            partitions.append(real(*args, **kwargs))
+            return partitions[-1]
+
+        monkeypatch.setattr(simulator, "fcm_fit", recording)
+        config = tmp_path / "jitter.json"
+        config.write_text(json.dumps(JITTER_CONFIG))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scenario3 tops clients up
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        got = [
+            {
+                "iterations_used": p.iterations_used,
+                "sha256": hashlib.sha256(
+                    p.memberships.tobytes() + p.centroids.tobytes()
+                    + np.int64(p.iterations_used).tobytes()
+                    + np.array(p.objective_trace).tobytes()
+                ).hexdigest(),
+            }
+            for p in partitions
+        ]
+        assert got == json.loads((GOLDEN / "jitter.fcm.json").read_text())
+        rounds = (tmp_path / "run" / "rounds.csv").read_bytes()
+        assert rounds == (GOLDEN / "jitter.rounds.csv").read_bytes()
 
 
 class TestReport:

@@ -16,7 +16,7 @@ from cfhfc import (
     normalize_profiles,
     weighted_distance,
 )
-from cfhfc.clustering import _memberships_from_distances, minmax_scale
+from cfhfc.clustering import _memberships_from_distances, _weighted_norm, minmax_scale
 
 SQRT_03 = 0.5477225575051661  # sqrt(0.3), the cpu-axis unit distance
 
@@ -267,3 +267,179 @@ class TestFcmFit:
         assert part.memberships.shape == (10, 2)
         assert part.centroids.shape == (2, 3)
         assert 1 <= part.iterations_used <= 100
+
+
+# Verbatim copies of fcm_fit (less its input checks) and its helpers as they
+# stood before the fit was rebuilt on one distance buffer and one centroid
+# matmul. The replay tests below hold the rebuilt fit to these bytes.
+
+
+def reference_weighted_distance(a, b, w):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValueError(
+            f"capability triples must have a last axis of 3, got {a.shape} and {b.shape}"
+        )
+    d = a - b
+    return np.sqrt(np.sum(w.as_array() * d * d, axis=-1))
+
+
+def reference_distance_matrix(points, centroids, w):
+    return reference_weighted_distance(points[:, None, :], centroids[None, :, :], w)
+
+
+def reference_memberships_from_distances(dist, m):
+    zeros = dist == 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = (dist[:, :, None] / dist[:, None, :]) ** (2.0 / (m - 1.0))
+        out = 1.0 / ratios.sum(axis=2)
+    hit = zeros.any(axis=1)
+    out[hit] = zeros[hit] / zeros[hit].sum(axis=1, keepdims=True)
+    return out
+
+
+def reference_farthest_point_init(points, k, w, seed):
+    n = points.shape[0]
+    chosen = [seed % n]
+    min_dist = reference_weighted_distance(points, points[chosen[-1]], w)
+    while len(chosen) < k:
+        nxt = int(min_dist.argmax())
+        chosen.append(nxt)
+        min_dist = np.minimum(min_dist, reference_weighted_distance(points, points[nxt], w))
+    return points[chosen].copy()
+
+
+def reference_objective(dist, memberships, m):
+    return float(np.sum(memberships**m * dist**2))
+
+
+def reference_fcm_fit(points, num_clusters, fuzzifier=3.0, weights=None,
+                      max_iter=100, tol=1e-7, seed=0):
+    if weights is None:
+        weights = ResourceWeights()
+    points = np.asarray(points, dtype=np.float64)
+    centroids = reference_farthest_point_init(points, num_clusters, weights, seed)
+    dist = reference_distance_matrix(points, centroids, weights)
+    trace = []
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        memberships = reference_memberships_from_distances(dist, fuzzifier)
+        mass = memberships**fuzzifier
+        new_centroids = centroids.copy()
+        for cluster in range(num_clusters):
+            total = mass[:, cluster].sum()
+            if total > 0.0:
+                new_centroids[cluster] = mass[:, cluster] @ points / total
+        moved = reference_weighted_distance(new_centroids, centroids, weights).max()
+        centroids = new_centroids
+        dist = reference_distance_matrix(points, centroids, weights)
+        trace.append(reference_objective(dist, memberships, fuzzifier))
+        if moved < tol:
+            break
+    return FuzzyPartition(
+        memberships=reference_memberships_from_distances(dist, fuzzifier),
+        centroids=centroids,
+        fuzzifier=fuzzifier,
+        iterations_used=iterations,
+        objective_trace=tuple(trace),
+    )
+
+
+FUZZIFIERS = (1.5, 2.0, 2.5, 3.0, 10.0)  # at 2 the exponent hits numpy's square path
+
+
+def replay_points(rng, n, kind):
+    """n normalized profiles: uniform, on a coarse grid (ties and coincident
+    rows), with a duplicated block, or all equal."""
+    if kind == "uniform":
+        return rng.random((n, 3))
+    if kind == "grid":
+        return rng.integers(0, 4, size=(n, 3)) / 3.0
+    if kind == "duplicates":
+        points = rng.random((n, 3))
+        points[n // 2 :] = points[: n - n // 2]
+        return points
+    return np.full((n, 3), 0.5)
+
+
+def replay_cases(count, seed):
+    """count seeded (points, K, fuzzifier, weights, max_iter, seed) cases
+    over n in [2, 120] and K in [1, min(n, 16)]."""
+    rng = np.random.default_rng(seed)
+    kinds = ("uniform", "grid", "duplicates", "equal")
+    for case in range(count):
+        n = int(rng.integers(2, 121)) if case % 5 else int(rng.integers(2, 17))
+        k = int(rng.integers(1, min(n, 16) + 1))
+        kind = kinds[case % 7 % 4]  # equal profiles in 1 case of 7
+        cut = np.sort(rng.random(2))
+        weights = ResourceWeights() if case % 3 else ResourceWeights(
+            cut[0], cut[1] - cut[0], 1.0 - cut[1]
+        )
+        max_iter = 1 if case % 11 == 0 else 40
+        yield (replay_points(rng, n, kind), k, FUZZIFIERS[case % len(FUZZIFIERS)],
+               weights, max_iter, int(rng.integers(0, 1000)))
+
+
+def partition_bytes(part):
+    return (
+        part.memberships.tobytes(),
+        part.centroids.tobytes(),
+        part.iterations_used,
+        np.array(part.objective_trace).tobytes(),
+    )
+
+
+class TestParentReplay:
+    """The rebuilt fit gives the parent's bytes: memberships, centroids,
+    iterations and objective trace."""
+
+    def test_fcm_fit_matches_reference_bytes(self):
+        max_iter_one = 0
+        for points, k, m, weights, max_iter, seed in replay_cases(330, seed=11):
+            max_iter_one += max_iter == 1
+            got = fcm_fit(points, k, fuzzifier=m, weights=weights,
+                          max_iter=max_iter, seed=seed)
+            want = reference_fcm_fit(points, k, fuzzifier=m, weights=weights,
+                                     max_iter=max_iter, seed=seed)
+            assert partition_bytes(got) == partition_bytes(want), (len(points), k, m)
+        assert max_iter_one >= 30
+
+    def test_default_max_iter_matches_reference_bytes(self):
+        for points, k, m, weights, _, seed in replay_cases(20, seed=12):
+            got = fcm_fit(points, k, fuzzifier=m, weights=weights, seed=seed)
+            want = reference_fcm_fit(points, k, fuzzifier=m, weights=weights, seed=seed)
+            assert partition_bytes(got) == partition_bytes(want), (len(points), k, m)
+
+    def test_distance_matrix_matches_reference_bytes(self):
+        rng = np.random.default_rng(13)
+        for case in range(300):
+            n, k = int(rng.integers(1, 121)), int(rng.integers(1, 17))
+            points = replay_points(rng, n, ("uniform", "grid", "duplicates")[case % 3])
+            centroids = points[rng.integers(0, n, size=k)] if case % 2 else rng.random((k, 3))
+            w = ResourceWeights(*rng.dirichlet(np.ones(3)))
+            got = _weighted_norm(points[:, None, :], centroids, w.as_array(), np.empty((n, k)))
+            assert got.tobytes() == reference_distance_matrix(points, centroids, w).tobytes()
+
+    def test_weighted_distance_matches_reference_bytes(self):
+        """Two triples, a block against a triple, and row pairs."""
+        rng = np.random.default_rng(15)
+        for case in range(300):
+            n = int(rng.integers(1, 121))
+            block = replay_points(rng, n, ("uniform", "grid", "duplicates")[case % 3])
+            w = ResourceWeights(*rng.dirichlet(np.ones(3)))
+            for a, b in ((block[0], block[-1]), (block, block[n // 2]), (block, block[::-1])):
+                got = weighted_distance(a, b, w)
+                want = reference_weighted_distance(a, b, w)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_memberships_match_reference_bytes(self):
+        rng = np.random.default_rng(14)
+        for case in range(300):
+            n, k = int(rng.integers(1, 121)), int(rng.integers(1, 17))
+            dist = rng.random((n, k))
+            dist[rng.random((n, k)) < 0.05] = 0.0  # coincident centroids
+            m = FUZZIFIERS[case % len(FUZZIFIERS)]
+            got = _memberships_from_distances(dist, m)
+            assert got.tobytes() == reference_memberships_from_distances(dist, m).tobytes()

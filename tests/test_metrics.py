@@ -127,6 +127,27 @@ class TestConfusion:
         expected[0, 2] = 1   # tie resolved to an attack label
         np.testing.assert_array_equal(counts.per_class, expected)
 
+    def test_matches_per_row_counts(self):
+        """Binary counts against a per-row tally, on 2 to 13 classes, with
+        every class or a single class under attack."""
+        rng = np.random.default_rng(6)
+        for num_classes in range(2, 14):
+            for attack in (frozenset(range(num_classes)), frozenset({num_classes - 1}),
+                           frozenset(rng.choice(num_classes, size=num_classes // 2 or 1,
+                                                replace=False).tolist())):
+                truths = rng.integers(0, num_classes, size=300)
+                predictions = rng.integers(SUSPICIOUS, num_classes, size=300)
+                counts = confusion(predictions, truths, attack, num_classes)
+                tally = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
+                for pred, truth in zip(predictions, truths):
+                    flagged = pred == SUSPICIOUS or int(pred) in attack
+                    if int(truth) in attack:
+                        tally["tp" if flagged else "fn"] += 1
+                    else:
+                        tally["fp" if flagged else "tn"] += 1
+                assert {k: getattr(counts, k) for k in tally} == tally
+                assert counts.per_class.sum() == 300
+
     def test_all_correct_has_zero_off_diagonal(self):
         truths = np.array([0, 1, 2, 0, 1, 2])
         decisions = truths.copy()
@@ -252,3 +273,10 @@ class TestArgmaxDecisions:
 
         expected = predict_proba(model, features).argmax(axis=1)
         np.testing.assert_array_equal(predictions, expected)
+
+    def test_ties_take_the_lowest_class(self):
+        for num_classes in range(2, 14):
+            model = ModelParams(np.zeros((num_classes, 2)), np.zeros(num_classes))
+            predictions = argmax_decisions(model, np.ones((3, 2)))
+            assert predictions.dtype == np.intp
+            assert predictions.tolist() == [0, 0, 0]

@@ -19,7 +19,7 @@ from cfhfc import (
     predict_proba,
     prox_local_train,
 )
-from cfhfc.model import _gradient_arrays
+from cfhfc.model import _gradient_arrays, _row_any, _row_argmax, _row_max
 
 
 def random_batch(rng, n, num_features, num_classes):
@@ -138,7 +138,72 @@ class TestPredictProba:
             predict_proba(model, np.zeros((2, 6)))
 
 
+def tied_blocks(seed):
+    """(n, C) blocks for C from 2 to 13 and n of 1, 2, 7 and 300, drawn from
+    a few values so rows tie, with +0.0 and -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 0.75, 3.0])
+    for num_classes in range(2, 14):
+        for n in (1, 2, 7, 300):
+            yield rng.choice(values, size=(n, num_classes))
+            yield rng.normal(size=(n, num_classes))
+
+
+class TestRowReductions:
+    """The column-wise reductions against numpy's axis-1 reductions."""
+
+    def test_row_max_matches_numpy(self):
+        for z in tied_blocks(0):
+            top = _row_max(z)
+            want = z.max(axis=1)
+            assert top.shape == (len(z), 1)
+            # equal as numbers; a zero maximum may carry either sign
+            assert (top[:, 0] == want).all()
+            nonzero = want != 0.0
+            assert top[nonzero, 0].tobytes() == want[nonzero].tobytes()
+
+    def test_row_argmax_matches_numpy(self):
+        for z in tied_blocks(1):
+            idx = _row_argmax(z)
+            assert idx.dtype == np.intp
+            assert idx.tobytes() == z.argmax(axis=1).tobytes()
+
+    def test_row_argmax_reports_first_nan(self):
+        rng = np.random.default_rng(2)
+        for z in tied_blocks(2):
+            z = z.copy()
+            z[rng.random(z.shape) < 0.1] = np.nan
+            assert _row_argmax(z).tobytes() == z.argmax(axis=1).tobytes()
+
+    def test_row_any_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for z in tied_blocks(3):
+            for mask in (z > 0.0, z >= 0.0, rng.random(z.shape) < 0.05):
+                assert _row_any(mask).tobytes() == mask.any(axis=1).tobytes()
+
+    def test_one_column(self):
+        z = np.array([[-0.0], [2.0], [np.nan]])
+        assert _row_max(z).tobytes() == z.tobytes()
+        assert _row_argmax(z).tolist() == [0, 0, 0]
+        assert _row_any(z > 0.0).tolist() == [False, True, False]
+
+
 class TestLoss:
+    def test_matches_axis_max_formula(self):
+        """The same double as the loss built on z.max(axis=1)."""
+        rng = np.random.default_rng(9)
+        for num_classes in range(2, 14):
+            for scale in (1.0, 40.0):
+                model = random_model(rng, num_classes, 5)
+                model = ModelParams(model.weights * scale, model.biases)
+                batch = random_batch(rng, 64, 5, num_classes)
+                z = batch.features @ model.weights.T
+                z += model.biases
+                zmax = z.max(axis=1, keepdims=True)
+                log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+                picked = z[np.arange(len(batch)), batch.labels]
+                assert loss(model, batch) == float(np.mean(log_norm - picked))
+
     def test_zero_model_gives_log_num_classes(self):
         rng = np.random.default_rng(0)
         batch = random_batch(rng, 50, 6, 4)

@@ -127,6 +127,14 @@ class TestScenarioConstruction:
         with pytest.raises(ValueError, match="unknown archetype 'rack_server'"):
             small_scenario(archetype_mix=(("rack_server", 1.0),))
 
+    def test_duplicate_archetype_is_rejected(self):
+        """A name listed twice would resolve to one dict entry holding half
+        the mix, which the config reader then refuses."""
+        with pytest.raises(ValueError, match="archetype 'pi3' is listed more than once"):
+            Scenario(archetype_mix=(("pi3", 0.5), ("pi3", 0.5)))
+        with pytest.raises(ValueError, match="'pi4' is listed more than once"):
+            build_scenario("scenario1", archetype_mix=(("pi4", 0.25), ("pi3", 0.5), ("pi4", 0.25)))
+
     def test_default_attack_classes(self):
         s = small_scenario()
         assert s.resolved_attack_classes() == frozenset({1, 2, 3})
@@ -217,6 +225,46 @@ class TestRoundLoop:
         assert len(reports) == 6  # five zero deltas end the run
         assert len({r.accuracy for r in reports}) == 1
         assert state.converged_round == 5
+
+
+class TestLayerCalls:
+    """Each traced fog and metrics function runs once per use, through the
+    simulator's globals; folding one into another would hide its layer."""
+
+    COUNTED = ("fcm_fit", "calibrate", "predict_with_calibration", "confusion",
+               "loss", "argmax_decisions")
+
+    def test_calls_per_jittered_round(self, monkeypatch):
+        mix = (("pi3", 1.0 / 3.0), ("pi4", 1.0 / 3.0), ("pi400", 1.0 / 3.0))
+        scenario = replace(
+            small_scenario(method="cfhfc", num_clusters=2, num_clients=6, archetype_mix=mix),
+            straggler_fraction=0.3,
+            cluster_cfg=ClusterConfig(profile_jitter=0.1),
+        )
+        calls = dict.fromkeys(self.COUNTED, 0)
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(simulator, name, counting(name, getattr(simulator, name)))
+        state = init_state(scenario)
+        for _ in range(3):
+            calls.update(dict.fromkeys(self.COUNTED, 0))
+            state, report = run_round(state, scenario)
+            gated = sum(stat.confidence is not None for stat in report.cluster_stats)
+            assert gated == len(report.cluster_stats) >= 1
+            assert calls == {
+                "fcm_fit": 1,
+                "calibrate": gated,
+                "predict_with_calibration": gated,
+                "confusion": gated + 1,
+                "loss": 1,
+                "argmax_decisions": 1,
+            }
 
 
 class TestMethodReductions:
