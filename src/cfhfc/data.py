@@ -66,6 +66,10 @@ class CsvSource:
     label_column: str = "label"
     num_classes: int = 2
 
+    def __post_init__(self) -> None:
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+
     @property
     def num_features(self) -> int:
         """Feature columns in the file's header: every column but the label."""

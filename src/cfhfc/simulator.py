@@ -27,12 +27,7 @@ from .calibration import (
     calibrate,
     predict_with_calibration,
 )
-from .clustering import (
-    FuzzyPartition,
-    ResourceWeights,
-    fcm_fit,
-    minmax_scale,
-)
+from .clustering import ResourceWeights, fcm_fit, minmax_scale
 from .data import ClientDataset, DatasetSpec, SyntheticSource, client_sizes, materialize_clients
 from .metrics import (
     RATE_NAMES,
@@ -378,18 +373,18 @@ def init_state(scenario: Scenario) -> TrainingState:
     )
 
 
-def _effective_raw_profiles(
+def _cluster_round(
     scenario: Scenario,
-    raw: np.ndarray,
+    profiles: np.ndarray,
     stragglers: np.ndarray,
     round_index: int,
-) -> np.ndarray:
-    """Raw capability matrix as the fog tier observes it this round.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster this round's observed profiles: the memberships and the normalized matrix.
 
     Straggling devices expose their slowed-down cpu (utilization is what the
     fog can actually measure); optional jitter models run-to-run load noise.
     """
-    raw = raw.copy()
+    raw = profiles.copy()
     raw[stragglers, 0] /= scenario.straggler_slowdown
     jitter = scenario.cluster_cfg.profile_jitter
     if jitter > 0.0:
@@ -397,17 +392,6 @@ def _effective_raw_profiles(
             _derived_seed(scenario.seed, _TAG_JITTER, round_index)
         )
         raw = raw * rng.uniform(1.0 - jitter, 1.0 + jitter, size=raw.shape)
-    return raw
-
-
-def _cluster_round(
-    scenario: Scenario,
-    profiles: np.ndarray,
-    stragglers: np.ndarray,
-    round_index: int,
-) -> tuple[FuzzyPartition, np.ndarray]:
-    """Cluster this round's observed profiles; also returns their normalized matrix."""
-    raw = _effective_raw_profiles(scenario, profiles, stragglers, round_index)
     normalized = minmax_scale(raw)
     partition = fcm_fit(
         normalized,
@@ -418,18 +402,41 @@ def _cluster_round(
         tol=scenario.cluster_cfg.tol,
         seed=_derived_seed(scenario.seed, _TAG_FCM, round_index),
     )
-    return partition, normalized
+    return partition.memberships, normalized
 
 
-def _client_round_times(
+@dataclass
+class _Bill:
+    """One round's synchronization latency and, for cfhfc, the partition behind it."""
+
+    sync_s: float
+    memberships: np.ndarray | None = None
+    normalized: np.ndarray | None = None
+    participants: list[np.ndarray] = field(default_factory=list)
+    per_cluster_s: tuple[float, ...] = ()
+
+
+def _clock(
     scenario: Scenario,
-    raw: np.ndarray,
-    sizes: np.ndarray,
+    profiles: np.ndarray,
     stragglers: np.ndarray,
-    model_params: int,
-) -> np.ndarray:
+    sizes: np.ndarray,
+    round_index: int,
+) -> _Bill:
+    """The timing model's bill for one round; every round, sweep and compare is billed here.
+
+    Each client's time follows LatencyModel; the model it ships has the
+    dataset's shape (a CSV's width is its header minus the label). The
+    baselines wait on the slowest client. The clustered method partitions
+    this round's observed profiles, and each cluster's participants are its
+    clients at or above the participation floor. Each cluster synchronizes
+    inside itself first (it completes when its slowest participant does), and
+    clients only wait on their own cluster; the bill is the
+    participation-mass-weighted mean of cluster completion times plus one
+    cloud join overhead.
+    """
     lat = scenario.latency
-    cpu_norm = minmax_scale(raw[:, :1])[:, 0]
+    cpu_norm = minmax_scale(profiles[:, :1])[:, 0]
     cpu = lat.cpu_floor + (1.0 - lat.cpu_floor) * cpu_norm
     compute = (
         scenario.train_cfg.local_epochs
@@ -437,36 +444,19 @@ def _client_round_times(
         * lat.work_units_per_sample
         / cpu
     )
-    bytes_per_round = 2.0 * model_params * lat.bytes_per_param
-    comm = bytes_per_round / (raw[:, 2] * 1e6 / 8.0)
+    source = scenario.dataset.source
+    bytes_per_round = 2.0 * source.num_classes * (source.num_features + 1) * lat.bytes_per_param
+    comm = bytes_per_round / (profiles[:, 2] * 1e6 / 8.0)
     times = compute + comm + lat.round_overhead_s
     slowdown = scenario.straggler_slowdown
     if scenario.method == "fedprox":
         slowdown = 1.0 + (slowdown - 1.0) * (1.0 - lat.fedprox_partial_work)
     times[stragglers] *= slowdown
-    return times
-
-
-def _participants(scenario: Scenario, memberships: np.ndarray) -> list[np.ndarray]:
-    """Each cluster's participant indices: the clients at or above the floor."""
+    if scenario.method != "cfhfc":
+        return _Bill(float(times.max()))
+    memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
     floor = scenario.cluster_cfg.participation_floor
-    return [np.flatnonzero(memberships[:, k] >= floor) for k in range(memberships.shape[1])]
-
-
-def _sync_from_times(
-    scenario: Scenario,
-    times: np.ndarray,
-    memberships: np.ndarray,
-    participants: list[np.ndarray],
-) -> tuple[float, tuple[float, ...]]:
-    """The clustered method's synchronization latency and per-cluster completion times.
-
-    Each cluster synchronizes inside itself first (it completes when its
-    slowest participant does), and clients only wait on their own cluster;
-    the reported latency is the participation-mass-weighted mean of cluster
-    completion times plus one cloud join overhead. The baselines wait on the
-    slowest client instead.
-    """
+    participants = [np.flatnonzero(memberships[:, k] >= floor) for k in range(memberships.shape[1])]
     per_cluster = np.array([times[idx].max() if idx.size else 0.0 for idx in participants])
     # gathered, not masked over all clients: a masked sum adds in another order
     # and moves the reported latency in its last bits
@@ -474,29 +464,24 @@ def _sync_from_times(
     busy = mass > 0
     sync = float(
         (mass[busy] * per_cluster[busy]).sum() / mass[busy].sum()
-        + scenario.latency.round_overhead_s
+        + lat.round_overhead_s
     )
-    return sync, tuple(per_cluster.tolist())
+    return _Bill(sync, memberships, normalized, participants, tuple(per_cluster.tolist()))
 
 
 def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
-    """One round of the timing model without any training.
+    """Round 0's bill of the timing model, without any training.
 
-    sizes holds each client's data size, in client order. The clustered
-    method runs a clustering pass on the scenario's observed profiles; the
-    baselines wait on the slowest client.
+    sizes holds each client's data size, in client order: num_clients finite,
+    non-negative numbers.
     """
-    profiles, stragglers = _fleet(scenario)
     sizes = np.asarray(sizes, dtype=np.float64)
-    source = scenario.dataset.source
-    model_params = source.num_classes * (source.num_features + 1)
-    times = _client_round_times(scenario, profiles, sizes, stragglers, model_params)
-    sync = float(times.max())
-    if scenario.method == "cfhfc":
-        partition, _ = _cluster_round(scenario, profiles, stragglers, round_index=0)
-        participants = _participants(scenario, partition.memberships)
-        sync, _ = _sync_from_times(scenario, times, partition.memberships, participants)
-    return LatencyReport(sync)
+    if sizes.shape != (scenario.num_clients,):
+        raise ValueError(f"sizes must have shape ({scenario.num_clients},), got {sizes.shape}")
+    if not (np.isfinite(sizes).all() and (sizes >= 0).all()):
+        raise ValueError("sizes must be finite and non-negative")
+    profiles, stragglers = _fleet(scenario)
+    return LatencyReport(_clock(scenario, profiles, stragglers, sizes, round_index=0).sync_s)
 
 
 def _edge(state: TrainingState) -> list[ModelParams]:
@@ -558,39 +543,31 @@ def _fog(
 ) -> tuple[ModelParams, float, tuple[ClusterRoundStat, ...]]:
     """Fog and cloud tiers: the next global model, sync latency and cluster stats.
 
-    The baselines pool every update by data size and wait on the slowest
-    client. The clustered method partitions this round's observed profiles,
-    reduces each cluster's participants with their memberships, calibrates
-    each cluster model and blends the cluster models in the cloud.
+    _clock bills the round. The baselines pool every update by data size.
+    The clustered method takes the bill's partition, reduces each cluster's
+    participants with their memberships, calibrates each cluster model and
+    blends the cluster models in the cloud.
     """
     scenario = state.scenario
     sizes = np.array([c.size for c in state.clients], dtype=np.float64)
-    anchor = state.global_model
-    model_size = anchor.num_classes * (anchor.num_features + 1)
-    times = _client_round_times(scenario, state.profiles, sizes, state.stragglers, model_size)
+    bill = _clock(scenario, state.profiles, state.stragglers, sizes, state.round_index)
     if scenario.method != "cfhfc":
-        return weighted_average(updated, sizes), float(times.max()), ()
+        return weighted_average(updated, sizes), bill.sync_s, ()
 
-    partition, normalized = _cluster_round(
-        scenario, state.profiles, state.stragglers, state.round_index
-    )
-    memberships = partition.memberships
-    participants = _participants(scenario, memberships)
-    sync, per_cluster = _sync_from_times(scenario, times, memberships, participants)
     cluster_models: list[ClusterModel] = []
     stats: list[ClusterRoundStat] = []
-    for k, idx in enumerate(participants):
+    for k, idx in enumerate(bill.participants):
         if idx.size == 0:
             continue
         cluster_model = cluster_aggregate(
-            [(updated[i], float(memberships[i, k]), int(sizes[i])) for i in idx]
+            [(updated[i], float(bill.memberships[i, k]), int(sizes[i])) for i in idx]
         )
-        gate = _calibrate_cluster(state, k, cluster_model, idx, normalized)
-        stats.append(ClusterRoundStat(k, int(idx.size), *gate, latency_s=per_cluster[k]))
+        gate = _calibrate_cluster(state, k, cluster_model, idx, bill.normalized)
+        stats.append(ClusterRoundStat(k, int(idx.size), *gate, latency_s=bill.per_cluster_s[k]))
         cluster_models.append(cluster_model)
     if not cluster_models:
         raise RuntimeError("no cluster had any participants")
-    return global_aggregate(cluster_models), sync, tuple(stats)
+    return global_aggregate(cluster_models), bill.sync_s, tuple(stats)
 
 
 def holdout_confusion(
@@ -669,7 +646,14 @@ def run_training(
 
 
 def _scaled_scenario(scenario: Scenario, num_clients: int, method: str, fraction: float) -> Scenario:
-    """Clone a scenario at a different scale, keeping per-client data constant."""
+    """The scenario with method and straggler fraction set, at num_clients clients.
+
+    At its own client count the scenario keeps its fleet and clusters. At
+    another count it gets clusters_for_clients' budget, and a synthetic
+    source keeps its rows per client.
+    """
+    if num_clients == scenario.num_clients:
+        return replace(scenario, method=method, straggler_fraction=fraction)
     dataset = scenario.dataset
     if isinstance(dataset.source, SyntheticSource):
         per_client = dataset.source.samples_per_class / scenario.num_clients
@@ -703,6 +687,8 @@ def straggler_metrics(
     are held uniform at the scenario's mean so the sweep isolates hardware
     heterogeneity and straggler effects from partition skew. The sizes come
     from the partition alone (client_sizes), without generating features.
+    At the scenario's own client count the sweep bills the scenario's own
+    fleet, clusters included.
     """
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:
@@ -710,19 +696,18 @@ def straggler_metrics(
         mean_size = float(np.mean(client_sizes(scaled.dataset, n, _min_samples(scaled))))
         sizes = np.full(n, round(mean_size), dtype=np.float64)
         for method in methods:
-            zero = _scaled_scenario(scenario, n, method, 0.0)
-            baseline_sync = simulate_latency(zero, sizes=sizes).sync_latency_s
-            per_fraction: dict[float, dict[str, float]] = {}
-            for fraction in fractions:
-                if fraction == 0.0:
-                    sync = baseline_sync
-                else:
-                    probe = _scaled_scenario(scenario, n, method, fraction)
-                    sync = simulate_latency(probe, sizes=sizes).sync_latency_s
-                per_fraction[fraction] = {
-                    "sync_latency_s": sync,
-                    "relative_pct": 100.0 * sync / baseline_sync,
-                    "sme": baseline_sync / sync,
+            sync = {
+                fraction: simulate_latency(
+                    _scaled_scenario(scenario, n, method, fraction), sizes=sizes
+                ).sync_latency_s
+                for fraction in dict.fromkeys((0.0, *fractions))
+            }
+            out[method][n] = {
+                fraction: {
+                    "sync_latency_s": sync[fraction],
+                    "relative_pct": 100.0 * sync[fraction] / sync[0.0],
+                    "sme": sync[0.0] / sync[fraction],
                 }
-            out[method][n] = per_fraction
+                for fraction in fractions
+            }
     return out

@@ -38,6 +38,7 @@ from cfhfc import (
     update_confidence,
 )
 from cfhfc import simulator
+from cfhfc.data import client_sizes
 from cfhfc.simulator import _TAG_TRAIN, _derived_seed, materialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,6 +76,17 @@ def small_scenario(method="fedavg", seed=0, rho=0.0, num_clusters=1, rounds=3,
                               local_epochs=2, dropout_rate=0.1,
                               proximal_coeff=rho),
         calib_cfg=CalibrationConfig(enabled=calib_enabled),
+    )
+
+
+def jittered_scenario(method):
+    """Six clients of three archetypes, two clusters, stragglers and profile
+    jitter: every round's clustering differs."""
+    mix = (("pi3", 1.0 / 3.0), ("pi4", 1.0 / 3.0), ("pi400", 1.0 / 3.0))
+    return replace(
+        small_scenario(method=method, num_clusters=2, num_clients=6, archetype_mix=mix),
+        straggler_fraction=0.3,
+        cluster_cfg=ClusterConfig(profile_jitter=0.1),
     )
 
 
@@ -232,16 +244,12 @@ class TestLayerCalls:
     simulator's globals; folding one into another would hide its layer."""
 
     COUNTED = ("fcm_fit", "calibrate", "predict_with_calibration", "confusion",
-               "loss", "argmax_decisions")
+               "loss", "argmax_decisions", "simulate_latency")
 
-    def test_calls_per_jittered_round(self, monkeypatch):
-        mix = (("pi3", 1.0 / 3.0), ("pi4", 1.0 / 3.0), ("pi400", 1.0 / 3.0))
-        scenario = replace(
-            small_scenario(method="cfhfc", num_clusters=2, num_clients=6, archetype_mix=mix),
-            straggler_fraction=0.3,
-            cluster_cfg=ClusterConfig(profile_jitter=0.1),
-        )
-        calls = dict.fromkeys(self.COUNTED, 0)
+    @classmethod
+    def counted_calls(cls, monkeypatch) -> dict[str, int]:
+        """Calls to each COUNTED simulator global from here on, by name."""
+        calls = dict.fromkeys(cls.COUNTED, 0)
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -249,8 +257,14 @@ class TestLayerCalls:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in self.COUNTED:
+        for name in cls.COUNTED:
             monkeypatch.setattr(simulator, name, counting(name, getattr(simulator, name)))
+        return calls
+
+    def test_calls_per_jittered_round(self, monkeypatch):
+        """A round bills itself without simulate_latency, so FCM runs once."""
+        scenario = jittered_scenario("cfhfc")
+        calls = self.counted_calls(monkeypatch)
         state = init_state(scenario)
         for _ in range(3):
             calls.update(dict.fromkeys(self.COUNTED, 0))
@@ -264,7 +278,33 @@ class TestLayerCalls:
                 "confusion": gated + 1,
                 "loss": 1,
                 "argmax_decisions": 1,
+                "simulate_latency": 0,
             }
+
+    def test_sweep_bills_each_distinct_fraction_once(self, monkeypatch):
+        """One simulate_latency per client count, method and distinct fraction,
+        0.0 first, and one FCM fit in each cfhfc bill."""
+        calls = self.counted_calls(monkeypatch)
+        counted = simulator.simulate_latency
+        billed = []
+
+        def recording(scenario, sizes):
+            fits = calls["fcm_fit"]
+            report = counted(scenario, sizes)
+            billed.append((scenario.num_clients, scenario.method,
+                           scenario.straggler_fraction, calls["fcm_fit"] - fits))
+            return report
+
+        monkeypatch.setattr(simulator, "simulate_latency", recording)
+        straggler_metrics(jittered_scenario("cfhfc"), fractions=(0.5, 0.25, 0.5),
+                          client_counts=(6, 9))
+        assert billed == [
+            (n, method, fraction, int(method == "cfhfc"))
+            for n in (6, 9)
+            for method in ("cfhfc", "fedavg", "fedprox")
+            for fraction in (0.0, 0.5, 0.25)
+        ]
+        assert calls["fcm_fit"] == 6
 
 
 class TestMethodReductions:
@@ -522,6 +562,27 @@ class TestLatencyModel:
         sizes = np.array([c.size for c in state.clients], dtype=np.float64)
         assert simulate_latency(scenario, sizes=sizes).sync_latency_s == report.sync_latency_s
 
+    @pytest.mark.parametrize("method", ["cfhfc", "fedavg", "fedprox"])
+    def test_round_zero_bills_what_simulate_latency_bills(self, method):
+        """Training and the latency-only sweep share one clock."""
+        scenario = jittered_scenario(method)
+        state, report = run_round(init_state(scenario), scenario)
+        sizes = np.array([c.size for c in state.clients], dtype=np.float64)
+        assert simulate_latency(scenario, sizes=sizes).sync_latency_s == report.sync_latency_s
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([160.0], r"shape \(4,\), got \(1,\)"),
+        (np.full((4, 1), 160.0), r"shape \(4,\), got \(4, 1\)"),
+        (np.full(5, 160.0), r"shape \(4,\), got \(5,\)"),
+        (np.full(4, -5.0), "finite and non-negative"),
+        ([160.0, 160.0, np.nan, 160.0], "finite and non-negative"),
+        ([160.0, np.inf, 160.0, 160.0], "finite and non-negative"),
+    ], ids=["one", "column", "too-many", "negative", "nan", "inf"])
+    def test_malformed_sizes_are_rejected(self, sizes, message):
+        """One size is not broadcast to every client, and no size is negative."""
+        with pytest.raises(ValueError, match=message):
+            simulate_latency(small_scenario(method="cfhfc"), sizes=sizes)
+
     def test_per_cluster_report_shape(self):
         scenario = small_scenario(method="cfhfc", num_clusters=2, num_clients=6,
                                   archetype_mix=self.MIX)
@@ -542,6 +603,24 @@ class TestStragglerMetrics:
             client_counts=(6,),
             methods=("cfhfc", "fedavg", "fedprox"),
         )
+
+    def test_own_client_count_keeps_the_scenario_clusters(self):
+        """At the scenario's own client count the sweep bills the scenario's
+        own fleet, not clusters_for_clients' budget for that count."""
+        scenario = small_scenario(method="cfhfc", num_clusters=3, num_clients=6,
+                                  archetype_mix=TestLatencyModel.MIX)
+        assert clusters_for_clients(6) == 2
+        mean_size = np.mean(client_sizes(scenario.dataset, 6, simulator._min_samples(scenario)))
+        sizes = np.full(6, round(mean_size), dtype=np.float64)
+        table = straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(6,),
+                                  methods=("cfhfc",))
+        own = {fraction: simulate_latency(replace(scenario, straggler_fraction=fraction),
+                                          sizes=sizes).sync_latency_s
+               for fraction in (0.0, 0.5)}
+        assert table["cfhfc"][6][0.5]["sync_latency_s"] == own[0.5]
+        assert table["cfhfc"][6][0.5]["sme"] == own[0.0] / own[0.5]
+        budget = replace(scenario, num_clusters=2, straggler_fraction=0.5)
+        assert simulate_latency(budget, sizes=sizes).sync_latency_s != own[0.5]
 
     def test_zero_fraction_is_the_baseline(self):
         table = self.sweep()
