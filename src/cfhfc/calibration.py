@@ -18,7 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import ClusterModel
-from .model import LabeledBatch, ModelParams, _check_labels, _row_any, _row_argmax, predict_proba
+from .model import (
+    LabeledBatch,
+    ModelParams,
+    _check_labels,
+    _given_proba,
+    _row_any,
+    _row_argmax,
+    predict_proba,
+)
 
 __all__ = [
     "CalibrationConfig",
@@ -130,9 +138,15 @@ class Decisions:
                 yield Decision(kind, int(label), prediction_set)
 
 
-def build_score_set(params: ModelParams, data: LabeledBatch) -> np.ndarray:
-    """Sorted nonconformity scores of a calibration batch under the model."""
-    probs = predict_proba(params, data.features)
+def build_score_set(
+    params: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sorted nonconformity scores of a calibration batch under the model.
+
+    Given an (n, num_classes) float64 array as out, it also receives the
+    batch's predict_proba, for a later predict_with_calibration(probs=out).
+    """
+    probs = predict_proba(params, data.features, out=out)
     _check_labels(data.labels, params.num_classes)
     scores = 1.0 - probs[np.arange(len(data)), data.labels]
     return np.sort(scores)
@@ -174,19 +188,20 @@ def update_confidence(state: CalibrationState, cfg: CalibrationConfig) -> float:
 
 
 def predict_with_calibration(
-    model: CalibratedModel, features: np.ndarray
+    model: CalibratedModel, features: np.ndarray, *, probs: np.ndarray | None = None
 ) -> Decisions:
     """Set-valued decisions for each feature row.
 
     A class joins the prediction set when its nonconformity score is at or
     below the threshold. Singleton sets yield that label, larger sets resolve
     to the most probable member (the lowest class id on equal probability),
-    and empty sets are flagged suspicious.
+    and empty sets are flagged suspicious. probs, when given, must be
+    predict_proba(model.params, features); the rows are then not scored again.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
-    probs = predict_proba(model.params, features)
+    probs = _given_proba(model.params, features, probs)
     members = 1.0 - probs <= model.threshold
     # 1 - p is monotone, so the most probable class is in every non-empty set
     return Decisions(np.where(_row_any(members), _row_argmax(probs), SUSPICIOUS), members)
@@ -197,6 +212,8 @@ def calibrate(
     calibration_data: LabeledBatch,
     state: CalibrationState,
     cfg: CalibrationConfig | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[CalibratedModel, CalibrationState]:
     """Refresh a cluster's confidence and threshold on new calibration data.
 
@@ -204,11 +221,11 @@ def calibrate(
     confidence with cfg's sensitivities (the defaults when cfg is None), and
     recomputes the threshold as the matching quantile of the fresh score set.
     The model parameters are carried through unchanged; only the decision
-    rule moves.
+    rule moves. out is passed to build_score_set, to keep the probabilities.
     """
     if len(calibration_data) == 0:
         raise ValueError("calibration data must be non-empty")
-    scores = build_score_set(model.params, calibration_data)
+    scores = build_score_set(model.params, calibration_data, out=out)
     q = update_confidence(state, cfg or CalibrationConfig())
     tau = quantile(scores, q)
     return CalibratedModel(model.params, tau, q), replace(state, confidence=q)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .calibration import SUSPICIOUS
-from .model import LabeledBatch, ModelParams, _row_argmax, predict_proba
+from .model import LabeledBatch, ModelParams, _given_proba, _row_argmax, predict_proba
 
 __all__ = [
     "ConfusionCounts",
@@ -133,9 +133,15 @@ def classification_metrics(counts: ConfusionCounts) -> MetricReport:
     return MetricReport(accuracy, precision, recall, f1, fpr, fnr, tuple(degenerate))
 
 
-def argmax_decisions(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Plain argmax classification: one predicted label per row."""
-    return _row_argmax(predict_proba(params, features))
+def argmax_decisions(
+    params: ModelParams, features: np.ndarray, *, probs: np.ndarray | None = None
+) -> np.ndarray:
+    """Plain argmax classification: one predicted label per row.
+
+    probs, when given, must be predict_proba(params, features), as
+    loss(params, batch, out=probs) leaves it; the rows are then not scored again.
+    """
+    return _row_argmax(_given_proba(params, features, probs))
 
 
 def roc_sweep(
@@ -150,29 +156,26 @@ def roc_sweep(
     class conforms (score <= tau), and a normal sample counts as a false
     alarm when any attack class conforms. Both rates are monotone in tau and
     hit (0, 0) and (1, 1) at the endpoints, so the curve integrates cleanly.
+    Each rate is a count over a sorted score array, searchsorted with side
+    "right" (the scores <= tau), divided by the row count.
     """
     attack = sorted(int(c) for c in attack_classes)
     if not attack:
         raise ValueError("attack_classes must not be empty")
-    probs = predict_proba(params, data.features)
-    scores = 1.0 - probs
+    taus = np.asarray(thresholds, dtype=np.float64)
+    if np.isnan(taus).any():
+        raise ValueError("thresholds must not be NaN")
+    scores = 1.0 - predict_proba(params, data.features)
     truth_attack = np.isin(data.labels, attack)
-    n_attack = int(truth_attack.sum())
-    n_normal = len(data) - n_attack
-    true_scores = scores[np.arange(len(data)), data.labels]
-    min_attack_scores = scores[:, attack].min(axis=1)
-    points = []
-    for tau in np.asarray(thresholds, dtype=np.float64):
-        tpr = (
-            float((true_scores[truth_attack] <= tau).mean()) if n_attack else 0.0
-        )
-        fpr = (
-            float((min_attack_scores[~truth_attack] <= tau).mean())
-            if n_normal
-            else 0.0
-        )
-        points.append((float(tau), fpr, tpr))
-    return points
+    true_scores = scores[np.arange(len(data)), data.labels][truth_attack]
+    min_attack_scores = scores[:, attack].min(axis=1)[~truth_attack]
+
+    def rate(sample: np.ndarray) -> np.ndarray:
+        if not sample.size:
+            return np.zeros(len(taus))
+        return np.searchsorted(np.sort(sample), taus, side="right") / sample.size
+
+    return list(zip(taus.tolist(), rate(min_attack_scores).tolist(), rate(true_scores).tolist()))
 
 
 def trapezoid_auc(points: list[tuple[float, float, float]]) -> float:

@@ -96,7 +96,25 @@ class LabeledBatch:
         return len(self.labels)
 
     def subset(self, indices: np.ndarray) -> "LabeledBatch":
-        return LabeledBatch(self.features[indices], self.labels[indices])
+        """The rows at the integer positions in indices, in that order.
+
+        take(indices, axis=0) copies the same rows as features[indices], with
+        less overhead; an empty index array still makes an empty, rejected batch.
+        """
+        return LabeledBatch(self.features.take(indices, axis=0), self.labels.take(indices))
+
+    @classmethod
+    def concatenate(cls, batches: list["LabeledBatch"]) -> "LabeledBatch":
+        """The batches' rows stacked in order, without checking them again.
+
+        Each part already passed the checks in __post_init__, and stacking
+        valid parts makes a valid batch; numpy rejects an empty list or
+        parts of different widths.
+        """
+        pooled = cls.__new__(cls)
+        pooled.features = np.concatenate([b.features for b in batches])
+        pooled.labels = np.concatenate([b.labels for b in batches])
+        return pooled
 
 
 @dataclass
@@ -136,8 +154,10 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"label {int(labels.max())} out of range for {num_classes} classes")
 
 
-def _logits(weights: np.ndarray, biases: np.ndarray, features: np.ndarray) -> np.ndarray:
-    z = features @ weights.T
+def _logits(
+    weights: np.ndarray, biases: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    z = np.matmul(features, weights.T, out=out)
     z += biases
     return z
 
@@ -200,26 +220,56 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def predict_proba(model: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for each feature row, rows summing to one."""
+def predict_proba(
+    model: ModelParams, features: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Class probabilities for each feature row, rows summing to one.
+
+    Given an (n, num_classes) float64 array as out, the probabilities are
+    written into it and it is returned.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     _check_width(model, features)
-    return _softmax_rows(_logits(model.weights, model.biases, features))
+    return _softmax_rows(_logits(model.weights, model.biases, features, out))
 
 
-def loss(model: ModelParams, data: LabeledBatch) -> float:
-    """Mean cross-entropy of the batch under the model."""
+def _given_proba(
+    model: ModelParams, features: np.ndarray, probs: np.ndarray | None
+) -> np.ndarray:
+    """probs, checked against the features' row count and the model's classes;
+    predict_proba(model, features) when probs is None."""
+    if probs is None:
+        return predict_proba(model, features)
+    if probs.shape != (len(features), model.num_classes):
+        raise ValueError(
+            f"probs shape {probs.shape} does not match {len(features)} rows "
+            f"of {model.num_classes} classes"
+        )
+    return probs
+
+
+def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = None) -> float:
+    """Mean cross-entropy of the batch under the model.
+
+    Given an (n, num_classes) float64 array as out, it also receives
+    predict_proba(model, data.features), byte for byte: the log-sum-exp runs
+    the same logits, row max, exp and row sum as _softmax_rows, so dividing
+    by that sum finishes the same probabilities.
+    """
     _check_width(model, data.features)
     _check_labels(data.labels, model.num_classes)
-    z = _logits(model.weights, model.biases, data.features)
+    z = _logits(model.weights, model.biases, data.features, out)
     zmax = _row_max(z)
     picked = z[np.arange(len(data)), data.labels]
     # log-sum-exp in place on the logits: no (n, C) temporaries
     z -= zmax
     np.exp(z, out=z)
-    log_norm = np.log(z.sum(axis=1))
+    norm = z.sum(axis=1, keepdims=True)
+    if out is not None:
+        z /= norm
+    log_norm = np.log(norm[:, 0])
     log_norm += zmax[:, 0]
     log_norm -= picked
     return float(np.mean(log_norm))
@@ -256,7 +306,7 @@ def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
     """Gradient of the mean cross-entropy, packed in model shape."""
     _check_width(model, data.features)
     _check_labels(data.labels, model.num_classes)
-    onehot = np.eye(model.num_classes)[data.labels]
+    onehot = np.eye(model.num_classes).take(data.labels, axis=0)
     gw, gb = _gradient_arrays(model.weights, model.biases, data.features, onehot)
     return ModelParams(gw, gb)
 
@@ -310,7 +360,7 @@ def _sgd(
     if rho != 0.0:
         shrink = 1.0 / (1.0 + lr * rho)
         pull = (lr * rho) * np.column_stack([anchor.weights, anchor.biases])
-    onehot = np.eye(model.num_classes)[data.labels]
+    onehot = np.eye(model.num_classes).take(data.labels, axis=0)
     features = data.features
     if cfg.dropout_rate > 0.0:
         features = features / (1.0 - cfg.dropout_rate)

@@ -521,16 +521,17 @@ def _calibrate_cluster(
     batches = [b for b in batches if b is not None]
     if not batches:
         return _UNGATED
-    pool = LabeledBatch(
-        np.concatenate([b.features for b in batches]),
-        np.concatenate([b.labels for b in batches]),
-    )
+    pool = LabeledBatch.concatenate(batches)
     resource = float(
         scenario.cluster_cfg.weights.as_array() @ normalized[participants].mean(axis=0)
     )
     old_state = replace(state.calib_states[k], resource_index=resource)
-    calibrated, new_state = calibrate(cluster_model, pool, old_state, scenario.calib_cfg)
-    decisions = predict_with_calibration(calibrated, pool.features)
+    # calibrate scores the pool once, into probs, and the gate reuses them
+    probs = np.empty((len(pool), cluster_model.params.num_classes))
+    calibrated, new_state = calibrate(
+        cluster_model, pool, old_state, scenario.calib_cfg, out=probs
+    )
+    decisions = predict_with_calibration(calibrated, pool.features, probs=probs)
     attack = scenario.resolved_attack_classes()
     counts = confusion(decisions.labels, pool.labels, attack, scenario.dataset.num_classes)
     rates = classification_metrics(counts)
@@ -571,21 +572,34 @@ def _fog(
 
 
 def holdout_confusion(
-    scenario: Scenario, model: ModelParams, holdout: LabeledBatch
+    scenario: Scenario,
+    model: ModelParams,
+    holdout: LabeledBatch,
+    *,
+    probs: np.ndarray | None = None,
 ) -> ConfusionCounts:
-    """The confusion counts of the model's argmax decisions on the holdout."""
-    decisions = argmax_decisions(model, holdout.features)
+    """The confusion counts of the model's argmax decisions on the holdout.
+
+    probs, when given, is the holdout's predict_proba under the model.
+    """
+    decisions = argmax_decisions(model, holdout.features, probs=probs)
     attack = scenario.resolved_attack_classes()
     return confusion(decisions, holdout.labels, attack, scenario.dataset.num_classes)
 
 
 def _evaluate(state: TrainingState) -> tuple[float, MetricReport]:
-    """Holdout loss and argmax rates of the global model; NaN without a holdout."""
+    """Holdout loss and argmax rates of the global model; NaN without a holdout.
+
+    loss scores the holdout once and leaves its probabilities in probs for
+    the argmax decisions.
+    """
     if state.holdout is None:
         return float("nan"), MetricReport(*(float("nan"),) * len(RATE_NAMES))
     model, holdout = state.global_model, state.holdout
-    test_loss = loss(model, holdout)
-    return test_loss, classification_metrics(holdout_confusion(state.scenario, model, holdout))
+    probs = np.empty((len(holdout), model.num_classes))
+    test_loss = loss(model, holdout, out=probs)
+    counts = holdout_confusion(state.scenario, model, holdout, probs=probs)
+    return test_loss, classification_metrics(counts)
 
 
 def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, RoundReport]:

@@ -282,6 +282,26 @@ class TestCalibrate:
     def make_cluster(params):
         return ClusterModel(params=params, total_data=100, mean_membership=0.8)
 
+    def test_kept_probabilities_give_the_same_gate(self):
+        """calibrate(out=probs) keeps predict_proba's bytes, and the gate fed
+        those probabilities decides byte for byte as one that scores afresh."""
+        rng = np.random.default_rng(8)
+        for num_classes in (2, 4, 9):
+            params = ModelParams(rng.normal(size=(num_classes, 4)), rng.normal(size=num_classes))
+            batch = LabeledBatch(rng.normal(size=(300, 4)),
+                                 rng.integers(0, num_classes, size=300))
+            probs = np.empty((len(batch), num_classes))
+            kept, _ = calibrate(self.make_cluster(params), batch, CalibrationState(), out=probs)
+            fresh, _ = calibrate(self.make_cluster(params), batch, CalibrationState())
+            assert kept == fresh
+            assert probs.tobytes() == predict_proba(params, batch.features).tobytes()
+            given = predict_with_calibration(kept, batch.features, probs=probs)
+            scored = predict_with_calibration(kept, batch.features)
+            assert given.labels.tobytes() == scored.labels.tobytes()
+            assert given.members.tobytes() == scored.members.tobytes()
+            with pytest.raises(ValueError, match="probs shape"):
+                predict_with_calibration(kept, batch.features[:-1], probs=probs)
+
     def test_parameters_pass_through_untouched(self):
         rng = np.random.default_rng(2)
         params = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3))

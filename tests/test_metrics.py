@@ -14,6 +14,8 @@ from cfhfc import (
     ModelParams,
     classification_metrics,
     confusion,
+    loss,
+    predict_proba,
     roc_sweep,
     trapezoid_auc,
 )
@@ -246,6 +248,45 @@ class TestRocSweep:
         model, data = self.separable_fixture()
         with pytest.raises(ValueError, match="must not be empty"):
             roc_sweep(model, data, set(), np.array([0.5]))
+        with pytest.raises(ValueError, match="NaN"):
+            roc_sweep(model, data, {1}, np.array([0.5, np.nan]))
+
+    @staticmethod
+    def loop_sweep(params, data, attack_classes, thresholds):
+        """The per-threshold loop roc_sweep replaced: a mean of a <= mask per tau."""
+        attack = sorted(attack_classes)
+        scores = 1.0 - predict_proba(params, data.features)
+        truth_attack = np.isin(data.labels, attack)
+        true_scores = scores[np.arange(len(data)), data.labels]
+        min_attack_scores = scores[:, attack].min(axis=1)
+        points = []
+        for tau in np.asarray(thresholds, dtype=np.float64):
+            tpr = float((true_scores[truth_attack] <= tau).mean()) if truth_attack.any() else 0.0
+            fpr = (float((min_attack_scores[~truth_attack] <= tau).mean())
+                   if not truth_attack.all() else 0.0)
+            points.append((float(tau), fpr, tpr))
+        return points
+
+    def test_matches_loop_replay(self):
+        """The same points as the loop, double for double, with thresholds
+        set exactly on scores, on repeated scores, and with no normal or no
+        attack rows."""
+        rng = np.random.default_rng(11)
+        for num_classes, attack in ((2, {1}), (4, {1, 2, 3}), (5, {0, 3})):
+            params = ModelParams(rng.normal(size=(num_classes, 3)), rng.normal(size=num_classes))
+            features = rng.normal(size=(400, 3))
+            features[:40] = features[0]  # forty equal scores
+            data = LabeledBatch(features, rng.integers(0, num_classes, size=400))
+            scores = 1.0 - predict_proba(params, features)
+            on_scores = np.sort(scores[rng.integers(0, 400, size=30), 0])
+            for thresholds in (np.linspace(0.0, 1.0, 101), on_scores,
+                               np.concatenate([on_scores, [-1.0, 2.0]])):
+                assert roc_sweep(params, data, attack, thresholds) == self.loop_sweep(
+                    params, data, attack, thresholds)
+            for labels in (np.zeros(400, dtype=np.int64), np.full(400, max(attack))):
+                one_sided = LabeledBatch(features, labels)
+                assert roc_sweep(params, one_sided, attack, on_scores) == self.loop_sweep(
+                    params, one_sided, attack, on_scores)
 
 
 class TestTrapezoidAuc:
@@ -269,10 +310,20 @@ class TestArgmaxDecisions:
         model = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3))
         features = rng.normal(size=(30, 4))
         predictions = argmax_decisions(model, features)
-        from cfhfc import predict_proba
-
         expected = predict_proba(model, features).argmax(axis=1)
         np.testing.assert_array_equal(predictions, expected)
+
+    def test_probabilities_kept_by_loss_give_the_same_labels(self):
+        rng = np.random.default_rng(12)
+        for num_classes in (2, 4, 9):
+            params = ModelParams(rng.normal(size=(num_classes, 4)), rng.normal(size=num_classes))
+            data = LabeledBatch(rng.normal(size=(300, 4)), rng.integers(0, num_classes, size=300))
+            probs = np.empty((len(data), num_classes))
+            loss(params, data, out=probs)
+            given = argmax_decisions(params, data.features, probs=probs)
+            assert given.tobytes() == argmax_decisions(params, data.features).tobytes()
+        with pytest.raises(ValueError, match="probs shape"):
+            argmax_decisions(params, data.features, probs=probs[:, :-1])
 
     def test_ties_take_the_lowest_class(self):
         for num_classes in range(2, 14):

@@ -221,6 +221,19 @@ class TestLoss:
         assert loss(model, batch) < 1e-6
         assert (predict_proba(model, batch.features).argmax(axis=1) == batch.labels).all()
 
+    @pytest.mark.parametrize("num_classes", [2, 4, 9, 12, 300])
+    def test_out_receives_predict_proba_bytes(self, num_classes):
+        """The loss is the same double with out given, and out holds
+        predict_proba's bytes, at short and long rows and large logits."""
+        rng = np.random.default_rng(num_classes)
+        for scale in (1.0, 40.0):
+            model = random_model(rng, num_classes, 5)
+            model = ModelParams(model.weights * scale, model.biases)
+            batch = random_batch(rng, 257, 5, num_classes)
+            out = np.full((len(batch), num_classes), np.nan)
+            assert loss(model, batch, out=out) == loss(model, batch)
+            assert out.tobytes() == predict_proba(model, batch.features).tobytes()
+
 
 class TestGradient:
     def test_matches_central_finite_differences(self):
@@ -495,6 +508,40 @@ class TestValidation:
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             LabeledBatch(np.zeros((2, 3)), np.array([0, -1]))
+
+
+class TestRowGathers:
+    """Gathers through take copy the same bytes as fancy indexing."""
+
+    @pytest.mark.parametrize("num_classes", [2, 4, 300])
+    def test_take_one_hot_matches_fancy_index(self, num_classes):
+        labels = np.random.default_rng(num_classes).integers(0, num_classes, size=2243)
+        eye = np.eye(num_classes)
+        assert eye.take(labels, axis=0).tobytes() == eye[labels].tobytes()
+
+    def test_subset_matches_fancy_index(self):
+        rng = np.random.default_rng(6)
+        batch = random_batch(rng, 50, 4, 3)
+        indices = rng.integers(0, 50, size=80)  # repeats and any order
+        sub = batch.subset(indices)
+        assert sub.features.tobytes() == batch.features[indices].tobytes()
+        assert sub.labels.tobytes() == batch.labels[indices].tobytes()
+        with pytest.raises(ValueError, match="at least one sample"):
+            batch.subset(np.array([], dtype=np.int64))
+
+    def test_concatenate_matches_a_checked_batch(self):
+        rng = np.random.default_rng(7)
+        parts = [random_batch(rng, n, 4, 3) for n in (5, 1, 12)]
+        pooled = LabeledBatch.concatenate(parts)
+        checked = LabeledBatch(np.concatenate([p.features for p in parts]),
+                               np.concatenate([p.labels for p in parts]))
+        assert pooled.features.tobytes() == checked.features.tobytes()
+        assert pooled.labels.tobytes() == checked.labels.tobytes()
+        assert pooled.labels.dtype == checked.labels.dtype
+        with pytest.raises(ValueError):
+            LabeledBatch.concatenate([])
+        with pytest.raises(ValueError):
+            LabeledBatch.concatenate([parts[0], random_batch(rng, 3, 5, 3)])
 
     def test_train_config_bounds(self):
         with pytest.raises(ValueError, match="learning_rate"):

@@ -37,6 +37,7 @@ from cfhfc import (
     straggler_metrics,
     update_confidence,
 )
+from cfhfc import model as model_module
 from cfhfc import simulator
 from cfhfc.data import client_sizes
 from cfhfc.simulator import _TAG_TRAIN, _derived_seed, materialize_scenario
@@ -305,6 +306,41 @@ class TestLayerCalls:
             for fraction in (0.0, 0.5, 0.25)
         ]
         assert calls["fcm_fit"] == 6
+
+    def test_each_block_is_scored_once_per_round(self, monkeypatch):
+        """Outside the edge tier a round computes logits once per gated
+        cluster pool and once for the holdout, each over all of its rows."""
+        scenario = jittered_scenario("cfhfc")
+        scored, pools, in_edge = [], [], [False]
+        real_logits, real_edge, real_calibrate = (
+            model_module._logits, simulator._edge, simulator.calibrate)
+
+        def logits(weights, biases, features, out=None):
+            if not in_edge[0]:
+                scored.append(len(features))
+            return real_logits(weights, biases, features, out)
+
+        def edge(state):
+            in_edge[0] = True
+            try:
+                return real_edge(state)
+            finally:
+                in_edge[0] = False
+
+        def calibrate(model, pool, *args, **kwargs):
+            pools.append(len(pool))
+            return real_calibrate(model, pool, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "_logits", logits)
+        monkeypatch.setattr(simulator, "_edge", edge)
+        monkeypatch.setattr(simulator, "calibrate", calibrate)
+        state = init_state(scenario)
+        for _ in range(3):
+            scored.clear()
+            pools.clear()
+            state, report = run_round(state, scenario)
+            assert len(pools) == len(report.cluster_stats) >= 1
+            assert scored == [*pools, len(state.holdout)]
 
 
 class TestMethodReductions:
