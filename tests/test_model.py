@@ -509,6 +509,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             LabeledBatch(np.zeros((2, 3)), np.array([0, -1]))
 
+    def test_train_config_bounds(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=-0.1)
+        with pytest.raises(ValueError, match="dropout_rate"):
+            TrainConfig(dropout_rate=1.0)
+        with pytest.raises(ValueError, match="proximal_coeff"):
+            TrainConfig(proximal_coeff=-1.0)
+
 
 class TestRowGathers:
     """Gathers through take copy the same bytes as fancy indexing."""
@@ -542,11 +550,3 @@ class TestRowGathers:
             LabeledBatch.concatenate([])
         with pytest.raises(ValueError):
             LabeledBatch.concatenate([parts[0], random_batch(rng, 3, 5, 3)])
-
-    def test_train_config_bounds(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=-0.1)
-        with pytest.raises(ValueError, match="dropout_rate"):
-            TrainConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError, match="proximal_coeff"):
-            TrainConfig(proximal_coeff=-1.0)
