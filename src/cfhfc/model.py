@@ -78,6 +78,13 @@ class LabeledBatch:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self._check_shape()
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
+        if (self.labels < 0).any():
+            raise ValueError("labels must be non-negative")
+
+    def _check_shape(self) -> None:
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
@@ -87,10 +94,15 @@ class LabeledBatch:
             )
         if len(self.labels) < 1:
             raise ValueError("batch must contain at least one sample")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features must be finite")
-        if (self.labels < 0).any():
-            raise ValueError("labels must be non-negative")
+
+    @classmethod
+    def _gathered(cls, features: np.ndarray, labels: np.ndarray) -> "LabeledBatch":
+        """Rows taken from batches that passed __post_init__ are finite, with
+        non-negative labels; only the shape checks, which a gather can fail, run."""
+        batch = cls.__new__(cls)
+        batch.features, batch.labels = features, labels
+        batch._check_shape()
+        return batch
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -99,22 +111,19 @@ class LabeledBatch:
         """The rows at the integer positions in indices, in that order.
 
         take(indices, axis=0) copies the same rows as features[indices], with
-        less overhead; an empty index array still makes an empty, rejected batch.
+        less overhead; an empty index array still makes an empty, rejected
+        batch, and a 2-D one a rejected 3-D batch.
         """
-        return LabeledBatch(self.features.take(indices, axis=0), self.labels.take(indices))
+        return self._gathered(self.features.take(indices, axis=0), self.labels.take(indices))
 
     @classmethod
     def concatenate(cls, batches: list["LabeledBatch"]) -> "LabeledBatch":
-        """The batches' rows stacked in order, without checking them again.
-
-        Each part already passed the checks in __post_init__, and stacking
-        valid parts makes a valid batch; numpy rejects an empty list or
-        parts of different widths.
-        """
-        pooled = cls.__new__(cls)
-        pooled.features = np.concatenate([b.features for b in batches])
-        pooled.labels = np.concatenate([b.labels for b in batches])
-        return pooled
+        """The batches' rows stacked in order; numpy rejects an empty list or
+        parts of different widths."""
+        return cls._gathered(
+            np.concatenate([b.features for b in batches]),
+            np.concatenate([b.labels for b in batches]),
+        )
 
 
 @dataclass

@@ -51,7 +51,6 @@ __all__ = [
     "clusters_for_clients",
     "LatencyModel",
     "ClusterConfig",
-    "CalibrationConfig",
     "Scenario",
     "ClusterRoundStat",
     "RoundReport",
@@ -138,8 +137,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.fuzzifier <= 1.0:
             raise ValueError(f"fuzzifier must be > 1, got {self.fuzzifier}")
-        if not 0.0 <= self.participation_floor < 1.0:
-            raise ValueError("participation_floor must lie in [0, 1)")
+        if not 0.0 < self.participation_floor < 1.0:
+            raise ValueError("participation_floor must lie in (0, 1)")
         if not 0.0 <= self.profile_jitter < 1.0:
             raise ValueError("profile_jitter must lie in [0, 1)")
         if self.max_iter < 1:
@@ -332,8 +331,6 @@ class TrainingState:
     global_model: ModelParams
     clients: list[ClientDataset]
     holdout: LabeledBatch | None
-    profiles: np.ndarray  # (num_clients, 3) raw capabilities, as in ARCHETYPES
-    stragglers: np.ndarray
     calib_states: list[CalibrationState]
     converged_round: int | None = None  # round at which early stopping fired
 
@@ -354,7 +351,6 @@ def materialize_scenario(
 def init_state(scenario: Scenario) -> TrainingState:
     """Materialize data and zero-initialize the shared model."""
     clients, holdout = materialize_scenario(scenario)
-    profiles, stragglers = _fleet(scenario)
     num_features = clients[0].train.features.shape[1]
     num_classes = scenario.dataset.num_classes
     states = [
@@ -367,8 +363,6 @@ def init_state(scenario: Scenario) -> TrainingState:
         global_model=ModelParams.zeros(num_classes, num_features),
         clients=clients,
         holdout=holdout,
-        profiles=profiles,
-        stragglers=stragglers,
         calib_states=states,
     )
 
@@ -416,16 +410,11 @@ class _Bill:
     per_cluster_s: tuple[float, ...] = ()
 
 
-def _clock(
-    scenario: Scenario,
-    profiles: np.ndarray,
-    stragglers: np.ndarray,
-    sizes: np.ndarray,
-    round_index: int,
-) -> _Bill:
+def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> _Bill:
     """The timing model's bill for one round; every round, sweep and compare is billed here.
 
-    Each client's time follows LatencyModel; the model it ships has the
+    The fleet comes from the scenario (_fleet) here and nowhere else. Each
+    client's time follows LatencyModel; the model it ships has the
     dataset's shape (a CSV's width is its header minus the label). The
     baselines wait on the slowest client. The clustered method partitions
     this round's observed profiles, and each cluster's participants are its
@@ -436,6 +425,7 @@ def _clock(
     cloud join overhead.
     """
     lat = scenario.latency
+    profiles, stragglers = _fleet(scenario)
     cpu_norm = minmax_scale(profiles[:, :1])[:, 0]
     cpu = lat.cpu_floor + (1.0 - lat.cpu_floor) * cpu_norm
     compute = (
@@ -480,8 +470,7 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
         raise ValueError(f"sizes must have shape ({scenario.num_clients},), got {sizes.shape}")
     if not (np.isfinite(sizes).all() and (sizes >= 0).all()):
         raise ValueError("sizes must be finite and non-negative")
-    profiles, stragglers = _fleet(scenario)
-    return LatencyReport(_clock(scenario, profiles, stragglers, sizes, round_index=0).sync_s)
+    return LatencyReport(_clock(scenario, sizes, round_index=0).sync_s)
 
 
 def _edge(state: TrainingState) -> list[ModelParams]:
@@ -551,7 +540,7 @@ def _fog(
     """
     scenario = state.scenario
     sizes = np.array([c.size for c in state.clients], dtype=np.float64)
-    bill = _clock(scenario, state.profiles, state.stragglers, sizes, state.round_index)
+    bill = _clock(scenario, sizes, state.round_index)
     if scenario.method != "cfhfc":
         return weighted_average(updated, sizes), bill.sync_s, ()
 
@@ -659,15 +648,15 @@ def run_training(
     return reports
 
 
-def _scaled_scenario(scenario: Scenario, num_clients: int, method: str, fraction: float) -> Scenario:
-    """The scenario with method and straggler fraction set, at num_clients clients.
+def _scaled_scenario(scenario: Scenario, num_clients: int) -> Scenario:
+    """The scenario at num_clients clients.
 
     At its own client count the scenario keeps its fleet and clusters. At
     another count it gets clusters_for_clients' budget, and a synthetic
     source keeps its rows per client.
     """
     if num_clients == scenario.num_clients:
-        return replace(scenario, method=method, straggler_fraction=fraction)
+        return scenario
     dataset = scenario.dataset
     if isinstance(dataset.source, SyntheticSource):
         per_client = dataset.source.samples_per_class / scenario.num_clients
@@ -680,8 +669,6 @@ def _scaled_scenario(scenario: Scenario, num_clients: int, method: str, fraction
         scenario,
         num_clients=num_clients,
         num_clusters=clusters_for_clients(num_clients),
-        method=method,
-        straggler_fraction=fraction,
         dataset=dataset,
     )
 
@@ -706,13 +693,13 @@ def straggler_metrics(
     """
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:
-        scaled = _scaled_scenario(scenario, n, scenario.method, 0.0)
+        scaled = _scaled_scenario(scenario, n)
         mean_size = float(np.mean(client_sizes(scaled.dataset, n, _min_samples(scaled))))
         sizes = np.full(n, round(mean_size), dtype=np.float64)
         for method in methods:
             sync = {
                 fraction: simulate_latency(
-                    _scaled_scenario(scenario, n, method, fraction), sizes=sizes
+                    replace(scaled, method=method, straggler_fraction=fraction), sizes=sizes
                 ).sync_latency_s
                 for fraction in dict.fromkeys((0.0, *fractions))
             }

@@ -1,4 +1,4 @@
-"""Every name the package exports is used somewhere besides its definition and re-export."""
+"""Every name the package exports has one home module and a caller besides its re-export."""
 
 import ast
 import importlib
@@ -28,3 +28,17 @@ def test_every_export_has_a_caller():
                 used.add(node.id)
     exported = {name for name in vars(cfhfc) if not name.startswith("_") and name not in MODULES}
     assert sorted(exported - used) == []
+
+
+def test_every_module_exports_only_its_own_names():
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        exported = set(getattr(importlib.import_module(f"cfhfc.{path.stem}"), "__all__", ()))
+        assert sorted(exported - defined) == [], path.name

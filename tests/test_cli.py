@@ -196,6 +196,7 @@ class TestRun:
         ("clustering.tol", -1.0),
         ("clustering.tol", 0.0),
         ("dataset.source", {"type": "csv", "path": "missing.csv", "num_classes": 1}),
+        ("clustering.participation_floor", 0.0),
     ])
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
                                                           path, value):

@@ -536,6 +536,8 @@ class TestRowGathers:
         assert sub.labels.tobytes() == batch.labels[indices].tobytes()
         with pytest.raises(ValueError, match="at least one sample"):
             batch.subset(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            batch.subset(indices.reshape(8, 10))
 
     def test_concatenate_matches_a_checked_batch(self):
         rng = np.random.default_rng(7)
