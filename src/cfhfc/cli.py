@@ -32,6 +32,7 @@ from .simulator import (  # bench/test_bench.py reads init_state and run_round h
     build_scenario,
     holdout_confusion,
     init_state,
+    materialize_scenario,
     run_round,
     run_training,
     straggler_metrics,
@@ -299,9 +300,10 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
     rows = []
     finals: dict[str, dict] = {}
     mean_sync: dict[str, float] = {}
+    data = materialize_scenario(scenario)
     for method in methods:
         run_scenario = replace(scenario, method=method)
-        reports, state = run_training(run_scenario, return_state=True)
+        reports, state = run_training(run_scenario, return_state=True, data=data)
         rows += [[method] + _round_row(r) for r in reports]
         finals[method] = _final_summary(run_scenario, reports, state)
         mean_sync[method] = finals[method]["latency"]["mean_sync_s"]

@@ -284,31 +284,62 @@ def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = Non
     return float(np.mean(log_norm))
 
 
+class _Workspace:
+    """Buffers for the softmax gradient of one minibatch size, reused by
+    every step of that size in one _sgd call.
+
+    z holds the logits, then the probabilities, then the residual; zt is its
+    transpose, and first, last and middle are its (rows, 1) columns for the
+    row max. top and norm take the row max and the row sum; gw and gb view
+    the (C, d+1) gradient block that the workspaces of one call share.
+    """
+
+    __slots__ = ("z", "zt", "first", "last", "middle", "top", "norm", "gw", "gb")
+
+    def __init__(self, rows: int, grad: np.ndarray) -> None:
+        num_classes = grad.shape[0]
+        self.z = np.empty((rows, num_classes))
+        self.zt = self.z.T
+        cols = [self.z[:, c : c + 1] for c in range(num_classes)]
+        self.first, self.last, self.middle = cols[0], cols[-1], cols[1:-1]
+        self.top = np.empty((rows, 1))
+        self.norm = np.empty((rows, 1))
+        self.gw, self.gb = grad[:, :-1], grad[:, -1]
+
+
 def _gradient_arrays(
     weights: np.ndarray,
     biases: np.ndarray,
     features: np.ndarray,
     onehot: np.ndarray,
-    grad: np.ndarray | None = None,
+    ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy gradient of a block of rows with one-hot targets.
 
     The one softmax-gradient kernel: gradient() and every SGD step call it.
-    Subtracting the one-hot rows gives the same doubles as subtracting 1 at
-    each label, because p - 0.0 is exactly p. Given a (C, d+1) grad block, it
-    writes the weight gradient into its first d columns and the bias gradient
-    into its last, and returns those two views; the matmul and the sum are the
-    same calls with an out= target, so they round the same.
+    It writes into ws, a workspace for len(features) rows (its own when ws is
+    None), and returns ws's weight and bias gradient views. It makes the
+    calls of _logits, _softmax_rows, residual.T @ features and
+    residual.sum(axis=0) on fresh arrays, in the same order, with out=
+    targets, so it rounds as they do. Subtracting the one-hot rows gives the
+    same doubles as subtracting 1 at each label, because p - 0.0 is exactly p.
     """
-    residual = _softmax_rows(_logits(weights, biases, features))
-    residual -= onehot
-    residual /= len(residual)
-    if grad is None:
-        return residual.T @ features, residual.sum(axis=0)
-    gw, gb = grad[:, :-1], grad[:, -1]
-    np.matmul(residual.T, features, out=gw)
-    residual.sum(axis=0, out=gb)
-    return gw, gb
+    if ws is None:
+        ws = _Workspace(len(features), np.empty((len(biases), features.shape[1] + 1)))
+    z, top = ws.z, ws.top
+    np.matmul(features, weights.T, out=z)
+    z += biases
+    np.maximum(ws.first, ws.last, out=top)
+    for col in ws.middle:
+        np.maximum(top, col, out=top)
+    z -= top
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True, out=ws.norm)
+    z -= onehot
+    z /= len(z)
+    np.matmul(ws.zt, features, out=ws.gw)
+    np.add.reduce(z, axis=0, out=ws.gb)
+    return ws.gw, ws.gb
 
 
 def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
@@ -354,10 +385,13 @@ def _sgd(
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
       whatever the layout.
+    - Each step's gradient comes from _gradient_arrays, the kernel gradient()
+      also calls, written into a _Workspace: one for batch_size rows and one
+      for a tail minibatch, both built once per call, since a call can be one
+      epoch of a few steps. _softmax_rows says why the row max runs over
+      columns and the row sum does not.
     Dropout and every update act in place on arrays this function owns, never
-    on the model or the batch it was given. Each step's gradient comes from
-    _gradient_arrays, the kernel gradient() also calls; _softmax_rows says
-    why its row max runs over columns and its row sum does not.
+    on the model or the batch it was given.
     """
     _check_labels(data.labels, model.num_classes)
     rng = np.random.default_rng(seed)
@@ -375,6 +409,11 @@ def _sgd(
         features = features / (1.0 - cfg.dropout_rate)
         draw = np.empty_like(features)
     n = len(data)
+    full, tail = divmod(n, cfg.batch_size)
+    spaces = [_Workspace(cfg.batch_size, grad)] * full
+    if tail:
+        spaces.append(_Workspace(tail, grad))
+    starts = range(0, n, cfg.batch_size)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         xs = features.take(order, axis=0)
@@ -382,9 +421,9 @@ def _sgd(
         if cfg.dropout_rate > 0.0:
             rng.random(out=draw)
             xs *= draw >= cfg.dropout_rate
-        for start in range(0, n, cfg.batch_size):
+        for start, ws in zip(starts, spaces):
             stop = start + cfg.batch_size
-            _gradient_arrays(w, b, xs[start:stop], ys[start:stop], grad)
+            _gradient_arrays(w, b, xs[start:stop], ys[start:stop], ws)
             grad *= lr
             params -= grad
             if rho != 0.0:

@@ -348,9 +348,17 @@ def materialize_scenario(
     return materialize_clients(scenario.dataset, scenario.num_clients, _min_samples(scenario))
 
 
-def init_state(scenario: Scenario) -> TrainingState:
-    """Materialize data and zero-initialize the shared model."""
-    clients, holdout = materialize_scenario(scenario)
+def init_state(
+    scenario: Scenario,
+    data: tuple[list[ClientDataset], LabeledBatch | None] | None = None,
+) -> TrainingState:
+    """Zero-initialize the shared model on the scenario's clients and holdout.
+
+    data is materialize_scenario's result for the scenario, or for one that
+    differs only in method; it is materialized here when None. Training never
+    writes to the batches, so runs of several methods can share one copy.
+    """
+    clients, holdout = materialize_scenario(scenario) if data is None else data
     num_features = clients[0].train.features.shape[1]
     num_classes = scenario.dataset.num_classes
     states = [
@@ -447,7 +455,9 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> _Bill:
     memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
     floor = scenario.cluster_cfg.participation_floor
     participants = [np.flatnonzero(memberships[:, k] >= floor) for k in range(memberships.shape[1])]
-    per_cluster = np.array([times[idx].max() if idx.size else 0.0 for idx in participants])
+    # the floor is above 0, so a cluster without participants is exactly one of
+    # mass 0: it bills 0.0 here and is left out of the mean below
+    per_cluster = np.array([times[idx].max(initial=0.0) for idx in participants])
     # gathered, not masked over all clients: a masked sum adds in another order
     # and moves the reported latency in its last bits
     mass = np.array([memberships[idx, k].sum() for k, idx in enumerate(participants)])
@@ -626,16 +636,18 @@ def _should_stop(trace: list[float]) -> bool:
 
 
 def run_training(
-    scenario: Scenario, return_state: bool = False
+    scenario: Scenario,
+    return_state: bool = False,
+    data: tuple[list[ClientDataset], LabeledBatch | None] | None = None,
 ) -> list[RoundReport] | tuple[list[RoundReport], TrainingState]:
     """Run the configured method for up to scenario.rounds rounds.
 
     Training stops early once global accuracy moves by less than 1e-4 over
     five consecutive rounds; the final state records that round as
     converged_round. Set return_state to also receive the final state
-    (global model, calibration states).
+    (global model, calibration states). data is passed to init_state.
     """
-    state = init_state(scenario)
+    state = init_state(scenario, data)
     reports: list[RoundReport] = []
     for _ in range(scenario.rounds):
         state, report = run_round(state, scenario)

@@ -19,7 +19,7 @@ from cfhfc import (
     predict_proba,
     prox_local_train,
 )
-from cfhfc.model import _gradient_arrays, _row_any, _row_argmax, _row_max
+from cfhfc.model import _Workspace, _gradient_arrays, _row_any, _row_argmax, _row_max
 
 
 def random_batch(rng, n, num_features, num_classes):
@@ -312,18 +312,27 @@ class TestGradient:
 
     @pytest.mark.parametrize("num_classes", [2, 4, 9])
     def test_block_output_matches_fresh_arrays(self, num_classes):
-        """Written into a (C, d+1) block, the kernel gives the same bytes."""
+        """Through a reused workspace into a (C, d+1) block, or through a
+        workspace of its own, the kernel gives the bytes of fresh arrays."""
         rng = np.random.default_rng(num_classes)
         model = random_model(rng, num_classes, 5)
         batch = random_batch(rng, 13, 5, num_classes)
         onehot = np.eye(num_classes)[batch.labels]
+        residual = (predict_proba(model, batch.features) - onehot) / len(batch)
+        want_w, want_b = residual.T @ batch.features, residual.sum(axis=0)
         args = (model.weights, model.biases, batch.features, onehot)
         grad = np.full((num_classes, 6), np.nan)
-        gw, gb = _gradient_arrays(*args, grad)
-        want_w, want_b = _gradient_arrays(*args)
-        assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
-        assert_same_bytes(grad[:, :-1], want_w)
-        assert_same_bytes(grad[:, -1], want_b)
+        ws = _Workspace(len(batch), grad)
+        for buffer in (ws.z, ws.top, ws.norm):
+            buffer.fill(np.nan)
+        for _ in range(2):  # the second call starts from the first one's buffers
+            gw, gb = _gradient_arrays(*args, ws)
+            assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
+            assert_same_bytes(grad[:, :-1], want_w)
+            assert_same_bytes(grad[:, -1], want_b)
+        own_w, own_b = _gradient_arrays(*args)
+        assert_same_bytes(own_w, want_w)
+        assert_same_bytes(own_b, want_b)
 
 
 class TestLocalTrain:
@@ -409,6 +418,20 @@ class TestLocalTrain:
         assert_same_bytes(model.biases, inputs[0].biases)
         assert_same_bytes(batch.features, inputs[1])
         assert_same_bytes(batch.labels, inputs[2])
+
+    @pytest.mark.parametrize("num_classes", [2, 4])
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_one_row_minibatches_match_reference_loop(self, dropout_rate, proximal_coeff,
+                                                      num_classes):
+        # every step's logit block, row max and row sum is a single row
+        rng = np.random.default_rng(31 * num_classes)
+        model = random_model(rng, num_classes, 6)
+        anchor = random_model(rng, num_classes, 6)
+        batch = random_batch(rng, 7, 6, num_classes)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=1, local_epochs=3,
+                          dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+        assert_matches_reference(model, anchor, batch, cfg)
 
     @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
     def test_signed_zero_features_match_reference_bytes(self, proximal_coeff):

@@ -40,7 +40,7 @@ from cfhfc import (
 from cfhfc import model as model_module
 from cfhfc import simulator
 from cfhfc.data import client_sizes
-from cfhfc.simulator import _TAG_TRAIN, _derived_seed, materialize_scenario
+from cfhfc.simulator import METHODS, _TAG_TRAIN, _derived_seed, materialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,6 +204,21 @@ class TestRoundLoop:
         a = run_training(scenario)
         b = run_training(scenario)
         assert a == b
+
+    def test_methods_share_read_only_data(self):
+        """compare materializes once and trains every method on that data:
+        frozen, it gives each method the reports and model of its own copy."""
+        scenario = small_scenario(method="cfhfc", num_clusters=2, rounds=2)
+        clients, holdout = materialize_scenario(scenario)
+        batches = [holdout, *(c.train for c in clients), *(c.calibration for c in clients)]
+        for batch in batches:
+            batch.features.flags.writeable = batch.labels.flags.writeable = False
+        for method in METHODS:
+            run = replace(scenario, method=method)
+            shared, state = run_training(run, return_state=True, data=(clients, holdout))
+            own, own_state = run_training(run, return_state=True)
+            assert shared == own
+            final_models_equal(state.global_model, own_state.global_model)
 
     def test_report_shape(self):
         reports = run_training(small_scenario(rounds=2))
