@@ -265,35 +265,71 @@ def _gather_clients(
     return clients
 
 
+def _dirichlet_counts(
+    rows: list[np.ndarray], num_clients: int, concentration: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The Dirichlet partition's draws: shuffle each class's rows in place, then deal them
+    to the clients by one Dirichlet share draw per class. Returns the (classes, clients)
+    counts. A shuffle draws the same numbers whatever the rows hold."""
+    counts = np.empty((len(rows), num_clients), dtype=np.int64)
+    alpha = np.full(num_clients, concentration)
+    for idx, out in zip(rows, counts):
+        rng.shuffle(idx)
+        shares = rng.dirichlet(alpha)
+        # cumulative rounding keeps the class exactly partitioned
+        bounds = np.floor(np.cumsum(shares) * len(idx) + 0.5).astype(int)
+        out[:] = np.diff(bounds, prepend=0)
+    return counts
+
+
+def _short_clients(sizes: np.ndarray, min_samples: int) -> list[int]:
+    """The clients below min_samples, which the Dirichlet partition tops up to it."""
+    short = np.flatnonzero(sizes < min_samples).tolist()
+    if short:
+        warnings.warn(
+            f"topped up {len(short)} client(s) {short} "
+            f"to {min_samples} samples with duplicates from the global pool",
+            RuntimeWarning,
+            # the caller of materialize_clients (through _client_rows and _dirichlet_rows)
+            # or of client_sizes (through _client_counts and _dirichlet_sizes)
+            stacklevel=5,
+        )
+    return short
+
+
 def _dirichlet_rows(
     labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
     min_samples: int,
 ) -> list[np.ndarray]:
+    rows = [np.flatnonzero(labels == cls) for cls in np.flatnonzero(np.bincount(labels))]
+    counts = _dirichlet_counts(rows, num_clients, concentration, rng)
     # narrow owners (uint8 up to 256 clients, then uint16) make numpy's stable
     # sort a radix sort; a stable sort has one result, so the rows are the same
     owner = np.empty(len(labels), dtype=np.min_scalar_type(num_clients - 1))
-    for cls in np.flatnonzero(np.bincount(labels)):
-        idx = np.flatnonzero(labels == cls)
-        rng.shuffle(idx)
-        shares = rng.dirichlet(np.full(num_clients, concentration))
-        # cumulative rounding keeps the class exactly partitioned
-        bounds = np.floor(np.cumsum(shares) * len(idx) + 0.5).astype(int)
-        owner[idx] = np.repeat(np.arange(num_clients), np.diff(bounds, prepend=0))
+    for idx, per_client in zip(rows, counts):
+        owner[idx] = np.repeat(np.arange(num_clients), per_client)
     # a stable sort by owner lists each client's rows in ascending order
     by_owner = np.argsort(owner, kind="stable")
-    owned = np.split(by_owner, np.cumsum(np.bincount(owner, minlength=num_clients))[:-1])
-    shortfall_clients = [c for c, rows in enumerate(owned) if len(rows) < min_samples]
-    for client in shortfall_clients:
+    sizes = counts.sum(axis=0)
+    owned = np.split(by_owner, np.cumsum(sizes)[:-1])
+    for client in _short_clients(sizes, min_samples):
         extra = rng.choice(len(labels), size=min_samples - len(owned[client]), replace=True)
         owned[client] = np.sort(np.concatenate([owned[client], extra]))
-    if shortfall_clients:
-        warnings.warn(
-            f"topped up {len(shortfall_clients)} client(s) {shortfall_clients} "
-            f"to {min_samples} samples with duplicates from the global pool",
-            RuntimeWarning,
-            stacklevel=4,  # the caller of materialize_clients or client_sizes
-        )
     return owned
+
+
+def _dirichlet_sizes(
+    counts: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
+    min_samples: int,
+) -> list[int]:
+    """_dirichlet_rows' client sizes from the pool's per-class counts, with the same draws
+    and warning and no rows. A topped-up client has min_samples rows; its duplicates are
+    not drawn, as nothing reads the stream after them."""
+    scratch = np.empty(counts.max(), dtype=np.intp)  # numpy shuffles intp items fastest
+    sizes = _dirichlet_counts([scratch[:n] for n in counts[counts > 0]], num_clients,
+                              concentration, rng).sum(axis=0)
+    _short_clients(sizes, min_samples)
+    return np.maximum(sizes, min_samples).tolist()
 
 
 def _check_shards(num_clients: int, shards_per_client: int, rows: int) -> None:
@@ -348,6 +384,20 @@ def _client_rows(
     return held, [pool[rows] for rows in owned], rng
 
 
+def _client_counts(
+    spec: DatasetSpec, labels: np.ndarray, num_clients: int, min_samples: int
+) -> list[int]:
+    """The client sizes of _client_rows, from the same holdout split and the same draws.
+    The Dirichlet partition needs only the pool's per-class counts and lists no rows."""
+    pool, _ = _holdout_rows(spec, len(labels))
+    rng = np.random.default_rng(spec.seed)
+    if spec.partition == "dirichlet":
+        return _dirichlet_sizes(np.bincount(labels[pool]), num_clients, spec.concentration,
+                                rng, min_samples)
+    return [len(rows) for rows in _shard_rows(labels[pool], num_clients,
+                                              spec.shards_per_client, rng)]
+
+
 def materialize_clients(
     spec: DatasetSpec, num_clients: int, min_samples: int = 64
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
@@ -372,13 +422,17 @@ def materialize_clients(
 def client_sizes(spec: DatasetSpec, num_clients: int, min_samples: int = 64) -> list[int]:
     """Each client's row count under materialize_clients, without its batches.
 
-    The partition runs on the labels alone, so a synthetic source generates
-    no features; a CSV source is still read. The calibration split only
-    divides a client's rows, so it cannot change a size.
+    It shares materialize_clients' holdout split and per-class Dirichlet draws
+    (same calls, same order), so the sizes, warnings and errors are the same;
+    only materialize_clients builds rows. The Dirichlet partition is counted
+    from the pool's per-class label counts, and the shard partition keeps its
+    row path. A synthetic source generates no features; a CSV source is still
+    read. The calibration split only divides a client's rows, so it cannot
+    change a size.
     """
     _check_request(num_clients, min_samples)
     if isinstance(spec.source, SyntheticSource):
         labels = _synthetic_labels(spec.source)
     else:
         labels = _load(spec).labels
-    return [len(rows) for rows in _client_rows(spec, labels, num_clients, min_samples)[1]]
+    return _client_counts(spec, labels, num_clients, min_samples)

@@ -699,7 +699,9 @@ def straggler_metrics(
     T(fraction), the straggler mitigation effectiveness. Client data sizes
     are held uniform at the scenario's mean so the sweep isolates hardware
     heterogeneity and straggler effects from partition skew. The sizes come
-    from the partition alone (client_sizes), without generating features.
+    from client_sizes, which shares the holdout split and the per-class
+    Dirichlet draws with materialize_clients but counts rows per class
+    instead of building them, and generates no features.
     At the scenario's own client count the sweep bills the scenario's own
     fleet, clusters included.
     """

@@ -412,6 +412,33 @@ class TestClientSizes:
         spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), holdout_fraction=0.0)
         assert sum(client_sizes(spec, 5, min_samples=1)) == 400
 
+    def test_builds_no_rows(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("client_sizes built client rows")
+
+        monkeypatch.setattr("cfhfc.data._dirichlet_rows", build)
+        monkeypatch.setattr(np, "argsort", build)
+        spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), partition="dirichlet")
+        assert sum(client_sizes(spec, 5, min_samples=1)) == 320
+
+    def test_class_only_in_holdout(self, tmp_path):
+        # one row of class 1 among 30; at seed 2 the holdout takes it, so the pool's
+        # per-class counts have a zero between classes 0 and 2
+        labels = [0] * 15 + [1] + [2] * 14
+        rng = np.random.default_rng(5)
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(["f1,f2,label", *(f"{a:.6f},{b:.6f},{k}" for a, b, k in
+                                                     zip(rng.random(30), rng.random(30),
+                                                         labels))]) + "\n")
+        spec = DatasetSpec(source=CsvSource(path=str(path), num_classes=3),
+                           holdout_fraction=0.2, seed=2)
+        (clients, holdout), _ = outcome(lambda: materialize_clients(spec, 4, 8))
+        assert 1 in holdout.labels
+        assert not any(1 in client_labels(client) for client in clients)
+        sizes, warned = self.assert_sizes_match(spec, 4, 8)
+        assert len(sizes) == 4 and min(sizes) == 8
+        assert warned and warned[0].startswith("topped up ")
+
     @pytest.mark.parametrize("num_clients, min_samples, message", [
         (0, 64, "num_clients must be >= 1, got 0"),
         (5, 0, "min_samples must be >= 1, got 0"),
