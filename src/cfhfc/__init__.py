@@ -40,7 +40,6 @@ from .data import (
     CsvSource,
     DatasetSpec,
     SyntheticSource,
-    client_sizes,
     generate_synthetic,
     load_csv,
     materialize_clients,

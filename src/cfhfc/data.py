@@ -30,7 +30,6 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "materialize_clients",
-    "client_sizes",
 ]
 
 
@@ -117,13 +116,22 @@ class DatasetSpec:
     def num_classes(self) -> int:
         return self.source.num_classes
 
+    def pool_rows(self) -> int:
+        """The rows the clients share once the holdout is set aside. A synthetic
+        source has num_classes x samples_per_class rows, counted with no draw; a
+        CSV source has the rows that load_csv keeps."""
+        if isinstance(self.source, SyntheticSource):
+            rows = self.source.num_classes * self.source.samples_per_class
+        else:
+            rows = len(_load(self).labels)
+        if self.holdout_fraction == 0.0:
+            return rows
+        return rows - _held_count(rows, self.holdout_fraction)
+
     def check_shards(self, num_clients: int) -> None:
         """Reject, before any data exists, more shards than a synthetic pool has rows."""
         if self.partition == "by_class_shards" and isinstance(self.source, SyntheticSource):
-            rows = self.source.num_classes * self.source.samples_per_class
-            if self.holdout_fraction != 0.0:
-                rows -= _held_count(rows, self.holdout_fraction)
-            _check_shards(num_clients, self.shards_per_client, rows)
+            _check_shards(num_clients, self.shards_per_client, self.pool_rows())
 
 
 @dataclass
@@ -161,12 +169,7 @@ def generate_synthetic(source: SyntheticSource, seed: int) -> LabeledBatch:
         rng.standard_normal(out=block)
         block += center
     return LabeledBatch(minmax_scale_in_place(features.reshape(-1, source.num_features)),
-                        _synthetic_labels(source))
-
-
-def _synthetic_labels(source: SyntheticSource) -> np.ndarray:
-    """generate_synthetic's labels, in its by-class order, with no draw."""
-    return np.repeat(np.arange(source.num_classes), source.samples_per_class)
+                        np.repeat(np.arange(source.num_classes), source.samples_per_class))
 
 
 def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBatch:
@@ -265,71 +268,41 @@ def _gather_clients(
     return clients
 
 
-def _dirichlet_counts(
-    rows: list[np.ndarray], num_clients: int, concentration: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The Dirichlet partition's draws: shuffle each class's rows in place, then deal them
-    to the clients by one Dirichlet share draw per class. Returns the (classes, clients)
-    counts. A shuffle draws the same numbers whatever the rows hold."""
+def _dirichlet_rows(
+    labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
+    min_samples: int,
+) -> list[np.ndarray]:
+    """Shuffle each class's rows, deal them to the clients by one Dirichlet share draw
+    per class, and top the clients below min_samples up with duplicates."""
+    rows = [np.flatnonzero(labels == cls) for cls in np.flatnonzero(np.bincount(labels))]
     counts = np.empty((len(rows), num_clients), dtype=np.int64)
     alpha = np.full(num_clients, concentration)
-    for idx, out in zip(rows, counts):
+    # narrow owners (uint8 up to 256 clients, then uint16) make numpy's stable
+    # sort a radix sort; a stable sort has one result, so the rows are the same
+    owner = np.empty(len(labels), dtype=np.min_scalar_type(num_clients - 1))
+    for idx, per_client in zip(rows, counts):
         rng.shuffle(idx)
         shares = rng.dirichlet(alpha)
         # cumulative rounding keeps the class exactly partitioned
         bounds = np.floor(np.cumsum(shares) * len(idx) + 0.5).astype(int)
-        out[:] = np.diff(bounds, prepend=0)
-    return counts
-
-
-def _short_clients(sizes: np.ndarray, min_samples: int) -> list[int]:
-    """The clients below min_samples, which the Dirichlet partition tops up to it."""
+        per_client[:] = np.diff(bounds, prepend=0)
+        owner[idx] = np.repeat(np.arange(num_clients), per_client)
+    # a stable sort by owner lists each client's rows in ascending order
+    by_owner = np.argsort(owner, kind="stable")
+    sizes = counts.sum(axis=0)
+    owned = np.split(by_owner, np.cumsum(sizes)[:-1])
     short = np.flatnonzero(sizes < min_samples).tolist()
     if short:
         warnings.warn(
             f"topped up {len(short)} client(s) {short} "
             f"to {min_samples} samples with duplicates from the global pool",
             RuntimeWarning,
-            # the caller of materialize_clients (through _client_rows and _dirichlet_rows)
-            # or of client_sizes (through _client_counts and _dirichlet_sizes)
-            stacklevel=5,
+            stacklevel=4,  # the caller of materialize_clients, through _client_rows
         )
-    return short
-
-
-def _dirichlet_rows(
-    labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
-    min_samples: int,
-) -> list[np.ndarray]:
-    rows = [np.flatnonzero(labels == cls) for cls in np.flatnonzero(np.bincount(labels))]
-    counts = _dirichlet_counts(rows, num_clients, concentration, rng)
-    # narrow owners (uint8 up to 256 clients, then uint16) make numpy's stable
-    # sort a radix sort; a stable sort has one result, so the rows are the same
-    owner = np.empty(len(labels), dtype=np.min_scalar_type(num_clients - 1))
-    for idx, per_client in zip(rows, counts):
-        owner[idx] = np.repeat(np.arange(num_clients), per_client)
-    # a stable sort by owner lists each client's rows in ascending order
-    by_owner = np.argsort(owner, kind="stable")
-    sizes = counts.sum(axis=0)
-    owned = np.split(by_owner, np.cumsum(sizes)[:-1])
-    for client in _short_clients(sizes, min_samples):
+    for client in short:
         extra = rng.choice(len(labels), size=min_samples - len(owned[client]), replace=True)
         owned[client] = np.sort(np.concatenate([owned[client], extra]))
     return owned
-
-
-def _dirichlet_sizes(
-    counts: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
-    min_samples: int,
-) -> list[int]:
-    """_dirichlet_rows' client sizes from the pool's per-class counts, with the same draws
-    and warning and no rows. A topped-up client has min_samples rows; its duplicates are
-    not drawn, as nothing reads the stream after them."""
-    scratch = np.empty(counts.max(), dtype=np.intp)  # numpy shuffles intp items fastest
-    sizes = _dirichlet_counts([scratch[:n] for n in counts[counts > 0]], num_clients,
-                              concentration, rng).sum(axis=0)
-    _short_clients(sizes, min_samples)
-    return np.maximum(sizes, min_samples).tolist()
 
 
 def _check_shards(num_clients: int, shards_per_client: int, rows: int) -> None:
@@ -384,20 +357,6 @@ def _client_rows(
     return held, [pool[rows] for rows in owned], rng
 
 
-def _client_counts(
-    spec: DatasetSpec, labels: np.ndarray, num_clients: int, min_samples: int
-) -> list[int]:
-    """The client sizes of _client_rows, from the same holdout split and the same draws.
-    The Dirichlet partition needs only the pool's per-class counts and lists no rows."""
-    pool, _ = _holdout_rows(spec, len(labels))
-    rng = np.random.default_rng(spec.seed)
-    if spec.partition == "dirichlet":
-        return _dirichlet_sizes(np.bincount(labels[pool]), num_clients, spec.concentration,
-                                rng, min_samples)
-    return [len(rows) for rows in _shard_rows(labels[pool], num_clients,
-                                              spec.shards_per_client, rng)]
-
-
 def materialize_clients(
     spec: DatasetSpec, num_clients: int, min_samples: int = 64
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
@@ -418,21 +377,3 @@ def materialize_clients(
     clients = _gather_clients(full, owned, spec.calibration_fraction, rng)
     return clients, None if held is None else full.subset(held)
 
-
-def client_sizes(spec: DatasetSpec, num_clients: int, min_samples: int = 64) -> list[int]:
-    """Each client's row count under materialize_clients, without its batches.
-
-    It shares materialize_clients' holdout split and per-class Dirichlet draws
-    (same calls, same order), so the sizes, warnings and errors are the same;
-    only materialize_clients builds rows. The Dirichlet partition is counted
-    from the pool's per-class label counts, and the shard partition keeps its
-    row path. A synthetic source generates no features; a CSV source is still
-    read. The calibration split only divides a client's rows, so it cannot
-    change a size.
-    """
-    _check_request(num_clients, min_samples)
-    if isinstance(spec.source, SyntheticSource):
-        labels = _synthetic_labels(spec.source)
-    else:
-        labels = _load(spec).labels
-    return _client_counts(spec, labels, num_clients, min_samples)

@@ -28,7 +28,7 @@ from .calibration import (
     predict_with_calibration,
 )
 from .clustering import ResourceWeights, fcm_fit, minmax_scale
-from .data import ClientDataset, DatasetSpec, SyntheticSource, client_sizes, materialize_clients
+from .data import ClientDataset, DatasetSpec, SyntheticSource, materialize_clients
 from .metrics import (
     RATE_NAMES,
     ConfusionCounts,
@@ -697,19 +697,20 @@ def straggler_metrics(
     per-round synchronization latency of the timing model (no training) and
     reports relative_pct = 100 * T(fraction) / T(0) and sme = T(0) /
     T(fraction), the straggler mitigation effectiveness. Client data sizes
-    are held uniform at the scenario's mean so the sweep isolates hardware
-    heterogeneity and straggler effects from partition skew. The sizes come
-    from client_sizes, which shares the holdout split and the per-class
-    Dirichlet draws with materialize_clients but counts rows per class
-    instead of building them, and generates no features.
+    are held uniform so the sweep isolates hardware heterogeneity and
+    straggler effects from partition skew: each of n clients bills the
+    pool's rows per client, pool_rows / n, and no fewer than the rows a
+    client is topped up to, rounded to a whole row. The size depends on no
+    partition draw; a synthetic source is counted, not generated, and a CSV
+    source is loaded.
     At the scenario's own client count the sweep bills the scenario's own
     fleet, clusters included.
     """
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:
         scaled = _scaled_scenario(scenario, n)
-        mean_size = float(np.mean(client_sizes(scaled.dataset, n, _min_samples(scaled))))
-        sizes = np.full(n, round(mean_size), dtype=np.float64)
+        size = round(max(scaled.dataset.pool_rows() / n, _min_samples(scaled)))
+        sizes = np.full(n, size, dtype=np.float64)
         for method in methods:
             sync = {
                 fraction: simulate_latency(

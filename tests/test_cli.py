@@ -346,6 +346,18 @@ class TestCompare:
             "0.0", "0.1", "0.2", "0.3"
         }
 
+    def test_preset_top_up_is_reported_once(self, tmp_path):
+        """compare materializes the data once and its SME sweep builds no clients,
+        so scenario1's two topped-up clients are reported once."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", "--preset", "scenario1", "--rounds", "1",
+                         "--out", str(tmp_path / "cmp")]) == 0
+        topped = [str(w.message) for w in caught
+                  if issubclass(w.category, RuntimeWarning) and "topped up" in str(w.message)]
+        assert len(topped) == 1
+        assert topped[0].startswith("topped up 2 client(s)")
+
     def test_single_method_rejected(self, tmp_path, config_path, capsys):
         code = main(["compare", "--config", str(config_path),
                      "--method", "fedavg", "--out", str(tmp_path / "o")])

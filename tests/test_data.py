@@ -14,7 +14,6 @@ from cfhfc import (
     ModelParams,
     SyntheticSource,
     TrainConfig,
-    client_sizes,
     generate_synthetic,
     load_csv,
     local_train,
@@ -361,18 +360,27 @@ def outcome(call):
 
 
 class TestClientSizes:
-    """client_sizes returns the sizes of materialize_clients' clients, with the same
-    top-up warnings and the same errors, and leaves its spec alone."""
+    """DatasetSpec.pool_rows, which sizes the straggler sweep's clients, counts the rows
+    that materialize_clients deals to its clients: the loaded rows less the holdout. The
+    clients hold exactly those rows, plus any top-up duplicates. Counting reads no spec
+    field it should not and leaves the spec alone."""
 
     @staticmethod
-    def assert_sizes_match(spec, num_clients, min_samples):
+    def assert_pool_matches(spec, loaded_rows, num_clients, min_samples):
         before = copy.deepcopy(spec)
-        got = outcome(lambda: client_sizes(spec, num_clients, min_samples))
-        want = outcome(lambda: [c.size for c in materialize_clients(spec, num_clients,
-                                                                    min_samples)[0]])
-        assert got == want
+        pool = spec.pool_rows()
         assert spec == before
-        return got
+        built, warned = outcome(lambda: materialize_clients(spec, num_clients, min_samples))
+        if isinstance(built, str):
+            return pool, built, warned
+        clients, holdout = built
+        assert pool == loaded_rows - (0 if holdout is None else len(holdout))
+        sizes = [c.size for c in clients]
+        if any(text.startswith("topped up ") for text in warned):
+            assert sum(sizes) > pool and min(sizes) == min_samples
+        else:
+            assert sum(sizes) == pool
+        return pool, sizes, warned
 
     @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
     @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
@@ -383,13 +391,14 @@ class TestClientSizes:
         spec = synthetic_spec(10, 4, 9, partition, concentration=0.4,
                               calibration_fraction=calibration_fraction,
                               holdout_fraction=holdout_fraction)
-        sizes, warned = self.assert_sizes_match(spec, num_clients, 12)
+        pool, sizes, warned = self.assert_pool_matches(spec, 40, num_clients, 12)
+        assert pool == (40 if holdout_fraction == 0.0 else 32)
         if num_clients == 60:
             if partition == "dirichlet":
-                assert min(sizes) == 12
                 assert warned and warned[0].startswith("topped up ")
             else:
-                assert sizes.startswith("ValueError: num_clients x shards_per_client = 60 x 2")
+                assert sizes == ("ValueError: num_clients x shards_per_client = 60 x 2 = 120 "
+                                 f"shards, but the pool has only {pool} rows")
 
     @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
     def test_csv_with_string_labels(self, tmp_path, partition):
@@ -398,28 +407,30 @@ class TestClientSizes:
         rows = [f"{a:.6f},{b:.6f},{names[k]}"
                 for a, b, k in zip(rng.random(50), rng.random(50), rng.integers(0, 3, 50))]
         path = tmp_path / "flows.csv"
-        path.write_text("\n".join(["f1,f2,label", *rows]) + "\n")
+        path.write_text("\n".join(["f1,f2,label", *rows, "0.5,oops,scan"]) + "\n")
         spec = DatasetSpec(source=CsvSource(path=str(path), num_classes=3),
                            partition=partition, holdout_fraction=0.2, seed=2)
-        sizes, _ = self.assert_sizes_match(spec, 5, 10)
-        assert len(sizes) == 5
+        # the malformed row is skipped: 50 rows load and 10 are held out
+        with pytest.warns(RuntimeWarning, match="skipped 1 malformed row"):
+            pool, sizes, _ = self.assert_pool_matches(spec, 50, 5, 10)
+        assert pool == 40 and len(sizes) == 5
 
     def test_generates_no_features(self, monkeypatch):
         def generate(*args):
-            raise AssertionError("client_sizes generated features")
+            raise AssertionError("pool_rows generated features")
 
         monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
         spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), holdout_fraction=0.0)
-        assert sum(client_sizes(spec, 5, min_samples=1)) == 400
+        assert spec.pool_rows() == 400
 
     def test_builds_no_rows(self, monkeypatch):
         def build(*args, **kwargs):
-            raise AssertionError("client_sizes built client rows")
+            raise AssertionError("pool_rows built or drew rows")
 
-        monkeypatch.setattr("cfhfc.data._dirichlet_rows", build)
-        monkeypatch.setattr(np, "argsort", build)
+        monkeypatch.setattr("cfhfc.data._client_rows", build)
+        monkeypatch.setattr(np.random, "default_rng", build)
         spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), partition="dirichlet")
-        assert sum(client_sizes(spec, 5, min_samples=1)) == 320
+        assert spec.pool_rows() == 320
 
     def test_class_only_in_holdout(self, tmp_path):
         # one row of class 1 among 30; at seed 2 the holdout takes it, so the pool's
@@ -435,17 +446,21 @@ class TestClientSizes:
         (clients, holdout), _ = outcome(lambda: materialize_clients(spec, 4, 8))
         assert 1 in holdout.labels
         assert not any(1 in client_labels(client) for client in clients)
-        sizes, warned = self.assert_sizes_match(spec, 4, 8)
-        assert len(sizes) == 4 and min(sizes) == 8
+        pool, sizes, warned = self.assert_pool_matches(spec, 30, 4, 8)
+        assert pool == 24 and len(sizes) == 4
         assert warned and warned[0].startswith("topped up ")
 
     @pytest.mark.parametrize("num_clients, min_samples, message", [
         (0, 64, "num_clients must be >= 1, got 0"),
         (5, 0, "min_samples must be >= 1, got 0"),
     ])
-    def test_bad_request_rejected(self, num_clients, min_samples, message):
+    def test_bad_request_rejected(self, monkeypatch, num_clients, min_samples, message):
+        def generate(*args):
+            raise AssertionError("a bad request generated features")
+
+        monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
         with pytest.raises(ValueError, match=message):
-            client_sizes(DatasetSpec(), num_clients, min_samples)
+            materialize_clients(DatasetSpec(), num_clients, min_samples)
 
 
 # The data layer as first written: a pool copied out of the generated matrix,

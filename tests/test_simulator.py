@@ -39,7 +39,6 @@ from cfhfc import (
 )
 from cfhfc import model as model_module
 from cfhfc import simulator
-from cfhfc.data import client_sizes
 from cfhfc.simulator import METHODS, _TAG_TRAIN, _derived_seed, materialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -661,8 +660,7 @@ class TestStragglerMetrics:
         scenario = small_scenario(method="cfhfc", num_clusters=3, num_clients=6,
                                   archetype_mix=TestLatencyModel.MIX)
         assert clusters_for_clients(6) == 2
-        mean_size = np.mean(client_sizes(scenario.dataset, 6, simulator._min_samples(scenario)))
-        sizes = np.full(6, round(mean_size), dtype=np.float64)
+        sizes = np.full(6, 107.0)  # 800 rows less 160 held, over 6 clients
         table = straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(6,),
                                   methods=("cfhfc",))
         own = {fraction: simulate_latency(replace(scenario, straggler_fraction=fraction),
@@ -672,6 +670,47 @@ class TestStragglerMetrics:
         assert table["cfhfc"][6][0.5]["sme"] == own[0.0] / own[0.5]
         budget = replace(scenario, num_clusters=2, straggler_fraction=0.5)
         assert simulate_latency(budget, sizes=sizes).sync_latency_s != own[0.5]
+
+    def test_partition_draws_do_not_move_the_sweep(self):
+        """The size comes from the pool's row count, so the partition's
+        concentration cannot change a bill."""
+        def sweep(concentration):
+            scenario = small_scenario(method="cfhfc", num_clusters=2, num_clients=6,
+                                      archetype_mix=TestLatencyModel.MIX)
+            scenario.dataset = replace(scenario.dataset, partition="dirichlet",
+                                       concentration=concentration)
+            return straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(6, 12))
+
+        assert sweep(0.05) == sweep(5.0)
+
+    def test_csv_source_bills_pool_rows_per_client(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "traffic.csv"
+        path.write_text("\n".join(["f0,f1,f2,label"] + [
+            ",".join(f"{v:.4f}" for v in rng.random(3)) + f",{i % 4}" for i in range(400)
+        ]) + "\n")
+        scenario = small_scenario(method="fedavg", num_clients=3, archetype_mix=TestLatencyModel.MIX)
+        scenario.dataset = replace(scenario.dataset, partition="dirichlet",
+                                   source=CsvSource(str(path), num_classes=4))
+        assert scenario.dataset.pool_rows() == 320
+        table = straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(3,),
+                                  methods=("fedavg",))
+        for fraction in (0.0, 0.5):
+            want = simulate_latency(replace(scenario, straggler_fraction=fraction),
+                                    sizes=np.full(3, 107.0))  # round(320 / 3)
+            assert table["fedavg"][3][fraction]["sync_latency_s"] == want.sync_latency_s
+
+    def test_count_beyond_the_pool_bills_the_top_up_size(self):
+        scenario = small_scenario(method="fedavg", num_clients=40,
+                                  archetype_mix=TestLatencyModel.MIX)
+        scenario.dataset = DatasetSpec(source=SyntheticSource(num_features=8, samples_per_class=10))
+        assert scenario.dataset.pool_rows() == 32
+        table = straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(40,),
+                                  methods=("fedavg",))
+        for fraction in (0.0, 0.5):
+            want = simulate_latency(replace(scenario, straggler_fraction=fraction),
+                                    sizes=np.full(40, float(simulator._min_samples(scenario))))
+            assert table["fedavg"][40][fraction]["sync_latency_s"] == want.sync_latency_s
 
     def test_zero_fraction_is_the_baseline(self):
         table = self.sweep()
@@ -714,31 +753,36 @@ class TestStragglerMetrics:
             return table
 
         golden = json.loads((GOLDEN / "straggler_sweep.json").read_text())[str(seed)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # scenario1 tops clients up
-            assert keyed(straggler_metrics(build_scenario("scenario1", seed=seed))) == golden
+        assert keyed(straggler_metrics(build_scenario("scenario1", seed=seed))) == golden
 
 
 class TestTopUpWarning:
     """The top-up warning keeps its text and names the simulator's line that asked
-    for the clients, not a line inside the data layer."""
+    for the clients, not a line inside the data layer. The straggler sweep builds
+    no clients, so it tops none up."""
 
     @staticmethod
     def scenario():
         dataset = DatasetSpec(source=SMALL_SOURCE, concentration=0.05, seed=3)
         return replace(small_scenario(num_clients=8), dataset=dataset)
 
-    @pytest.mark.parametrize("call", [
-        materialize_scenario,
-        lambda scenario: straggler_metrics(scenario, fractions=(0.0,), client_counts=(8,),
-                                           methods=("fedavg",)),
-    ], ids=["materialize_scenario", "straggler_metrics"])
-    def test_points_at_the_simulator(self, call):
+    @staticmethod
+    def runtime_warnings(call):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            call(self.scenario())
-        topped = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            call()
+        return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("call", [materialize_scenario], ids=["materialize_scenario"])
+    def test_points_at_the_simulator(self, call):
+        topped = self.runtime_warnings(lambda: call(self.scenario()))
         assert len(topped) == 1
         assert re.fullmatch(r"topped up \d+ client\(s\) \[[\d, ]+\] to 64 samples with "
                             r"duplicates from the global pool", str(topped[0].message))
         assert topped[0].filename == simulator.__file__
+
+    def test_straggler_sweep_tops_nothing_up(self):
+        scenario = self.scenario()
+        assert self.runtime_warnings(lambda: materialize_scenario(scenario))
+        assert self.runtime_warnings(lambda: straggler_metrics(
+            scenario, fractions=(0.0,), client_counts=(8,), methods=("fedavg",))) == []
