@@ -111,6 +111,8 @@ class DatasetSpec:
             raise ValueError(
                 f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_classes(self) -> int:
@@ -297,7 +299,7 @@ def _dirichlet_rows(
             f"topped up {len(short)} client(s) {short} "
             f"to {min_samples} samples with duplicates from the global pool",
             RuntimeWarning,
-            stacklevel=4,  # the caller of materialize_clients, through _client_rows
+            stacklevel=3,  # the caller of materialize_clients
         )
     for client in short:
         extra = rng.choice(len(labels), size=min_samples - len(owned[client]), replace=True)
@@ -323,13 +325,6 @@ def _shard_rows(
     return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
 
 
-def _check_request(num_clients: int, min_samples: int) -> None:
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-
-
 def _load(spec: DatasetSpec) -> LabeledBatch:
     if isinstance(spec.source, SyntheticSource):
         return generate_synthetic(spec.source, spec.seed)
@@ -341,20 +336,6 @@ def _holdout_rows(spec: DatasetSpec, n: int) -> tuple[np.ndarray, np.ndarray | N
     if spec.holdout_fraction == 0.0:
         return np.arange(n), None
     return _split_rows(n, spec.holdout_fraction, np.random.default_rng(spec.seed))
-
-
-def _client_rows(
-    spec: DatasetSpec, labels: np.ndarray, num_clients: int, min_samples: int
-) -> tuple[np.ndarray | None, list[np.ndarray], np.random.Generator]:
-    """The row bookkeeping behind every client: (held rows, each client's rows of the
-    loaded data, the partition RNG). It reads the labels and nothing else."""
-    pool, held = _holdout_rows(spec, len(labels))
-    rng = np.random.default_rng(spec.seed)
-    if spec.partition == "dirichlet":
-        owned = _dirichlet_rows(labels[pool], num_clients, spec.concentration, rng, min_samples)
-    else:
-        owned = _shard_rows(labels[pool], num_clients, spec.shards_per_client, rng)
-    return held, [pool[rows] for rows in owned], rng
 
 
 def materialize_clients(
@@ -371,9 +352,20 @@ def materialize_clients(
     each client. Each client then sets calibration_fraction of its rows
     aside, and its batches are gathered straight from the loaded matrix.
     """
-    _check_request(num_clients, min_samples)
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     full = _load(spec)
-    held, owned, rng = _client_rows(spec, full.labels, num_clients, min_samples)
+    pool, held = _holdout_rows(spec, len(full))
+    rng = np.random.default_rng(spec.seed)
+    if spec.partition == "dirichlet":
+        owned = _dirichlet_rows(full.labels[pool], num_clients, spec.concentration, rng,
+                                min_samples)
+    else:
+        owned = _shard_rows(full.labels[pool], num_clients, spec.shards_per_client, rng)
+    owned = [pool[rows] for rows in owned]
+    del pool  # the pool's row indices are freed before the gather, where memory peaks
     clients = _gather_clients(full, owned, spec.calibration_fraction, rng)
     return clients, None if held is None else full.subset(held)
 

@@ -214,8 +214,9 @@ def _row_any(mask: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Turn each row of logits into probabilities, in place, and return z.
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift each row of logits by its max and exponentiate, in place; return
+    the (n, 1) row max and row sum, which predict_proba divides by and loss logs.
 
     The row max comes from _row_max. The row sum stays numpy's axis-1 sum.
     That sum adds 8 or more terms in unrolled partial sums, so adding the
@@ -223,10 +224,10 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     it differed in about 2,950 with 8, 9 or 12 classes, and in none with 2,
     4 or 7.
     """
-    z -= _row_max(z)
+    top = _row_max(z)
+    z -= top
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    return top, z.sum(axis=1, keepdims=True)
 
 
 def predict_proba(
@@ -241,7 +242,9 @@ def predict_proba(
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     _check_width(model, features)
-    return _softmax_rows(_logits(model.weights, model.biases, features, out))
+    z = _logits(model.weights, model.biases, features, out)
+    z /= _shifted_exp(z)[1]
+    return z
 
 
 def _given_proba(
@@ -263,19 +266,14 @@ def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = Non
     """Mean cross-entropy of the batch under the model.
 
     Given an (n, num_classes) float64 array as out, it also receives
-    predict_proba(model, data.features), byte for byte: the log-sum-exp runs
-    the same logits, row max, exp and row sum as _softmax_rows, so dividing
-    by that sum finishes the same probabilities.
+    predict_proba(model, data.features): both finish _shifted_exp's output.
     """
     _check_width(model, data.features)
     _check_labels(data.labels, model.num_classes)
     z = _logits(model.weights, model.biases, data.features, out)
-    zmax = _row_max(z)
     picked = z[np.arange(len(data)), data.labels]
     # log-sum-exp in place on the logits: no (n, C) temporaries
-    z -= zmax
-    np.exp(z, out=z)
-    norm = z.sum(axis=1, keepdims=True)
+    zmax, norm = _shifted_exp(z)
     if out is not None:
         z /= norm
     log_norm = np.log(norm[:, 0])
@@ -319,10 +317,10 @@ def _gradient_arrays(
     The one softmax-gradient kernel: gradient() and every SGD step call it.
     It writes into ws, a workspace for len(features) rows (its own when ws is
     None), and returns ws's weight and bias gradient views. It makes the
-    calls of _logits, _softmax_rows, residual.T @ features and
-    residual.sum(axis=0) on fresh arrays, in the same order, with out=
-    targets, so it rounds as they do. Subtracting the one-hot rows gives the
-    same doubles as subtracting 1 at each label, because p - 0.0 is exactly p.
+    calls of predict_proba, residual.T @ features and residual.sum(axis=0)
+    on fresh arrays, in the same order, with out= targets, so it rounds as
+    they do. Subtracting the one-hot rows gives the same doubles as
+    subtracting 1 at each label, because p - 0.0 is exactly p.
     """
     if ws is None:
         ws = _Workspace(len(features), np.empty((len(biases), features.shape[1] + 1)))
@@ -388,7 +386,7 @@ def _sgd(
     - Each step's gradient comes from _gradient_arrays, the kernel gradient()
       also calls, written into a _Workspace: one for batch_size rows and one
       for a tail minibatch, both built once per call, since a call can be one
-      epoch of a few steps. _softmax_rows says why the row max runs over
+      epoch of a few steps. _shifted_exp says why the row max runs over
       columns and the row sum does not.
     Dropout and every update act in place on arrays this function owns, never
     on the model or the batch it was given.

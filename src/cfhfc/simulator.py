@@ -184,6 +184,8 @@ class Scenario:
             )
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.straggler_fraction < 1.0:
             raise ValueError("straggler_fraction must lie in [0, 1)")
         if self.straggler_slowdown < 1.0:
@@ -317,9 +319,14 @@ class RoundReport:
 
 @dataclass
 class LatencyReport:
-    """Simulated timing of one synchronous round."""
+    """The timing model's bill for one round and, for cfhfc, the partition behind it:
+    memberships, normalized observed profiles, each cluster's participants and seconds."""
 
     sync_latency_s: float
+    memberships: np.ndarray | None = None
+    normalized: np.ndarray | None = None
+    participants: list[np.ndarray] = field(default_factory=list)
+    per_cluster_s: tuple[float, ...] = ()
 
 
 @dataclass
@@ -407,18 +414,7 @@ def _cluster_round(
     return partition.memberships, normalized
 
 
-@dataclass
-class _Bill:
-    """One round's synchronization latency and, for cfhfc, the partition behind it."""
-
-    sync_s: float
-    memberships: np.ndarray | None = None
-    normalized: np.ndarray | None = None
-    participants: list[np.ndarray] = field(default_factory=list)
-    per_cluster_s: tuple[float, ...] = ()
-
-
-def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> _Bill:
+def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyReport:
     """The timing model's bill for one round; every round, sweep and compare is billed here.
 
     The fleet comes from the scenario (_fleet) here and nowhere else. Each
@@ -451,7 +447,7 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> _Bill:
         slowdown = 1.0 + (slowdown - 1.0) * (1.0 - lat.fedprox_partial_work)
     times[stragglers] *= slowdown
     if scenario.method != "cfhfc":
-        return _Bill(float(times.max()))
+        return LatencyReport(float(times.max()))
     memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
     floor = scenario.cluster_cfg.participation_floor
     participants = [np.flatnonzero(memberships[:, k] >= floor) for k in range(memberships.shape[1])]
@@ -466,11 +462,11 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> _Bill:
         (mass[busy] * per_cluster[busy]).sum() / mass[busy].sum()
         + lat.round_overhead_s
     )
-    return _Bill(sync, memberships, normalized, participants, tuple(per_cluster.tolist()))
+    return LatencyReport(sync, memberships, normalized, participants, tuple(per_cluster.tolist()))
 
 
 def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
-    """Round 0's bill of the timing model, without any training.
+    """Round 0's bill of the timing model, partition included, without any training.
 
     sizes holds each client's data size, in client order: num_clients finite,
     non-negative numbers.
@@ -480,7 +476,7 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
         raise ValueError(f"sizes must have shape ({scenario.num_clients},), got {sizes.shape}")
     if not (np.isfinite(sizes).all() and (sizes >= 0).all()):
         raise ValueError("sizes must be finite and non-negative")
-    return LatencyReport(_clock(scenario, sizes, round_index=0).sync_s)
+    return _clock(scenario, sizes, round_index=0)
 
 
 def _edge(state: TrainingState) -> list[ModelParams]:
@@ -552,7 +548,7 @@ def _fog(
     sizes = np.array([c.size for c in state.clients], dtype=np.float64)
     bill = _clock(scenario, sizes, state.round_index)
     if scenario.method != "cfhfc":
-        return weighted_average(updated, sizes), bill.sync_s, ()
+        return weighted_average(updated, sizes), bill.sync_latency_s, ()
 
     cluster_models: list[ClusterModel] = []
     stats: list[ClusterRoundStat] = []
@@ -567,7 +563,7 @@ def _fog(
         cluster_models.append(cluster_model)
     if not cluster_models:
         raise RuntimeError("no cluster had any participants")
-    return global_aggregate(cluster_models), bill.sync_s, tuple(stats)
+    return global_aggregate(cluster_models), bill.sync_latency_s, tuple(stats)
 
 
 def holdout_confusion(

@@ -99,6 +99,10 @@ RUN_ARTIFACTS = ("rounds.csv", "summary.json", "config.resolved.json",
 REPORT_ARTIFACTS = ("roc_sweep.csv", "confusion.csv", "summary.txt")
 
 
+def _no_generation(*args):
+    raise AssertionError("a bad config generated features")
+
+
 def strict_json(path):
     """The file's JSON, refusing the NaN and Infinity that json.dumps writes by default."""
     def reject(constant):
@@ -197,10 +201,16 @@ class TestRun:
         ("clustering.tol", 0.0),
         ("dataset.source", {"type": "csv", "path": "missing.csv", "num_classes": 1}),
         ("clustering.participation_floor", 0.0),
+        ("train.learning_rate", float("nan")),
+        ("clustering.weights.cpu", float("nan")),
+        ("latency.work_units_per_sample", float("inf")),
+        ("seed", -1),
+        ("dataset.seed", -1),
     ])
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
-                                                          path, value):
+                                                          monkeypatch, path, value):
         """Bad values fail before any data is generated, not as runtime errors."""
+        monkeypatch.setattr("cfhfc.data.generate_synthetic", _no_generation)
         bad = copy.deepcopy(SMALL_CONFIG)
         *sections, key = path.split(".")
         node = bad
@@ -212,6 +222,20 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, path", [
+        ("--straggler-slowdown", "nan", "straggler_slowdown"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_bad_flag_is_config_error_naming_its_field(self, tmp_path, capsys, monkeypatch,
+                                                       flag, value, path):
+        """A flag is checked as its config key is, before any data is generated."""
+        monkeypatch.setattr("cfhfc.data.generate_synthetic", _no_generation)
+        code = main(["run", "--preset", "scenario1", "--rounds", "1", flag, value,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path} must be")
         assert not (tmp_path / "o").exists()
 
     def test_more_shards_than_synthetic_rows_is_config_error(self, tmp_path, capsys):

@@ -427,7 +427,7 @@ class TestClientSizes:
         def build(*args, **kwargs):
             raise AssertionError("pool_rows built or drew rows")
 
-        monkeypatch.setattr("cfhfc.data._client_rows", build)
+        monkeypatch.setattr("cfhfc.data._dirichlet_rows", build)
         monkeypatch.setattr(np.random, "default_rng", build)
         spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), partition="dirichlet")
         assert spec.pool_rows() == 320

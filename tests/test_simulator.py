@@ -614,11 +614,20 @@ class TestLatencyModel:
 
     @pytest.mark.parametrize("method", ["cfhfc", "fedavg", "fedprox"])
     def test_round_zero_bills_what_simulate_latency_bills(self, method):
-        """Training and the latency-only sweep share one clock."""
+        """Training and the latency-only sweep share one clock, and its bill
+        carries the partition that round 0's cluster stats report."""
         scenario = jittered_scenario(method)
         state, report = run_round(init_state(scenario), scenario)
         sizes = np.array([c.size for c in state.clients], dtype=np.float64)
-        assert simulate_latency(scenario, sizes=sizes).sync_latency_s == report.sync_latency_s
+        bill = simulate_latency(scenario, sizes=sizes)
+        assert bill.sync_latency_s == report.sync_latency_s
+        if method != "cfhfc":
+            assert bill.memberships is None
+            return
+        billed = {k: (len(idx), bill.per_cluster_s[k])
+                  for k, idx in enumerate(bill.participants) if len(idx)}
+        assert billed == {s.cluster_id: (s.participants, s.latency_s)
+                          for s in report.cluster_stats}
 
     @pytest.mark.parametrize("sizes, message", [
         ([160.0], r"shape \(4,\), got \(1,\)"),
