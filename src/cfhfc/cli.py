@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import CsvSource, SyntheticSource, _holdout_rows, _load
+from .data import CsvSource, SyntheticSource, materialize_holdout
 from .metrics import RATE_NAMES, classification_metrics, roc_sweep, trapezoid_auc
 from .model import LabeledBatch, ModelParams
 from .simulator import (  # bench/test_bench.py reads init_state and run_round here
@@ -355,9 +355,7 @@ def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
     raw_model = json.loads(model_path.read_text())
     model = ModelParams(np.array(raw_model["weights"]), np.array(raw_model["biases"]))
     # the holdout is drawn before any partition, so no client is built for it
-    full = _load(scenario.dataset)
-    _, held = _holdout_rows(scenario.dataset, len(full))
-    holdout = full.subset(held)
+    holdout = materialize_holdout(scenario.dataset)
 
     points, auc = _roc(scenario, model, holdout)
     _write_csv(out / "roc_sweep.csv", ["threshold", "fpr", "tpr"], points)

@@ -81,10 +81,11 @@ def minmax_scale(values: np.ndarray) -> np.ndarray:
     return minmax_scale_in_place(np.array(values, dtype=np.float64))
 
 
-def minmax_scale_in_place(values: np.ndarray) -> np.ndarray:
-    """minmax_scale that overwrites and returns the float64 matrix values."""
-    lo = values.min(axis=0)
-    span = values.max(axis=0) - lo
+def minmax_scale_in_place(values: np.ndarray, lo=None, hi=None) -> np.ndarray:
+    """minmax_scale that overwrites and returns the float64 matrix values; lo and hi,
+    when given, are the column bounds to scale by in place of the values' own."""
+    lo = values.min(axis=0) if lo is None else lo
+    span = (values.max(axis=0) if hi is None else hi) - lo
     constant = span == 0.0
     values -= lo
     values /= np.where(constant, 1.0, span)

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,10 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "materialize_clients",
+    "materialize_holdout",
 ]
+
+CHUNK_ROWS = 8192  # synthetic rows drawn, bounded and scattered at a time
 
 
 @dataclass
@@ -69,9 +75,9 @@ class CsvSource:
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
-    @property
+    @cached_property
     def num_features(self) -> int:
-        """Feature columns in the file's header: every column but the label."""
+        """Feature columns in the file's header: every column but the label; read once."""
         with Path(self.path).open(newline="") as fh:
             return len(next(csv.reader(fh), [])) - 1
 
@@ -125,7 +131,7 @@ class DatasetSpec:
         if isinstance(self.source, SyntheticSource):
             rows = self.source.num_classes * self.source.samples_per_class
         else:
-            rows = len(_load(self).labels)
+            rows = len(_stream(self.source, self.seed)[0])
         if self.holdout_fraction == 0.0:
             return rows
         return rows - _held_count(rows, self.holdout_fraction)
@@ -153,25 +159,29 @@ class ClientDataset:
 
 
 def generate_synthetic(source: SyntheticSource, seed: int) -> LabeledBatch:
-    """Sample the class blobs and scale features into [0, 1].
+    """Sample the class blobs and scale features into [0, 1]: _synthetic_chunks' rows, min-max
+    scaled column by column, in class order, which downstream partitioners reshuffle."""
+    labels, chunks = _stream(source, seed)
+    return _fill(chunks, labels, [np.arange(len(labels))])[0]
 
-    Class centers sit on a sphere of radius class_separation around the
-    origin (directions drawn from the seed). One preallocated matrix is
-    filled class by class with unit-variance Gaussian noise plus that class's
-    center, then min-max scaled in place, column by column. Output order is
-    by class, which downstream partitioners reshuffle.
-    """
+
+def _synthetic_chunks(source: SyntheticSource, seed: int) -> Iterator[np.ndarray]:
+    """The unscaled class blobs, CHUNK_ROWS rows at a time in one buffer: one standard_normal
+    stream, so chunk ends change no double, plus each row's class center (centers sit on a
+    sphere of radius class_separation, directions drawn from the seed)."""
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(source.num_classes, source.num_features))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     centers = source.class_separation * directions / norms
-    features = np.empty((source.num_classes, source.samples_per_class, source.num_features))
-    for block, center in zip(features, centers):
-        rng.standard_normal(out=block)
-        block += center
-    return LabeledBatch(minmax_scale_in_place(features.reshape(-1, source.num_features)),
-                        np.repeat(np.arange(source.num_classes), source.samples_per_class))
+    per_class, rows = source.samples_per_class, source.num_classes * source.samples_per_class
+    buffer = np.empty((min(CHUNK_ROWS, rows), source.num_features))
+    for start in range(0, rows, CHUNK_ROWS):
+        chunk = buffer[:rows - start]
+        rng.standard_normal(out=chunk)
+        for cls in range(start // per_class, (start + len(chunk) - 1) // per_class + 1):
+            chunk[max(cls * per_class - start, 0):(cls + 1) * per_class - start] += centers[cls]
+        yield chunk
 
 
 def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBatch:
@@ -255,21 +265,6 @@ def _split_rows(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.n
     return perm[n_held:], perm[:n_held]
 
 
-def _gather_clients(
-    data: LabeledBatch, owned: list[np.ndarray], fraction: float, rng: np.random.Generator
-) -> list[ClientDataset]:
-    """Gather each client's batches from data once. owned[c] holds client c's rows, ascending;
-    a client with two or more rows sets a seeded fraction of them aside for calibration."""
-    clients = []
-    for client, rows in enumerate(owned):
-        calibration = None
-        if fraction != 0.0 and len(rows) >= 2:
-            kept, held = _split_rows(len(rows), fraction, rng)
-            rows, calibration = rows[kept], data.subset(rows[held])
-        clients.append(ClientDataset(client, data.subset(rows), calibration))
-    return clients
-
-
 def _dirichlet_rows(
     labels: np.ndarray, num_clients: int, concentration: float, rng: np.random.Generator,
     min_samples: int,
@@ -325,23 +320,78 @@ def _shard_rows(
     return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
 
 
-def _load(spec: DatasetSpec) -> LabeledBatch:
-    if isinstance(spec.source, SyntheticSource):
-        return generate_synthetic(spec.source, spec.seed)
-    return load_csv(spec.source.path, spec.source.label_column, spec.source.num_classes)
+def _stream(source: SyntheticSource | CsvSource,
+            seed: int) -> tuple[np.ndarray, Iterable[np.ndarray]]:
+    """Every source row's label, and its features as chunks drawn as they are read. A CSV is
+    one chunk of load_csv's rows, whose columns span exactly 0 to 1 (or are all 0.5), so the
+    fill's min-max pass keeps every double."""
+    if isinstance(source, SyntheticSource):
+        labels = np.repeat(np.arange(source.num_classes), source.samples_per_class)
+        return labels, _synthetic_chunks(source, seed)
+    loaded = load_csv(source.path, source.label_column, source.num_classes)
+    return loaded.labels, [loaded.features]
+
+
+def _fill(chunks: Iterable[np.ndarray], labels: np.ndarray,
+          parts: list[np.ndarray | None]) -> list[LabeledBatch | None]:
+    """Stream the source rows once into one matrix of the parts' rows (source row positions; a
+    row may sit in several parts), min-max scale it by the bounds of every source row, and
+    cut it into the parts' batches, None for a None part."""
+    src = np.concatenate([part for part in parts if part is not None])
+    at = np.arange(len(src))
+    dest = np.full(len(labels), len(src))  # a row that no part takes lands in a spare last row
+    dest[src] = at  # one place per row; its other copies are filled after
+    lo, hi, start = np.inf, -np.inf, 0
+    for chunk in chunks:
+        features = _mapped(len(src) + 1, chunk.shape[1]) if start == 0 else features
+        lo, hi = np.minimum(lo, chunk.min(axis=0)), np.maximum(hi, chunk.max(axis=0))
+        features[dest[start:start + len(chunk)]] = chunk
+        start += len(chunk)
+    copies = np.flatnonzero(dest[src] != at)
+    features[copies] = features[dest[src[copies]]]
+    if not np.isfinite(hi - lo).all():  # exactly when some scaled value would not be finite
+        raise ValueError("features must be finite")
+    cuts = np.cumsum([len(part) for part in parts if part is not None])[:-1]
+    pieces = iter(zip(np.split(minmax_scale_in_place(features[:-1], lo, hi), cuts),
+                      np.split(labels.take(src), cuts)))
+    return [None if part is None else LabeledBatch._gathered(*next(pieces)) for part in parts]
+
+
+def _mapped(rows: int, width: int) -> np.ndarray:
+    """An uninitialized float64 matrix in an anonymous mapping of its own, whose pages go back
+    as soon as its last view dies. malloc keeps a freed block this size in its heap, where the
+    next set-up, run while the last state still holds its matrix, cannot reuse it."""
+    buffer = mmap.mmap(-1, 8 * rows * width, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large blocks
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer).reshape(rows, width)
 
 
 def _holdout_rows(spec: DatasetSpec, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (pool, held) rows of n loaded rows; held is None without a holdout."""
+    """The (pool, held) rows of n source rows; held is None without a holdout."""
     if spec.holdout_fraction == 0.0:
         return np.arange(n), None
     return _split_rows(n, spec.holdout_fraction, np.random.default_rng(spec.seed))
 
 
+def _client_parts(owned: list[np.ndarray], fraction: float,
+                  rng: np.random.Generator) -> list[np.ndarray | None]:
+    """Each client's train and calibration rows, flat, from owned[c], client c's rows ascending;
+    a client with under two rows, or no calibration fraction, has None for calibration."""
+    parts = []
+    for rows in owned:
+        if fraction != 0.0 and len(rows) >= 2:
+            kept, held = _split_rows(len(rows), fraction, rng)
+            parts += [rows[kept], rows[held]]
+        else:
+            parts += [rows, None]
+    return parts
+
+
 def materialize_clients(
     spec: DatasetSpec, num_clients: int, min_samples: int = 64
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
-    """Load or generate the dataset, hold out a test split, partition the rest.
+    """Plan every client's rows and the holdout's from the labels, then fill them in one stream.
 
     Returns (client datasets, holdout batch). The holdout is an IID sample
     never shown to any client; it is None when holdout_fraction is zero.
@@ -350,22 +400,28 @@ def materialize_clients(
     duplicates from the pool (reported via RuntimeWarning); the shard
     partition sorts the pool by label and deals shards_per_client shards to
     each client. Each client then sets calibration_fraction of its rows
-    aside, and its batches are gathered straight from the loaded matrix.
+    aside. None of it reads a feature: then one fill draws the source into a
+    matrix of the holdout's rows and each client's, sliced into the batches.
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    full = _load(spec)
-    pool, held = _holdout_rows(spec, len(full))
+    labels, chunks = _stream(spec.source, spec.seed)
+    pool, held = _holdout_rows(spec, len(labels))
     rng = np.random.default_rng(spec.seed)
     if spec.partition == "dirichlet":
-        owned = _dirichlet_rows(full.labels[pool], num_clients, spec.concentration, rng,
-                                min_samples)
+        owned = _dirichlet_rows(labels[pool], num_clients, spec.concentration, rng, min_samples)
     else:
-        owned = _shard_rows(full.labels[pool], num_clients, spec.shards_per_client, rng)
-    owned = [pool[rows] for rows in owned]
-    del pool  # the pool's row indices are freed before the gather, where memory peaks
-    clients = _gather_clients(full, owned, spec.calibration_fraction, rng)
-    return clients, None if held is None else full.subset(held)
+        owned = _shard_rows(labels[pool], num_clients, spec.shards_per_client, rng)
+    parts = _client_parts([pool[rows] for rows in owned], spec.calibration_fraction, rng)
+    holdout, *batches = _fill(chunks, labels, [held, *parts])
+    pairs = zip(batches[::2], batches[1::2])
+    return [ClientDataset(client, *pair) for client, pair in enumerate(pairs)], holdout
 
+
+def materialize_holdout(spec: DatasetSpec) -> LabeledBatch | None:
+    """materialize_clients' holdout, byte for byte, with no partition and no client rows."""
+    labels, chunks = _stream(spec.source, spec.seed)
+    held = _holdout_rows(spec, len(labels))[1]
+    return None if held is None else _fill(chunks, labels, [held])[0]

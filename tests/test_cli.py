@@ -210,7 +210,7 @@ class TestRun:
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
                                                           monkeypatch, path, value):
         """Bad values fail before any data is generated, not as runtime errors."""
-        monkeypatch.setattr("cfhfc.data.generate_synthetic", _no_generation)
+        monkeypatch.setattr("cfhfc.data._synthetic_chunks", _no_generation)
         bad = copy.deepcopy(SMALL_CONFIG)
         *sections, key = path.split(".")
         node = bad
@@ -231,7 +231,7 @@ class TestRun:
     def test_bad_flag_is_config_error_naming_its_field(self, tmp_path, capsys, monkeypatch,
                                                        flag, value, path):
         """A flag is checked as its config key is, before any data is generated."""
-        monkeypatch.setattr("cfhfc.data.generate_synthetic", _no_generation)
+        monkeypatch.setattr("cfhfc.data._synthetic_chunks", _no_generation)
         code = main(["run", "--preset", "scenario1", "--rounds", "1", flag, value,
                      "--out", str(tmp_path / "o")])
         assert code == 1
@@ -548,7 +548,7 @@ class TestReport:
         config.write_text(json.dumps(NO_HOLDOUT_CONFIG))
         assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
         loads = []
-        monkeypatch.setattr(cli, "_load", lambda spec: loads.append(spec))
+        monkeypatch.setattr(cli, "materialize_holdout", lambda spec: loads.append(spec))
         assert main(["report", str(run_dir)]) == 1
         assert capsys.readouterr().err == (
             "config error: run has no holdout split; cannot build a report\n"

@@ -1,7 +1,9 @@
 """Tests for synthetic data generation, CSV loading and client partitioning."""
 
 import copy
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from cfhfc import (
     predict_proba,
 )
 from cfhfc.clustering import minmax_scale
-from cfhfc.data import _dirichlet_rows, _gather_clients, _shard_rows
+from cfhfc.data import CHUNK_ROWS, _client_parts, _dirichlet_rows, _fill, _shard_rows
 
 FIT_CFG = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=5,
                       dropout_rate=0.0)
@@ -241,7 +243,7 @@ class TestDirichletPartition:
         def generate(*args):
             raise AssertionError("data generated before min_samples was checked")
 
-        monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
+        monkeypatch.setattr("cfhfc.data._synthetic_chunks", generate)
         spec = DatasetSpec(source=SyntheticSource(samples_per_class=10))
         with pytest.raises(ValueError, match="min_samples must be >= 1, got 0"):
             materialize_clients(spec, 60, min_samples=0)
@@ -419,7 +421,7 @@ class TestClientSizes:
         def generate(*args):
             raise AssertionError("pool_rows generated features")
 
-        monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
+        monkeypatch.setattr("cfhfc.data._synthetic_chunks", generate)
         spec = DatasetSpec(source=SyntheticSource(samples_per_class=100), holdout_fraction=0.0)
         assert spec.pool_rows() == 400
 
@@ -458,7 +460,7 @@ class TestClientSizes:
         def generate(*args):
             raise AssertionError("a bad request generated features")
 
-        monkeypatch.setattr("cfhfc.data.generate_synthetic", generate)
+        monkeypatch.setattr("cfhfc.data._synthetic_chunks", generate)
         with pytest.raises(ValueError, match=message):
             materialize_clients(DatasetSpec(), num_clients, min_samples)
 
@@ -628,19 +630,32 @@ def assert_clients_equal(got, want):
         assert_batches_equal(g.calibration, w.calibration)
 
 
+def pool_clients(data, owned, calibration_fraction, rng):
+    """materialize_clients' calibration split and fill, run on a hand-made pool whose
+    features lie in [0, 1). A second chunk of two rows that no client takes, all 0 and
+    all 1, sets the fill's scaling bounds to 0 and 1, so its scaling keeps every double
+    and the clients match a reference that does not scale."""
+    assert data.features.min() >= 0.0 and data.features.max() < 1.0
+    width = data.features.shape[1]
+    chunks = [data.features, np.stack([np.zeros(width), np.ones(width)])]
+    labels = np.concatenate([data.labels, [0, 0]])
+    batches = _fill(chunks, labels, _client_parts(owned, calibration_fraction, rng))
+    return [ClientDataset(c, *pair) for c, pair in enumerate(zip(batches[::2], batches[1::2]))]
+
+
 def dirichlet_clients(data, num_clients, concentration, seed, calibration_fraction,
                       min_samples):
     """materialize_clients' dirichlet route, run on a hand-made pool."""
     rng = np.random.default_rng(seed)
     owned = _dirichlet_rows(data.labels, num_clients, concentration, rng, min_samples)
-    return _gather_clients(data, owned, calibration_fraction, rng)
+    return pool_clients(data, owned, calibration_fraction, rng)
 
 
 def shard_clients(data, num_clients, shards_per_client, seed, calibration_fraction):
     """materialize_clients' shard route, run on a hand-made pool."""
     rng = np.random.default_rng(seed)
     owned = _shard_rows(data.labels, num_clients, shards_per_client, rng)
-    return _gather_clients(data, owned, calibration_fraction, rng)
+    return pool_clients(data, owned, calibration_fraction, rng)
 
 
 class TestReferenceReplay:
@@ -724,3 +739,92 @@ class TestReferenceReplay:
                                  class_separation=2.0)
         assert_batches_equal(generate_synthetic(source, seed),
                              ref_generate_synthetic(source, seed))
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
+    @pytest.mark.parametrize("num_clients", [1, 4, 60])
+    def test_materialize_clients_in_7_row_chunks(self, monkeypatch, num_clients, partition,
+                                                 calibration_fraction, holdout_fraction):
+        # 45 rows in chunks of 7: chunks split classes of 15 and the last one ends mid-class
+        monkeypatch.setattr("cfhfc.data.CHUNK_ROWS", 7)
+        spec = DatasetSpec(
+            source=SyntheticSource(num_classes=3, num_features=4, samples_per_class=15),
+            partition=partition,
+            concentration=0.4,
+            calibration_fraction=calibration_fraction,
+            holdout_fraction=holdout_fraction,
+            seed=9,
+        )
+        got, want = replay(lambda: materialize_clients(spec, num_clients, 12),
+                           lambda: ref_materialize_clients(spec, num_clients, 12))
+        if want is not None:
+            assert_clients_equal(got[0], want[0])
+            assert_batches_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("calibration_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
+    @pytest.mark.parametrize("num_clients", [1, 4, 12])
+    def test_materialize_clients_from_csv(self, tmp_path, num_clients, partition,
+                                          calibration_fraction, holdout_fraction):
+        # 48 rows of 3 string classes; the third feature column is constant
+        rng = np.random.default_rng(13)
+        names = ["normal", "scan", "flood"]
+        rows = [f"{a:.6f},{b * 40 - 20:.6f},7.5,{names[k]}"
+                for a, b, k in zip(rng.random(48), rng.random(48), rng.integers(0, 3, 48))]
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(["f1,f2,f3,label", *rows]) + "\n")
+        spec = DatasetSpec(source=CsvSource(path=str(path), num_classes=3), partition=partition,
+                           concentration=0.4, calibration_fraction=calibration_fraction,
+                           holdout_fraction=holdout_fraction, seed=4)
+        got, want = replay(lambda: materialize_clients(spec, num_clients, 6),
+                           lambda: ref_materialize_clients(spec, num_clients, 6))
+        if want is not None:
+            assert_clients_equal(got[0], want[0])
+            assert_batches_equal(got[1], want[1])
+
+
+def test_materialize_clients_never_holds_the_pool_beside_the_clients(monkeypatch):
+    """Set-up peaks well below the pool plus the clients' copies of it (over 2x what it
+    returns): the clients' matrix is filled one chunk at a time. tracemalloc sees no mmap,
+    so the matrix comes from numpy here, to be counted."""
+    monkeypatch.setattr("cfhfc.data._mapped", lambda rows, width: np.empty((rows, width)))
+    spec = DatasetSpec(source=SyntheticSource(samples_per_class=20000))
+    assert spec.source.samples_per_class > 2 * CHUNK_ROWS  # every class spans 3 chunks or more
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # top-ups
+        tracemalloc.start()
+        try:
+            clients, holdout = materialize_clients(spec, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    batches = [holdout, *(b for c in clients for b in (c.train, c.calibration) if b is not None)]
+    returned = sum(b.features.nbytes + b.labels.nbytes for b in batches)
+    assert peak < 1.6 * returned
+
+
+class TestCsvHeader:
+    def test_read_once_per_source(self, tmp_path, monkeypatch):
+        path = tmp_path / "flows.csv"
+        path.write_text("f1,f2,f3,label\n0.1,0.2,0.3,0\n")
+        opens = []
+        open_path = Path.open
+
+        def counted(self, *args, **kwargs):
+            opens.append(self)
+            return open_path(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)
+        source = CsvSource(path=str(path))
+        assert [source.num_features for _ in range(3)] == [3, 3, 3]
+        assert opens == [path]
+        assert CsvSource(path=str(path)).num_features == 3
+        assert opens == [path, path]
+
+    def test_missing_file_fails_on_every_read(self, tmp_path):
+        source = CsvSource(path=str(tmp_path / "absent.csv"))
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError, match="No such file or directory: .*absent.csv"):
+                source.num_features
