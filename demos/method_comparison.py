@@ -55,14 +55,9 @@ def main():
         runs[method] = run_training(scenario_for(method))
 
     print("\naccuracy by round (binary attack-vs-normal on the shared holdout):")
-    width = max(len(r) for r in runs.values())
     print("  round  " + "".join(f"{m:>9}" for m in METHODS))
-    for i in range(width):
-        cells = []
-        for m in METHODS:
-            trace = runs[m]
-            cells.append(f"{trace[i].accuracy:9.4f}" if i < len(trace) else " " * 9)
-        print(f"  {i:>5}  " + "".join(cells))
+    for i, row in enumerate(zip(*(runs[m] for m in METHODS))):
+        print(f"  {i:>5}  " + "".join(f"{r.accuracy:9.4f}" for r in row))
 
     print("\nfinal round summary:")
     for m in METHODS:

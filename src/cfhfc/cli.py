@@ -245,7 +245,6 @@ def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
         "method": scenario.method,
         "seed": scenario.seed,
         "rounds_run": len(reports),
-        "converged_round": state.converged_round,
         # without a holdout the loss and rates are NaN, which JSON writes as null
         "final": {
             k: v if math.isfinite(v) else None
@@ -301,14 +300,12 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     finals: dict[str, dict] = {}
-    mean_sync: dict[str, float] = {}
     data = materialize_scenario(scenario)
     for method in methods:
         run_scenario = replace(scenario, method=method)
         reports, state = run_training(run_scenario, return_state=True, data=data)
         rows += [[method] + _round_row(r) for r in reports]
         finals[method] = _final_summary(run_scenario, reports, state)
-        mean_sync[method] = finals[method]["latency"]["mean_sync_s"]
     _write_csv(out / "compare.csv", ["method", "round", *_ROUND_COLUMNS], rows)
 
     reference = "fedavg" if "fedavg" in methods else methods[0]
@@ -316,10 +313,13 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
         scenario, client_counts=(scenario.num_clients,), methods=tuple(methods)
     )
     accuracy = {m: finals[m]["final"]["accuracy"] for m in methods}
+    mean_sync = {m: finals[m]["latency"]["mean_sync_s"] for m in methods}
     comparison = {
         "methods": list(methods),
         "reference": reference,
         "final_accuracy": accuracy,
+        "final_loss": {m: finals[m]["final"]["loss"] for m in methods},
+        "auc": {m: finals[m]["auc"] for m in methods},
         "final_accuracy_gap": {
             m: None if None in (accuracy[m], accuracy[reference])
             else accuracy[m] - accuracy[reference]

@@ -74,9 +74,6 @@ ARCHETYPES: dict[str, tuple[float, float, float]] = {
     "pi400": (1.8, 8.0, 100.0),
 }
 
-EARLY_STOP_TOL = 1e-4
-EARLY_STOP_WINDOW = 5
-
 # seed stream tags
 _TAG_TRAIN = 0
 _TAG_FCM = 1
@@ -339,7 +336,6 @@ class TrainingState:
     clients: list[ClientDataset]
     holdout: LabeledBatch | None
     calib_states: list[CalibrationState]
-    converged_round: int | None = None  # round at which early stopping fired
 
 
 def _min_samples(scenario: Scenario) -> int:
@@ -621,36 +617,22 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
     return state, report
 
 
-def _should_stop(trace: list[float]) -> bool:
-    if len(trace) < EARLY_STOP_WINDOW + 1:
-        return False
-    recent = trace[-(EARLY_STOP_WINDOW + 1) :]
-    return all(
-        abs(recent[i + 1] - recent[i]) < EARLY_STOP_TOL
-        for i in range(EARLY_STOP_WINDOW)
-    )
-
-
 def run_training(
     scenario: Scenario,
     return_state: bool = False,
     data: tuple[list[ClientDataset], LabeledBatch | None] | None = None,
 ) -> list[RoundReport] | tuple[list[RoundReport], TrainingState]:
-    """Run the configured method for up to scenario.rounds rounds.
+    """Run the configured method for exactly scenario.rounds rounds.
 
-    Training stops early once global accuracy moves by less than 1e-4 over
-    five consecutive rounds; the final state records that round as
-    converged_round. Set return_state to also receive the final state
-    (global model, calibration states). data is passed to init_state.
+    The holdout is scored every round and never steers training. Set
+    return_state to also receive the final state (global model, calibration
+    states). data is passed to init_state.
     """
     state = init_state(scenario, data)
     reports: list[RoundReport] = []
     for _ in range(scenario.rounds):
         state, report = run_round(state, scenario)
         reports.append(report)
-        if _should_stop([r.accuracy for r in reports]):
-            state.converged_round = report.round_index
-            break
     if return_state:
         return reports, state
     return reports

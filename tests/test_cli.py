@@ -268,8 +268,31 @@ class TestRun:
         assert main(["compare", "--config", str(config), "--method", "fedavg",
                      "--method", "cfhfc", "--out", str(cmp)]) == 0
         comparison = strict_json(cmp / "compare.json")
-        assert comparison["final_accuracy"] == {"cfhfc": None, "fedavg": None}
-        assert comparison["final_accuracy_gap"] == {"cfhfc": None, "fedavg": None}
+        for key in ("final_accuracy", "final_loss", "auc", "final_accuracy_gap"):
+            assert comparison[key] == {"cfhfc": None, "fedavg": None}, key
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_frozen_model_trains_every_round(self, tmp_path, command):
+        """A model that never moves writes one row per round of the budget."""
+        frozen = copy.deepcopy(SMALL_CONFIG)
+        frozen["train"]["learning_rate"] = 0.0
+        config = tmp_path / "frozen.json"
+        config.write_text(json.dumps(frozen))
+        out = tmp_path / "out"
+        methods = ["--method", "cfhfc", "--method", "fedavg"] if command == "compare" else []
+        assert main([command, "--config", str(config), "--rounds", "7", *methods,
+                     "--out", str(out)]) == 0
+        if command == "run":
+            assert len((out / "rounds.csv").read_text().splitlines()) == 1 + 7
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["rounds_run"] == 7
+            assert "converged_round" not in summary
+        else:
+            table = (out / "compare.csv").read_text().splitlines()[1:]
+            for method in ("cfhfc", "fedavg"):
+                assert [r.split(",")[1] for r in table if r.startswith(method + ",")] == [
+                    str(i) for i in range(7)
+                ]
 
 
 class TestOverrideFlags:
@@ -369,6 +392,21 @@ class TestCompare:
         assert set(comparison["sme_per_straggler_fraction"]["cfhfc"]) == {
             "0.0", "0.1", "0.2", "0.3"
         }
+
+    def test_loss_and_auc_match_each_run(self, tmp_path, config_path):
+        """compare.json's per-method loss and AUC are what `run` writes for that method."""
+        cmp = tmp_path / "cmp"
+        assert main(["compare", "--config", str(config_path), "--method", "cfhfc",
+                     "--method", "fedavg", "--out", str(cmp)]) == 0
+        comparison = json.loads((cmp / "compare.json").read_text())
+        for method in ("cfhfc", "fedavg"):
+            run = tmp_path / method
+            assert main(["run", "--config", str(config_path), "--method", method,
+                         "--out", str(run)]) == 0
+            summary = json.loads((run / "summary.json").read_text())
+            assert comparison["final_loss"][method] == summary["final"]["loss"]
+            assert comparison["auc"][method] == summary["auc"]
+            assert comparison["auc"][method] is not None
 
     def test_preset_top_up_is_reported_once(self, tmp_path):
         """compare materializes the data once and its SME sweep builds no clients,
