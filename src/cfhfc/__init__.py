@@ -65,7 +65,6 @@ from .model import (
 from .simulator import (
     ARCHETYPES,
     ClusterConfig,
-    LatencyModel,
     RoundReport,
     Scenario,
     build_scenario,

@@ -65,8 +65,8 @@ class CalibrationConfig:
                 f"got {self.initial_confidence}"
             )
         for name in ("fnr_sensitivity", "fpr_sensitivity", "resource_sensitivity"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass

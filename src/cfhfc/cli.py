@@ -85,11 +85,9 @@ _KINDS = {
 
 
 def _expect(value, kind: type, path: str):
-    """value itself, if it has kind's JSON type; an int is also a float, and a float is finite."""
+    """value itself, if it has kind's JSON type; an int is also a float."""
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
     return value
 
 

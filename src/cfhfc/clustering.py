@@ -52,10 +52,9 @@ class ResourceWeights:
 
     def __post_init__(self) -> None:
         values = (self.cpu, self.memory, self.bandwidth)
-        if any(v < 0 for v in values):
-            raise ValueError(
-                f"cpu, memory and bandwidth must be non-negative, got {values}"
-            )
+        for name, value in zip(("cpu", "memory", "bandwidth"), values):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if abs(sum(values) - 1.0) > 1e-9:
             raise ValueError(
                 f"cpu + memory + bandwidth must sum to 1, got {sum(values)}"
@@ -195,10 +194,14 @@ def fcm_fit(
     """
     if weights is None:
         weights = ResourceWeights()
-    if fuzzifier <= 1.0:
-        raise ValueError(f"fuzzifier must be > 1, got {fuzzifier}")
+    if not 1.0 < fuzzifier < np.inf:
+        raise ValueError(f"fuzzifier must be finite and > 1, got {fuzzifier}")
     if num_clusters < 1:
         raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must have shape (n, 3), got {points.shape}")

@@ -57,9 +57,9 @@ class SyntheticSource:
             raise ValueError(
                 f"samples_per_class must be >= 1, got {self.samples_per_class}"
             )
-        if self.class_separation < 0:
+        if not 0 <= self.class_separation < np.inf:
             raise ValueError(
-                f"class_separation must be >= 0, got {self.class_separation}"
+                f"class_separation must be finite and >= 0, got {self.class_separation}"
             )
 
 
@@ -100,9 +100,9 @@ class DatasetSpec:
                 f"partition must be 'dirichlet' or 'by_class_shards', got "
                 f"{self.partition!r}"
             )
-        if self.concentration <= 0:
+        if not 0 < self.concentration < np.inf:
             raise ValueError(
-                f"concentration must be positive, got {self.concentration}"
+                f"concentration must be finite and positive, got {self.concentration}"
             )
         if self.shards_per_client < 1:
             raise ValueError(

@@ -137,18 +137,16 @@ class TrainConfig:
     proximal_coeff: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.local_epochs < 0:
             raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.proximal_coeff < 0:
-            raise ValueError(
-                f"proximal_coeff must be >= 0, got {self.proximal_coeff}"
-            )
+        if not 0 <= self.proximal_coeff < np.inf:
+            raise ValueError(f"proximal_coeff must be finite and >= 0, got {self.proximal_coeff}")
 
 
 def _check_width(model: ModelParams, features: np.ndarray) -> None:

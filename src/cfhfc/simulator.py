@@ -49,7 +49,6 @@ from .model import (
 __all__ = [
     "ARCHETYPES",
     "clusters_for_clients",
-    "LatencyModel",
     "ClusterConfig",
     "Scenario",
     "ClusterRoundStat",
@@ -87,40 +86,6 @@ def clusters_for_clients(num_clients: int) -> int:
 
 
 @dataclass
-class LatencyModel:
-    """Cost model turning profiles and data sizes into round times.
-
-    A client's round time is compute + communication + overhead: local epochs
-    times samples times work_units_per_sample, divided by its normalized cpu
-    (rescaled into [cpu_floor, 1] so slow devices do not divide by zero),
-    plus a model upload and download over its bandwidth, plus fixed
-    round-trip overhead. Stragglers multiply their whole round time by the
-    scenario slowdown. Under fedprox the bill assumes a straggler absorbs
-    part of the slowdown by doing proportionally less local work
-    (fedprox_partial_work is the absorbed fraction); training still runs
-    every client for the full local_epochs, so only the bill is reduced.
-    """
-
-    work_units_per_sample: float = 2.5e-5  # seconds per sample-epoch at full speed
-    bytes_per_param: int = 8
-    round_overhead_s: float = 1.0
-    cpu_floor: float = 0.1
-    fedprox_partial_work: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.work_units_per_sample <= 0:
-            raise ValueError("work_units_per_sample must be positive")
-        if self.bytes_per_param <= 0:
-            raise ValueError("bytes_per_param must be positive")
-        if self.round_overhead_s < 0:
-            raise ValueError("round_overhead_s must be >= 0")
-        if not 0 < self.cpu_floor <= 1:
-            raise ValueError("cpu_floor must lie in (0, 1]")
-        if not 0 <= self.fedprox_partial_work <= 1:
-            raise ValueError("fedprox_partial_work must lie in [0, 1]")
-
-
-@dataclass
 class ClusterConfig:
     """Fuzzy clustering knobs for the fog tier."""
 
@@ -128,20 +93,14 @@ class ClusterConfig:
     weights: ResourceWeights = field(default_factory=ResourceWeights)
     participation_floor: float = 0.05
     profile_jitter: float = 0.0  # multiplicative, e.g. 0.1 for +-10% per round
-    max_iter: int = 100
-    tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.fuzzifier <= 1.0:
-            raise ValueError(f"fuzzifier must be > 1, got {self.fuzzifier}")
+        if not 1.0 < self.fuzzifier < np.inf:
+            raise ValueError(f"fuzzifier must be finite and > 1, got {self.fuzzifier}")
         if not 0.0 < self.participation_floor < 1.0:
             raise ValueError("participation_floor must lie in (0, 1)")
         if not 0.0 <= self.profile_jitter < 1.0:
             raise ValueError("profile_jitter must lie in [0, 1)")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass
@@ -164,7 +123,6 @@ class Scenario:
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     cluster_cfg: ClusterConfig = field(default_factory=ClusterConfig)
     calib_cfg: CalibrationConfig = field(default_factory=CalibrationConfig)
-    latency: LatencyModel = field(default_factory=LatencyModel)
     attack_classes: tuple[int, ...] | None = None  # None = every class but 0
 
     def __post_init__(self) -> None:
@@ -185,11 +143,15 @@ class Scenario:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.straggler_fraction < 1.0:
             raise ValueError("straggler_fraction must lie in [0, 1)")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
-        total = sum(frac for _, frac in self.archetype_mix)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"archetype fractions must sum to 1, got {total}")
+        if not 1.0 <= self.straggler_slowdown < np.inf:
+            raise ValueError(
+                f"straggler_slowdown must be finite and >= 1, got {self.straggler_slowdown}"
+            )
+        fractions = [frac for _, frac in self.archetype_mix]
+        if not all(0.0 <= frac <= 1.0 for frac in fractions):
+            raise ValueError(f"archetype_mix fractions must lie in [0, 1], got {fractions}")
+        if abs(sum(fractions) - 1.0) > 1e-9:
+            raise ValueError(f"archetype_mix fractions must sum to 1, got {sum(fractions)}")
         names = [name for name, _ in self.archetype_mix]
         for i, name in enumerate(names):
             if name not in ARCHETYPES:
@@ -403,19 +365,34 @@ def _cluster_round(
         scenario.num_clusters,
         fuzzifier=scenario.cluster_cfg.fuzzifier,
         weights=scenario.cluster_cfg.weights,
-        max_iter=scenario.cluster_cfg.max_iter,
-        tol=scenario.cluster_cfg.tol,
         seed=_derived_seed(scenario.seed, _TAG_FCM, round_index),
     )
     return partition.memberships, normalized
+
+
+# The timing model's cost constants, read by _clock alone. A client's round
+# time is compute + communication + overhead: local_epochs x samples x
+# WORK_S_PER_SAMPLE, divided by its normalized cpu (rescaled into
+# [CPU_FLOOR, 1] so slow devices do not divide by zero), plus a model upload
+# and download of BYTES_PER_PARAM bytes per parameter over its bandwidth, plus
+# ROUND_OVERHEAD_S of fixed round trip. Stragglers multiply their whole round
+# time by the scenario slowdown. Under fedprox the bill assumes a straggler
+# absorbs the fraction FEDPROX_PARTIAL_WORK of its slowdown by doing
+# proportionally less local work; training still runs every client for the
+# full local_epochs, so only the bill is reduced.
+WORK_S_PER_SAMPLE = 2.5e-5  # seconds per sample-epoch at full speed
+BYTES_PER_PARAM = 8
+ROUND_OVERHEAD_S = 1.0
+CPU_FLOOR = 0.1
+FEDPROX_PARTIAL_WORK = 0.5
 
 
 def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyReport:
     """The timing model's bill for one round; every round, sweep and compare is billed here.
 
     The fleet comes from the scenario (_fleet) here and nowhere else. Each
-    client's time follows LatencyModel; the model it ships has the
-    dataset's shape (a CSV's width is its header minus the label). The
+    client's time follows the cost constants above; the model it ships has
+    the dataset's shape (a CSV's width is its header minus the label). The
     baselines wait on the slowest client. The clustered method partitions
     this round's observed profiles, and each cluster's participants are its
     clients at or above the participation floor. Each cluster synchronizes
@@ -424,23 +401,17 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyRe
     participation-mass-weighted mean of cluster completion times plus one
     cloud join overhead.
     """
-    lat = scenario.latency
     profiles, stragglers = _fleet(scenario)
     cpu_norm = minmax_scale(profiles[:, :1])[:, 0]
-    cpu = lat.cpu_floor + (1.0 - lat.cpu_floor) * cpu_norm
-    compute = (
-        scenario.train_cfg.local_epochs
-        * sizes
-        * lat.work_units_per_sample
-        / cpu
-    )
+    cpu = CPU_FLOOR + (1.0 - CPU_FLOOR) * cpu_norm
+    compute = scenario.train_cfg.local_epochs * sizes * WORK_S_PER_SAMPLE / cpu
     source = scenario.dataset.source
-    bytes_per_round = 2.0 * source.num_classes * (source.num_features + 1) * lat.bytes_per_param
+    bytes_per_round = 2.0 * source.num_classes * (source.num_features + 1) * BYTES_PER_PARAM
     comm = bytes_per_round / (profiles[:, 2] * 1e6 / 8.0)
-    times = compute + comm + lat.round_overhead_s
+    times = compute + comm + ROUND_OVERHEAD_S
     slowdown = scenario.straggler_slowdown
     if scenario.method == "fedprox":
-        slowdown = 1.0 + (slowdown - 1.0) * (1.0 - lat.fedprox_partial_work)
+        slowdown = 1.0 + (slowdown - 1.0) * (1.0 - FEDPROX_PARTIAL_WORK)
     times[stragglers] *= slowdown
     if scenario.method != "cfhfc":
         return LatencyReport(float(times.max()))
@@ -454,10 +425,7 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyRe
     # and moves the reported latency in its last bits
     mass = np.array([memberships[idx, k].sum() for k, idx in enumerate(participants)])
     busy = mass > 0
-    sync = float(
-        (mass[busy] * per_cluster[busy]).sum() / mass[busy].sum()
-        + lat.round_overhead_s
-    )
+    sync = float((mass[busy] * per_cluster[busy]).sum() / mass[busy].sum() + ROUND_OVERHEAD_S)
     return LatencyReport(sync, memberships, normalized, participants, tuple(per_cluster.tolist()))
 
 

@@ -103,6 +103,19 @@ def _no_generation(*args):
     raise AssertionError("a bad config generated features")
 
 
+def _run_small_with(tmp_path, path, value):
+    """main's exit code for `run` on SMALL_CONFIG with value set at the dotted path."""
+    bad = copy.deepcopy(SMALL_CONFIG)
+    *sections, key = path.split(".")
+    node = bad
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(bad))
+    return main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+
+
 def strict_json(path):
     """The file's JSON, refusing the NaN and Infinity that json.dumps writes by default."""
     def reject(constant):
@@ -152,14 +165,17 @@ class TestRun:
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["method"] == "fedavg"
 
-    def test_unknown_config_key_names_dotted_path(self, tmp_path, capsys):
-        bad = dict(SMALL_CONFIG)
-        bad["train"] = dict(SMALL_CONFIG["train"], learning_rte=0.1)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "train.learning_rte" in capsys.readouterr().err
+    def test_unknown_config_key_names_dotted_path(self, tmp_path, capsys, monkeypatch):
+        """An unknown key fails before any data is generated. The cost model and
+        FCM's stopping limits are constants, so their old keys are unknown too."""
+        monkeypatch.setattr("cfhfc.data._synthetic_chunks", _no_generation)
+        for path, value in [("train.learning_rte", 0.1),
+                            ("latency", {"round_overhead_s": 1.0}),
+                            ("clustering.max_iter", 100),
+                            ("clustering.tol", 1e-7)]:
+            assert _run_small_with(tmp_path, path, value) == 1, path
+            assert capsys.readouterr().err == f"config error: unknown key {path!r}\n"
+            assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
@@ -195,32 +211,19 @@ class TestRun:
         ("clustering.fuzzifier", 1.0),
         ("calibration.initial_confidence", 0.3),
         ("rounds", 0),
-        ("clustering.max_iter", 0),
-        ("clustering.max_iter", -5),
-        ("clustering.tol", -1.0),
-        ("clustering.tol", 0.0),
-        ("dataset.source", {"type": "csv", "path": "missing.csv", "num_classes": 1}),
         ("clustering.participation_floor", 0.0),
         ("train.learning_rate", float("nan")),
         ("clustering.weights.cpu", float("nan")),
-        ("latency.work_units_per_sample", float("inf")),
         ("seed", -1),
+        # at index 16, so that its id stays dataset.source-value16
+        ("dataset.source", {"type": "csv", "path": "missing.csv", "num_classes": 1}),
         ("dataset.seed", -1),
     ])
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
                                                           monkeypatch, path, value):
         """Bad values fail before any data is generated, not as runtime errors."""
         monkeypatch.setattr("cfhfc.data._synthetic_chunks", _no_generation)
-        bad = copy.deepcopy(SMALL_CONFIG)
-        *sections, key = path.split(".")
-        node = bad
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[key] = value
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps(bad))
-        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == 1
+        assert _run_small_with(tmp_path, path, value) == 1
         assert path in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

@@ -250,8 +250,15 @@ class TestFcmFit:
         profiles = normalize_profiles(raw)
         with pytest.raises(ValueError, match="cannot fill"):
             fcm_fit(profiles, num_clusters=5)
-        with pytest.raises(ValueError, match="fuzzifier"):
-            fcm_fit(profiles, num_clusters=2, fuzzifier=1.0)
+        for fuzzifier in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^fuzzifier must be finite and > 1"):
+                fcm_fit(profiles, num_clusters=2, fuzzifier=fuzzifier)
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="^max_iter must be >= 1"):
+                fcm_fit(profiles, num_clusters=2, max_iter=max_iter)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^tol must be > 0"):
+                fcm_fit(profiles, num_clusters=2, tol=tol)
 
     def test_rejects_matrix_without_three_columns(self):
         points = normalize_profiles(random_profiles(np.random.default_rng(6), 4))

@@ -8,10 +8,12 @@ collapses to the same normalized weights.
 
 import hashlib
 import json
+import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from cfhfc import (
     CsvSource,
     DatasetSpec,
     HardwareProfile,
-    LatencyModel,
     Scenario,
     SyntheticSource,
     TrainConfig,
@@ -136,6 +137,9 @@ class TestScenarioConstruction:
             small_scenario(method="fedsgd")
         with pytest.raises(ValueError, match="sum to 1"):
             small_scenario(archetype_mix=(("pi4", 0.5),))
+        # a negative share would deal a negative number of devices
+        with pytest.raises(ValueError, match=r"fractions must lie in \[0, 1\]"):
+            small_scenario(archetype_mix=(("pi3", 1.5), ("pi4", -0.5)))
         with pytest.raises(ValueError, match="unknown archetype 'rack_server'"):
             small_scenario(archetype_mix=(("rack_server", 1.0),))
 
@@ -146,6 +150,29 @@ class TestScenarioConstruction:
             Scenario(archetype_mix=(("pi3", 0.5), ("pi3", 0.5)))
         with pytest.raises(ValueError, match="'pi4' is listed more than once"):
             build_scenario("scenario1", archetype_mix=(("pi4", 0.25), ("pi3", 0.5), ("pi4", 0.25)))
+
+    def test_every_float_field_rejects_non_finite_values(self):
+        """Every config dataclass reachable from Scenario rejects NaN and inf in
+        each of its float fields, naming the field first; so does archetype_mix."""
+        classes, todo = set(), [Scenario]
+        while todo:
+            cls = todo.pop()
+            classes.add(cls)
+            for hint in get_type_hints(cls).values():
+                todo += [h for h in get_args(hint) or (hint,) if is_dataclass(h)]
+        checked = set()
+        for cls in classes:
+            hints = get_type_hints(cls)
+            for name in (f.name for f in fields(cls) if hints[f.name] is float):
+                for value in (math.nan, math.inf, -math.inf):
+                    with pytest.raises(ValueError, match=f"^{name} must"):
+                        cls(**{name: value})
+                checked.add(f"{cls.__name__}.{name}")
+        # the walk reaches a union member and a section two levels down
+        assert {"SyntheticSource.class_separation", "ResourceWeights.cpu"} <= checked
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^archetype_mix fractions must lie in"):
+                Scenario(archetype_mix=(("pi3", value), ("pi4", 0.5), ("pi400", 0.5)))
 
     def test_default_attack_classes(self):
         s = small_scenario()
@@ -543,22 +570,20 @@ class TestLatencyModel:
             small_scenario(method="cfhfc", num_clusters=1), sizes=sizes
         )
         flat = simulate_latency(small_scenario(method="fedavg"), sizes=sizes)
-        overhead = LatencyModel().round_overhead_s
+        overhead = simulator.ROUND_OVERHEAD_S
         assert clustered.sync_latency_s == pytest.approx(
             flat.sync_latency_s + overhead, abs=1e-9
         )
 
-    def test_slow_outlier_is_contained_by_clustering(self):
+    def test_slow_outlier_is_contained_by_clustering(self, monkeypatch):
         """Five fast devices plus one slow one: the baseline waits on the
         slow device, the clustered method mostly waits on the fast cluster."""
         mix = (("pi3", 1.0 / 6.0), ("pi400", 5.0 / 6.0))
-        scale = LatencyModel(work_units_per_sample=0.01)
+        monkeypatch.setattr(simulator, "WORK_S_PER_SAMPLE", 0.01)
         sizes = np.full(6, 2000.0)
         common = dict(num_clients=6, archetype_mix=mix)
         clustered_scenario = small_scenario(method="cfhfc", num_clusters=2, **common)
-        clustered_scenario.latency = scale
         flat_scenario = small_scenario(method="fedavg", **common)
-        flat_scenario.latency = scale
         clustered = simulate_latency(clustered_scenario, sizes=sizes)
         flat = simulate_latency(flat_scenario, sizes=sizes)
         assert clustered.sync_latency_s < 0.5 * flat.sync_latency_s
@@ -577,17 +602,17 @@ class TestLatencyModel:
                 method="fedavg", num_clients=6, seed=seed, archetype_mix=self.MIX
             )
             flat = simulate_latency(flat_scenario, sizes=sizes)
-            overhead = scenario.latency.round_overhead_s
+            overhead = simulator.ROUND_OVERHEAD_S
             assert (
                 clustered.sync_latency_s
                 <= flat.sync_latency_s + overhead + 1e-9
             )
 
-    def test_doubling_bytes_doubles_comm_term(self):
+    def test_doubling_bytes_doubles_comm_term(self, monkeypatch):
         scenario = small_scenario(method="fedavg")
         sizes = np.full(4, 160.0)
         base = simulate_latency(scenario, sizes=sizes)
-        scenario.latency = LatencyModel(bytes_per_param=16)
+        monkeypatch.setattr(simulator, "BYTES_PER_PARAM", 16)
         doubled = simulate_latency(scenario, sizes=sizes)
         params = 4 * (8 + 1)
         bandwidth = HardwareProfile(*ARCHETYPES["pi4"]).bandwidth_mbps * 1e6 / 8.0
