@@ -218,6 +218,11 @@ class TestRun:
         # at index 16, so that its id stays dataset.source-value16
         ("dataset.source", {"type": "csv", "path": "missing.csv", "num_classes": 1}),
         ("dataset.seed", -1),
+        # FCM's stopping limits are constants now, so these keys fail as unknown
+        ("clustering.max_iter", 0),
+        ("clustering.max_iter", -5),
+        ("clustering.tol", -1.0),
+        ("clustering.tol", 0.0),
     ])
     def test_bad_value_is_config_error_naming_dotted_path(self, tmp_path, capsys,
                                                           monkeypatch, path, value):
