@@ -33,7 +33,6 @@ from .clustering import (
     ResourceWeights,
     fcm_fit,
     normalize_profiles,
-    weighted_distance,
 )
 from .data import (
     ClientDataset,

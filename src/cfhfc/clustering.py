@@ -19,7 +19,6 @@ __all__ = [
     "FuzzyPartition",
     "minmax_scale",
     "normalize_profiles",
-    "weighted_distance",
     "fcm_fit",
 ]
 
@@ -104,21 +103,6 @@ def normalize_profiles(profiles: list[HardwareProfile]) -> np.ndarray:
     return minmax_scale(np.stack([p.raw() for p in profiles]))
 
 
-def weighted_distance(a: np.ndarray, b: np.ndarray, w: ResourceWeights) -> np.ndarray | float:
-    """Weighted Euclidean distance between normalized capability triples.
-
-    The triple is the last axis; leading axes broadcast, so a (n, 3) block
-    against one triple gives n distances and two triples give one float.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
-        raise ValueError(
-            f"capability triples must have a last axis of 3, got {a.shape} and {b.shape}"
-        )
-    return _weighted_norm(a, b, w.as_array())[()]
-
-
 def _weighted_norm(
     a: np.ndarray, b: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -164,16 +148,25 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     return out
 
 
-def _farthest_point_init(points: np.ndarray, k: int, w: ResourceWeights, seed: int) -> np.ndarray:
-    """Seeded farthest-point seeding: deterministic given seed and order."""
+def _farthest_point_init(
+    points: np.ndarray, k: int, w: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded farthest-point seeding: deterministic given seed and order.
+
+    Returns the k seeds and the (n, k) matrix of every point's distance to
+    each seed, which fcm_fit takes as its first distance matrix. It must be
+    C-contiguous: the membership ratios inherit its layout, and an F-ordered
+    cube sums its last axis in another order than numpy's pairwise one.
+    """
     n = points.shape[0]
     chosen = [seed % n]
-    min_dist = weighted_distance(points, points[chosen[-1]], w)
-    while len(chosen) < k:
-        nxt = int(min_dist.argmax())
-        chosen.append(nxt)
-        min_dist = np.minimum(min_dist, weighted_distance(points, points[nxt], w))
-    return points[chosen].copy()
+    dist = np.empty((n, k))
+    min_dist = _weighted_norm(points, points[chosen[0]], w, out=dist[:, 0])
+    for j in range(1, k):
+        chosen.append(int(min_dist.argmax()))
+        column = _weighted_norm(points, points[chosen[-1]], w, out=dist[:, j])
+        min_dist = np.minimum(min_dist, column)
+    return points[chosen], dist
 
 
 def fcm_fit(
@@ -211,10 +204,9 @@ def fcm_fit(
     if n < num_clusters:
         raise ValueError(f"{n} profiles cannot fill {num_clusters} clusters")
 
-    centroids = _farthest_point_init(points, num_clusters, weights, seed)
     w = weights.as_array()
     # every (point, centroid) distance, rewritten in place each iteration
-    dist = _weighted_norm(points[:, None, :], centroids, w)
+    centroids, dist = _farthest_point_init(points, num_clusters, w, seed)
     trace: list[float] = []
     iterations = 0
     for iterations in range(1, max_iter + 1):

@@ -417,10 +417,12 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyRe
         return LatencyReport(float(times.max()))
     memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
     floor = scenario.cluster_cfg.participation_floor
-    participants = [np.flatnonzero(memberships[:, k] >= floor) for k in range(memberships.shape[1])]
+    member = memberships >= floor
+    participants = [np.flatnonzero(column) for column in member.T]
     # the floor is above 0, so a cluster without participants is exactly one of
-    # mass 0: it bills 0.0 here and is left out of the mean below
-    per_cluster = np.array([times[idx].max(initial=0.0) for idx in participants])
+    # mass 0: it bills 0.0 here and is left out of the mean below (a masked max
+    # is exact in any order, unlike the sum)
+    per_cluster = np.where(member, times[:, None], 0.0).max(axis=0)
     # gathered, not masked over all clients: a masked sum adds in another order
     # and moves the reported latency in its last bits
     mass = np.array([memberships[idx, k].sum() for k, idx in enumerate(participants)])

@@ -673,6 +673,29 @@ class TestLatencyModel:
                                   archetype_mix=self.MIX)
         report = simulate_latency(scenario, sizes=np.full(6, 160.0))
         assert report.sync_latency_s > 0.0
+        assert report.memberships.shape == (6, 2)
+        assert report.normalized.shape == (6, 3)
+        assert len(report.participants) == 2
+        assert all(idx.ndim == 1 and idx.dtype.kind == "i" for idx in report.participants)
+        assert len(report.per_cluster_s) == 2
+
+    def test_idle_cluster_bills_zero_and_stays_out_of_the_mean(self):
+        """A cluster with no client at the floor bills exactly 0.0, and the sync
+        latency is the participation-mass-weighted mean over the busy clusters."""
+        cfg = ClusterConfig(participation_floor=0.7, profile_jitter=0.2)
+        scenario = build_scenario("scenario1", seed=2, cluster_cfg=cfg)
+        report = simulate_latency(scenario, sizes=np.full(20, 1600.0))
+        member = report.memberships >= cfg.participation_floor
+        for k, idx in enumerate(report.participants):
+            np.testing.assert_array_equal(idx, np.flatnonzero(member[:, k]))
+        assert [len(idx) for idx in report.participants] == [0, 1, 1, 4]
+        assert report.per_cluster_s[0] == 0.0
+        assert min(report.per_cluster_s[1:]) > simulator.ROUND_OVERHEAD_S
+        busy = [k for k, idx in enumerate(report.participants) if len(idx)]
+        mass = np.array([report.memberships[report.participants[k], k].sum() for k in busy])
+        seconds = np.array([report.per_cluster_s[k] for k in busy])
+        sync = float((mass * seconds).sum() / mass.sum() + simulator.ROUND_OVERHEAD_S)
+        assert sync == report.sync_latency_s == 7.664093462447779
 
 
 class TestStragglerMetrics:
