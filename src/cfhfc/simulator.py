@@ -224,23 +224,24 @@ def _derived_seed(scenario_seed: int, *tags: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _fleet(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The clients' raw (n, 3) capabilities and straggler flags.
+def _fleet(scenario: Scenario, straggler_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """The clients' raw (n, 3) capabilities and straggler flags at a straggler fraction.
 
     Archetypes are dealt in name order, so the mix's order is irrelevant, and
     each archetype's clients form one contiguous block. The straggler set is
     fixed and stratified per block, so incidence is even across archetypes.
+    The scenario's own straggler_fraction is not read.
     """
     mix = sorted(scenario.archetype_mix)
     counts = _largest_remainder_counts([frac for _, frac in mix], scenario.num_clients)
     profiles = np.repeat(np.array([ARCHETYPES[name] for name, _ in mix]), counts, axis=0)
     stragglers = np.zeros(scenario.num_clients, dtype=bool)
-    if scenario.straggler_fraction == 0.0:
+    if straggler_fraction == 0.0:
         return profiles, stragglers
     rng = np.random.default_rng(_derived_seed(scenario.seed, _TAG_STRAGGLER))
     start = 0
     for count in counts:
-        k = int(round(scenario.straggler_fraction * count))
+        k = int(round(straggler_fraction * count))
         if k > 0:
             stragglers[start + rng.choice(count, size=k, replace=False)] = True
         start += count
@@ -370,9 +371,9 @@ def _cluster_round(
     return partition.memberships, normalized
 
 
-# The timing model's cost constants, read by _clock alone. A client's round
-# time is compute + communication + overhead: local_epochs x samples x
-# WORK_S_PER_SAMPLE, divided by its normalized cpu (rescaled into
+# The timing model's cost constants, read by _clock's two halves alone. A
+# client's round time is compute + communication + overhead: local_epochs x
+# samples x WORK_S_PER_SAMPLE, divided by its normalized cpu (rescaled into
 # [CPU_FLOOR, 1] so slow devices do not divide by zero), plus a model upload
 # and download of BYTES_PER_PARAM bytes per parameter over its bandwidth, plus
 # ROUND_OVERHEAD_S of fixed round trip. Stragglers multiply their whole round
@@ -388,32 +389,57 @@ FEDPROX_PARTIAL_WORK = 0.5
 
 
 def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyReport:
-    """The timing model's bill for one round; every round, sweep and compare is billed here.
+    """The timing model's bill for one round: every training round and every
+    simulate_latency call is billed here.
 
-    The fleet comes from the scenario (_fleet) here and nowhere else. Each
-    client's time follows the cost constants above; the model it ships has
-    the dataset's shape (a CSV's width is its header minus the label). The
-    baselines wait on the slowest client. The clustered method partitions
-    this round's observed profiles, and each cluster's participants are its
-    clients at or above the participation floor. Each cluster synchronizes
-    inside itself first (it completes when its slowest participant does), and
-    clients only wait on their own cluster; the bill is the
-    participation-mass-weighted mean of cluster completion times plus one
-    cloud join overhead.
+    It has two halves, which the straggler sweep calls apart to share the
+    method-free one: _base_times, each client's time from its profile and data
+    size, and _bill, the method's slowdown and synchronization. The fleet
+    comes from the scenario (_fleet) here and in the sweep, and nowhere else.
     """
-    profiles, stragglers = _fleet(scenario)
+    fleet = _fleet(scenario, scenario.straggler_fraction)
+    base = _base_times(scenario, fleet[0], sizes)
+    return _bill(scenario, scenario.method, fleet, base, round_index)
+
+
+def _base_times(scenario: Scenario, profiles: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each client's round time before any straggler slowdown, from the cost constants
+    above; the method and the straggler set enter nowhere. The model it ships has the
+    dataset's shape (a CSV's width is its header minus the label)."""
     cpu_norm = minmax_scale(profiles[:, :1])[:, 0]
     cpu = CPU_FLOOR + (1.0 - CPU_FLOOR) * cpu_norm
     compute = scenario.train_cfg.local_epochs * sizes * WORK_S_PER_SAMPLE / cpu
     source = scenario.dataset.source
     bytes_per_round = 2.0 * source.num_classes * (source.num_features + 1) * BYTES_PER_PARAM
     comm = bytes_per_round / (profiles[:, 2] * 1e6 / 8.0)
-    times = compute + comm + ROUND_OVERHEAD_S
+    return compute + comm + ROUND_OVERHEAD_S
+
+
+def _bill(
+    scenario: Scenario,
+    method: str,
+    fleet: tuple[np.ndarray, np.ndarray],
+    base: np.ndarray,
+    round_index: int,
+) -> LatencyReport:
+    """The method's bill on a fleet whose base times are base; scenario.method and
+    scenario.straggler_fraction are not read.
+
+    Stragglers slow down (less under fedprox). The baselines wait on the
+    slowest client. The clustered method partitions this round's observed
+    profiles, and each cluster's participants are its clients at or above the
+    participation floor. Each cluster synchronizes inside itself first (it
+    completes when its slowest participant does), and clients only wait on
+    their own cluster; the bill is the participation-mass-weighted mean of
+    cluster completion times plus one cloud join overhead.
+    """
+    profiles, stragglers = fleet
+    times = base.copy()
     slowdown = scenario.straggler_slowdown
-    if scenario.method == "fedprox":
+    if method == "fedprox":
         slowdown = 1.0 + (slowdown - 1.0) * (1.0 - FEDPROX_PARTIAL_WORK)
     times[stragglers] *= slowdown
-    if scenario.method != "cfhfc":
+    if method != "cfhfc":
         return LatencyReport(float(times.max()))
     memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
     floor = scenario.cluster_cfg.participation_floor
@@ -650,21 +676,31 @@ def straggler_metrics(
     pool's rows per client, pool_rows / n, and no fewer than the rows a
     client is topped up to, rounded to a whole row. The size depends on no
     partition draw; a synthetic source is counted, not generated, and a CSV
-    source is loaded.
+    source, whose pool is the same at every count, is loaded once.
     At the scenario's own client count the sweep bills the scenario's own
     fleet, clusters included.
+
+    Each cell is the bill simulate_latency gives the scaled scenario at that
+    method and fraction, through the same two halves of _clock: the base
+    times once per client count, the fleet once per count and distinct
+    fraction (0.0 first), then each method's bill.
     """
+    csv_rows = None
+    if not isinstance(scenario.dataset.source, SyntheticSource):
+        csv_rows = scenario.dataset.pool_rows()
+    billed = tuple(dict.fromkeys((0.0, *fractions)))
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:
         scaled = _scaled_scenario(scenario, n)
-        size = round(max(scaled.dataset.pool_rows() / n, _min_samples(scaled)))
-        sizes = np.full(n, size, dtype=np.float64)
+        rows = scaled.dataset.pool_rows() if csv_rows is None else csv_rows
+        sizes = np.full(n, round(max(rows / n, _min_samples(scaled))), dtype=np.float64)
+        fleets = [_fleet(scaled, fraction) for fraction in billed]
+        # the profiles, unlike the stragglers, are the same at every fraction
+        base = _base_times(scaled, fleets[0][0], sizes)
         for method in methods:
             sync = {
-                fraction: simulate_latency(
-                    replace(scaled, method=method, straggler_fraction=fraction), sizes=sizes
-                ).sync_latency_s
-                for fraction in dict.fromkeys((0.0, *fractions))
+                fraction: _bill(scaled, method, fleet, base, 0).sync_latency_s
+                for fraction, fleet in zip(billed, fleets)
             }
             out[method][n] = {
                 fraction: {

@@ -374,7 +374,8 @@ class TestResolve:
         written = json.dumps(scenario_to_dict(scenario), sort_keys=True)
         assert written.index('"pi3"') < written.index('"pi400"')
         rerun = resolve_scenario(None, json.loads(written))
-        (profiles, stragglers), (again, rerun_stragglers) = _fleet(scenario), _fleet(rerun)
+        profiles, stragglers = _fleet(scenario, scenario.straggler_fraction)
+        again, rerun_stragglers = _fleet(rerun, rerun.straggler_fraction)
         assert profiles.tobytes() == again.tobytes()
         assert stragglers.tolist() == rerun_stragglers.tolist()
         assert stragglers.sum() == 2

@@ -1,7 +1,7 @@
-"""Smoke runs of the demos that call the clustering and calibration layers.
+"""Smoke runs of the demos that call the clustering, calibration and latency layers.
 
-The other two demos take seconds each and use only the top-level training
-API, which the simulator and CLI tests exercise.
+The other demo, method_comparison.py, takes seconds and uses only the
+top-level training API, which the simulator and CLI tests exercise.
 """
 
 import runpy
@@ -12,7 +12,8 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["clustering_walkthrough.py", "calibration_adaptation.py"])
+@pytest.mark.parametrize("name", ["clustering_walkthrough.py", "calibration_adaptation.py",
+                                  "straggler_study.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out.strip()

@@ -38,6 +38,7 @@ from cfhfc import (
     straggler_metrics,
     update_confidence,
 )
+from cfhfc import data as data_module
 from cfhfc import model as model_module
 from cfhfc import simulator
 from cfhfc.simulator import METHODS, _TAG_TRAIN, _derived_seed, materialize_scenario
@@ -325,29 +326,36 @@ class TestLayerCalls:
             }
 
     def test_sweep_bills_each_distinct_fraction_once(self, monkeypatch):
-        """One simulate_latency per client count, method and distinct fraction,
-        0.0 first, and one FCM fit in each cfhfc bill."""
+        """One fleet per client count and distinct fraction, 0.0 first, billed
+        once per method, with one FCM fit in each cfhfc bill and no
+        simulate_latency call."""
         calls = self.counted_calls(monkeypatch)
-        counted = simulator.simulate_latency
-        billed = []
+        real_fleet, real_bill = simulator._fleet, simulator._bill
+        fleets, billed = [], []
 
-        def recording(scenario, sizes):
+        def fleet(scenario, straggler_fraction):
+            fleets.append((scenario.num_clients, straggler_fraction))
+            return real_fleet(scenario, straggler_fraction)
+
+        def bill(scenario, method, *args):
             fits = calls["fcm_fit"]
-            report = counted(scenario, sizes)
-            billed.append((scenario.num_clients, scenario.method,
-                           scenario.straggler_fraction, calls["fcm_fit"] - fits))
+            report = real_bill(scenario, method, *args)
+            billed.append((scenario.num_clients, method, calls["fcm_fit"] - fits))
             return report
 
-        monkeypatch.setattr(simulator, "simulate_latency", recording)
+        monkeypatch.setattr(simulator, "_fleet", fleet)
+        monkeypatch.setattr(simulator, "_bill", bill)
         straggler_metrics(jittered_scenario("cfhfc"), fractions=(0.5, 0.25, 0.5),
                           client_counts=(6, 9))
+        assert fleets == [(n, fraction) for n in (6, 9) for fraction in (0.0, 0.5, 0.25)]
         assert billed == [
-            (n, method, fraction, int(method == "cfhfc"))
+            (n, method, int(method == "cfhfc"))
             for n in (6, 9)
             for method in ("cfhfc", "fedavg", "fedprox")
-            for fraction in (0.0, 0.5, 0.25)
+            for _ in (0.0, 0.5, 0.25)
         ]
         assert calls["fcm_fit"] == 6
+        assert calls["simulate_latency"] == 0
 
     def test_each_block_is_scored_once_per_round(self, monkeypatch):
         """Outside the edge tier a round computes logits once per gated
@@ -741,7 +749,32 @@ class TestStragglerMetrics:
 
         assert sweep(0.05) == sweep(5.0)
 
-    def test_csv_source_bills_pool_rows_per_client(self, tmp_path):
+    def test_every_cell_is_the_simulate_latency_bill(self):
+        """The sweep bills through _clock's halves, not simulate_latency, and
+        every cell, at the scenario's own count (6) and another, is still the
+        bill simulate_latency gives that method and fraction."""
+        scenario = jittered_scenario("cfhfc")
+        fractions = (0.5, 0.25, 0.5)
+        table = straggler_metrics(scenario, fractions=fractions, client_counts=(6, 9))
+        for n in (6, 9):
+            scaled = simulator._scaled_scenario(scenario, n)
+            rows = scaled.dataset.pool_rows()
+            sizes = np.full(n, float(round(max(rows / n, simulator._min_samples(scaled)))))
+            for method in METHODS:
+                want = {
+                    fraction: simulate_latency(replace(scaled, method=method,
+                                                       straggler_fraction=fraction),
+                                               sizes).sync_latency_s
+                    for fraction in (0.0, *fractions)
+                }
+                for fraction in fractions:
+                    cell = table[method][n][fraction]
+                    assert cell["sync_latency_s"] == want[fraction], (n, method, fraction)
+                    assert cell["sme"] == want[0.0] / want[fraction], (n, method, fraction)
+
+    @staticmethod
+    def csv_scenario(tmp_path):
+        """Three fedavg clients on a 400-row, 4-class CSV: 320 pool rows."""
         rng = np.random.default_rng(1)
         path = tmp_path / "traffic.csv"
         path.write_text("\n".join(["f0,f1,f2,label"] + [
@@ -750,6 +783,23 @@ class TestStragglerMetrics:
         scenario = small_scenario(method="fedavg", num_clients=3, archetype_mix=TestLatencyModel.MIX)
         scenario.dataset = replace(scenario.dataset, partition="dirichlet",
                                    source=CsvSource(str(path), num_classes=4))
+        return scenario
+
+    def test_csv_source_is_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        scenario = self.csv_scenario(tmp_path)
+        loads = []
+        real = data_module.load_csv
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "load_csv", counting)
+        straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(3, 4, 5, 6))
+        assert len(loads) == 1
+
+    def test_csv_source_bills_pool_rows_per_client(self, tmp_path):
+        scenario = self.csv_scenario(tmp_path)
         assert scenario.dataset.pool_rows() == 320
         table = straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(3,),
                                   methods=("fedavg",))
