@@ -108,23 +108,20 @@ def _weighted_norm(
 ) -> np.ndarray:
     """sqrt(sum_j w[j] * (a[..., j] - b[..., j])**2), into out if given.
 
-    Built one axis at a time: each axis adds (w[j] * d) * d to a running sum,
-    from the first axis to the last, and the square root comes last. That
-    gives the doubles of np.sqrt(np.sum(w * d * d, axis=-1)), since numpy
-    adds a 3-wide last axis left to right, but makes no (..., 3) temporaries.
+    One pass over (..., 3) blocks: t = (w * d) * d, then out = t[..., 0] +
+    t[..., 1], plus t[..., 2], then the square root. Those are the products
+    and left-to-right adds of np.sqrt(np.sum(w * d * d, axis=-1)), since
+    numpy adds a 3-wide last axis left to right, so the doubles match. Its
+    two (..., 3) temporaries, d and t, are dropped on return, before the
+    next membership cube is built.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-    diff = np.empty_like(out)
-    term = np.empty_like(out)
-    for j in range(3):
-        np.subtract(a[..., j], b[..., j], out=diff)
-        np.multiply(w[j], diff, out=out if j == 0 else term)
-        if j == 0:
-            out *= diff
-        else:
-            term *= diff
-            out += term
+    d = a - b
+    t = w * d
+    t *= d
+    np.add(t[..., 0], t[..., 1], out=out)
+    out += t[..., 2]
     return np.sqrt(out, out=out)
 
 

@@ -286,11 +286,11 @@ class _Workspace:
 
     z holds the logits, then the probabilities, then the residual; zt is its
     transpose, and first, last and middle are its (rows, 1) columns for the
-    row max. top and norm take the row max and the row sum; gw and gb view
-    the (C, d+1) gradient block that the workspaces of one call share.
+    row max. top and norm take the row max and the row sum; grad, viewed by
+    gw and gb, is the (C, d+1) gradient block the workspaces of a call share.
     """
 
-    __slots__ = ("z", "zt", "first", "last", "middle", "top", "norm", "gw", "gb")
+    __slots__ = ("z", "zt", "first", "last", "middle", "top", "norm", "grad", "gw", "gb")
 
     def __init__(self, rows: int, grad: np.ndarray) -> None:
         num_classes = grad.shape[0]
@@ -300,7 +300,47 @@ class _Workspace:
         self.first, self.last, self.middle = cols[0], cols[-1], cols[1:-1]
         self.top = np.empty((rows, 1))
         self.norm = np.empty((rows, 1))
-        self.gw, self.gb = grad[:, :-1], grad[:, -1]
+        self.grad, self.gw, self.gb = grad, grad[:, :-1], grad[:, -1]
+
+
+def _steps(
+    w: np.ndarray, b: np.ndarray, groups: list, params: np.ndarray | None = None,
+    lr: float = 0.0, pull: np.ndarray | None = None, shrink: float = 1.0,
+) -> None:
+    """The one softmax-gradient kernel: a mean cross-entropy gradient step on
+    each (features, one-hot) block of each (workspace, blocks) group, in order.
+
+    A step writes into the group's workspace with the calls of predict_proba,
+    residual.T @ features and residual.sum(axis=0) on fresh arrays, in order,
+    so it rounds as they do (p - 0.0 is p, so subtracting one-hot rows is
+    subtracting 1 at each label). Given params, the block w and b view, it then descends by lr and,
+    given pull, shrinks toward the anchor. A step makes numpy calls only.
+    """
+    wt, matmul, maximum, exp, add_reduce = w.T, np.matmul, np.maximum, np.exp, np.add.reduce
+    for ws, blocks in groups:
+        z, zt, top, norm, first, last, middle = (
+            ws.z, ws.zt, ws.top, ws.norm, ws.first, ws.last, ws.middle)
+        grad, gw, gb, rows = ws.grad, ws.gw, ws.gb, len(ws.z)
+        for x, y in blocks:
+            matmul(x, wt, out=z)
+            z += b
+            maximum(first, last, out=top)
+            for col in middle:
+                maximum(top, col, out=top)
+            z -= top
+            exp(z, out=z)
+            z /= add_reduce(z, axis=1, keepdims=True, out=norm)
+            z -= y
+            z /= rows
+            matmul(zt, x, out=gw)
+            add_reduce(z, axis=0, out=gb)
+            if params is None:
+                continue
+            grad *= lr
+            params -= grad
+            if pull is not None:
+                params += pull
+                params *= shrink
 
 
 def _gradient_arrays(
@@ -310,31 +350,12 @@ def _gradient_arrays(
     onehot: np.ndarray,
     ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean cross-entropy gradient of a block of rows with one-hot targets.
-
-    The one softmax-gradient kernel: gradient() and every SGD step call it.
-    It writes into ws, a workspace for len(features) rows (its own when ws is
-    None), and returns ws's weight and bias gradient views. It makes the
-    calls of predict_proba, residual.T @ features and residual.sum(axis=0)
-    on fresh arrays, in the same order, with out= targets, so it rounds as
-    they do. Subtracting the one-hot rows gives the same doubles as
-    subtracting 1 at each label, because p - 0.0 is exactly p.
-    """
+    """Mean cross-entropy gradient of a block of rows with one-hot targets:
+    one step of _steps, written into ws, a workspace for len(features) rows
+    (its own when ws is None). Returns ws's weight and bias gradient views."""
     if ws is None:
         ws = _Workspace(len(features), np.empty((len(biases), features.shape[1] + 1)))
-    z, top = ws.z, ws.top
-    np.matmul(features, weights.T, out=z)
-    z += biases
-    np.maximum(ws.first, ws.last, out=top)
-    for col in ws.middle:
-        np.maximum(top, col, out=top)
-    z -= top
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True, out=ws.norm)
-    z -= onehot
-    z /= len(z)
-    np.matmul(ws.zt, features, out=ws.gw)
-    np.add.reduce(z, axis=0, out=ws.gb)
+    _steps(weights, biases, [(ws, [(features, onehot)])])
     return ws.gw, ws.gb
 
 
@@ -364,13 +385,18 @@ def _sgd(
 
     Every output is bit-identical to a loop that gathers, masks and scales
     each minibatch afresh (tests/test_model.py keeps that loop):
-    - Each epoch gathers the shuffled features and one-hot labels once with
-      take(order, axis=0), a plain row copy like features[order] but with
-      less overhead, and its minibatches are row slices of these copies.
+    - Each call allocates an (n, d) feature and an (n, C) one-hot buffer,
+      and each epoch refills them in shuffled order with take(order, axis=0,
+      out=..., mode="clip"), a plain row copy like features[order]: clip
+      never fires on a permutation, and unlike mode="raise" it does not
+      buffer. The minibatches are views of the buffers, built once per call
+      (the full ones as one (full, batch_size, d) reshape, then the tail),
+      grouped under a _Workspace for their row count, and each epoch runs
+      them in one _steps call: an epoch allocates only its order and mask.
     - One rng.random(out=draw) call masks the whole epoch. The generator
       yields one double per element in row order, so it hands out the same
       doubles, in the same order, as one draw per minibatch would, and
-      filling a reused buffer consumes the stream as a fresh array does.
+      filling a reused C-ordered buffer consumes the stream as a fresh array does.
     - The features are divided by 1 - dropout_rate once per call, and each
       epoch only multiplies by its 0/1 mask. (x / s) * m equals (x * m) / s
       bit for bit: at m = 1 both are x / s, and at m = 0 both are a zero with
@@ -380,11 +406,7 @@ def _sgd(
     - The weights and bias live in one (C, d+1) block, and so does each
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
-      whatever the layout.
-    - Each step's gradient comes from _gradient_arrays, the kernel gradient()
-      also calls, written into a _Workspace: one for batch_size rows and one
-      for a tail minibatch, both built once per call, since a call can be one
-      epoch of a few steps. _shifted_exp says why the row max runs over
+      whatever the layout. _shifted_exp says why the row max runs over
       columns and the row sum does not.
     Dropout and every update act in place on arrays this function owns, never
     on the model or the batch it was given.
@@ -396,35 +418,30 @@ def _sgd(
     params = np.column_stack([model.weights, model.biases])
     w, b = params[:, :-1], params[:, -1]
     grad = np.empty_like(params)
-    if rho != 0.0:
-        shrink = 1.0 / (1.0 + lr * rho)
-        pull = (lr * rho) * np.column_stack([anchor.weights, anchor.biases])
+    shrink = 1.0 / (1.0 + lr * rho)
+    pull = (lr * rho) * np.column_stack([anchor.weights, anchor.biases]) if rho != 0.0 else None
     onehot = np.eye(model.num_classes).take(data.labels, axis=0)
     features = data.features
+    n, d = features.shape
     if cfg.dropout_rate > 0.0:
         features = features / (1.0 - cfg.dropout_rate)
-        draw = np.empty_like(features)
-    n = len(data)
-    full, tail = divmod(n, cfg.batch_size)
-    spaces = [_Workspace(cfg.batch_size, grad)] * full
-    if tail:
-        spaces.append(_Workspace(tail, grad))
-    starts = range(0, n, cfg.batch_size)
+        draw = np.empty((n, d))
+    xs, ys = np.empty((n, d)), np.empty_like(onehot)
+    tail = n % cfg.batch_size
+    groups = [  # the full minibatches, then the tail, each under its workspace
+        (_Workspace(rows, grad), list(zip(xs[lo:hi].reshape(-1, rows, d),
+                                          ys[lo:hi].reshape(-1, rows, model.num_classes))))
+        for lo, hi, rows in ((0, n - tail, cfg.batch_size), (n - tail, n, tail))
+        if hi > lo
+    ]
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
-        xs = features.take(order, axis=0)
-        ys = onehot.take(order, axis=0)
+        features.take(order, axis=0, out=xs, mode="clip")
+        onehot.take(order, axis=0, out=ys, mode="clip")
         if cfg.dropout_rate > 0.0:
             rng.random(out=draw)
             xs *= draw >= cfg.dropout_rate
-        for start, ws in zip(starts, spaces):
-            stop = start + cfg.batch_size
-            _gradient_arrays(w, b, xs[start:stop], ys[start:stop], ws)
-            grad *= lr
-            params -= grad
-            if rho != 0.0:
-                params += pull
-                params *= shrink
+        _steps(w, b, groups, params, lr, pull, shrink)
     return ModelParams(np.ascontiguousarray(w), b.copy())
 
 

@@ -1,0 +1,64 @@
+"""The verdict rule of tools/ab.py on fixed numbers; no process is started."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+# ten baseline runs: median 100.75, quartile spread 101.25 - 99.875 = 1.375
+BASE = [100.0, 101.0, 99.0, 102.0, 100.0, 101.0, 99.5, 100.5, 102.5, 101.0]
+
+
+def shifted(values, delta):
+    return [v + delta for v in values]
+
+
+class TestVerdict:
+    def test_quartiles_match_the_bench_report(self):
+        assert ab.quartiles(BASE) == pytest.approx((99.875, 100.75, 101.25))
+
+    def test_ten_of_ten_wins_beyond_the_spread_is_a_gain(self):
+        assert ab.wins(BASE, shifted(BASE, -3.0), "lower") == 10
+        assert ab.verdict(BASE, shifted(BASE, -3.0), "lower", 0.25) == "gain"
+
+    def test_nine_wins_suffice_and_eight_do_not(self):
+        nine = shifted(BASE, -3.0)
+        nine[0] = BASE[0] + 1.0
+        assert ab.wins(BASE, nine, "lower") == 9
+        assert ab.verdict(BASE, nine, "lower", 0.25) == "gain"
+        eight = list(nine)
+        eight[1] = BASE[1] + 1.0
+        assert ab.wins(BASE, eight, "lower") == 8
+        assert ab.verdict(BASE, eight, "lower", 0.25) == "no worse"
+
+    def test_wins_within_the_spread_are_no_gain(self):
+        # every pair wins, but the medians are 0.5 apart and the spread is 1.375
+        cand = shifted(BASE, -0.5)
+        assert ab.wins(BASE, cand, "lower") == 10
+        assert ab.verdict(BASE, cand, "lower", 0.25) == "no worse"
+
+    def test_no_worse_ends_at_the_bound(self):
+        base_mid = ab.quartiles(BASE)[1]
+        within = shifted(BASE, 0.25 * base_mid - 0.01)
+        beyond = shifted(BASE, 0.25 * base_mid + 0.01)
+        assert ab.verdict(BASE, within, "lower", 0.25) == "no worse"
+        assert ab.verdict(BASE, beyond, "lower", 0.25) == "worse"
+
+    def test_higher_is_better_flips_the_direction(self):
+        assert ab.wins(BASE, shifted(BASE, 3.0), "higher") == 10
+        assert ab.verdict(BASE, shifted(BASE, 3.0), "higher", 0.25) == "gain"
+        assert ab.verdict(BASE, shifted(BASE, -3.0), "higher", 0.01) == "worse"
+
+    def test_fewer_pairs_need_the_same_share(self):
+        # 9 of 10 rounds up: 4 pairs need 4 wins
+        base = BASE[:4]
+        cand = shifted(base, -3.0)
+        assert ab.verdict(base, cand, "lower", 0.25) == "gain"
+        cand[0] = base[0]
+        assert ab.verdict(base, cand, "lower", 0.25) == "no worse"

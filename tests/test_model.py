@@ -411,9 +411,10 @@ class TestLocalTrain:
         anchor = random_model(rng, num_classes, 6)
         batch = random_batch(rng, n, 6, num_classes)
         inputs = (model.copy(), batch.features.copy(), batch.labels.copy())
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
-                          dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
-        assert_matches_reference(model, anchor, batch, cfg)
+        for local_epochs in (1, 3):  # one epoch fills the buffers once and uses each view once
+            cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=local_epochs,
+                              dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+            assert_matches_reference(model, anchor, batch, cfg)
         assert_same_bytes(model.weights, inputs[0].weights)
         assert_same_bytes(model.biases, inputs[0].biases)
         assert_same_bytes(batch.features, inputs[1])
@@ -452,6 +453,19 @@ class TestLocalTrain:
                           dropout_rate=0.1, proximal_coeff=proximal_coeff)
         assert_matches_reference(model, anchor, batch, cfg)
         assert np.signbit(local_train(model, batch, cfg, seed=5).weights[:, 0]).all()
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_column_major_features_match_reference_loop(self, dropout_rate):
+        # the dropout draw fills a row-major buffer, so the stream meets the
+        # features in row order whatever their memory layout
+        rng = np.random.default_rng(23)
+        model = random_model(rng, 3, 6)
+        anchor = random_model(rng, 3, 6)
+        batch = random_batch(rng, 21, 6, 3)
+        batch.features = np.asfortranarray(batch.features)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
+                          dropout_rate=dropout_rate, proximal_coeff=0.6)
+        assert_matches_reference(model, anchor, batch, cfg)
 
     def test_label_out_of_range_rejected(self):
         model = ModelParams.zeros(2, 3)
