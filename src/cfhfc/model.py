@@ -212,20 +212,26 @@ def _row_any(mask: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _row_sum(z: np.ndarray) -> np.ndarray:
+    """Each row's z.sum(axis=1, keepdims=True). Numpy adds under 8 terms to 0.0
+    left to right, so z0 + z1, += each further column, has its bytes (but -0.0
+    for a row of -0.0; exp gives none); from 8 on it does not, and numpy sums."""
+    if not 2 <= z.shape[1] < 8:
+        return z.sum(axis=1, keepdims=True)
+    total = z[:, :1] + z[:, 1:2]
+    for c in range(2, z.shape[1]):
+        total += z[:, c : c + 1]
+    return total
+
+
 def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shift each row of logits by its max and exponentiate, in place; return
     the (n, 1) row max and row sum, which predict_proba divides by and loss logs.
-
-    The row max comes from _row_max. The row sum stays numpy's axis-1 sum.
-    That sum adds 8 or more terms in unrolled partial sums, so adding the
-    columns one by one would round differently: on 3,000 random blocks each
-    it differed in about 2,950 with 8, 9 or 12 classes, and in none with 2,
-    4 or 7.
-    """
+    They come from _row_max and _row_sum: over columns, the sum below 8 classes."""
     top = _row_max(z)
     z -= top
     np.exp(z, out=z)
-    return top, z.sum(axis=1, keepdims=True)
+    return top, _row_sum(z)
 
 
 def predict_proba(
@@ -285,27 +291,33 @@ class _Workspace:
     every step of that size in one _sgd call.
 
     z holds the logits, then the probabilities, then the residual; zt is its
-    transpose, and first, last and middle are its (rows, 1) columns for the
-    row max. top and norm take the row max and the row sum; grad, viewed by
-    gw and gb, is the (C, d+1) gradient block the workspaces of a call share.
+    transpose, and first, second (first again at one class) and rest are its
+    (rows, 1) columns in the order the row max and, by_column (2 to 7 classes),
+    the row sum take them. top and norm take the row max and row sum; grad,
+    viewed by gw and gb, is the call's shared (C, d+1) gradient block. Given
+    lr, step and mean are the 0-d step size and row divisor (None if folded).
     """
 
-    __slots__ = ("z", "zt", "first", "last", "middle", "top", "norm", "grad", "gw", "gb")
+    __slots__ = ("z", "zt", "first", "second", "rest", "by_column", "top", "norm",
+                 "grad", "gw", "gb", "step", "mean")
 
-    def __init__(self, rows: int, grad: np.ndarray) -> None:
+    def __init__(self, rows: int, grad: np.ndarray, lr: float | None = None) -> None:
         num_classes = grad.shape[0]
         self.z = np.empty((rows, num_classes))
         self.zt = self.z.T
         cols = [self.z[:, c : c + 1] for c in range(num_classes)]
-        self.first, self.last, self.middle = cols[0], cols[-1], cols[1:-1]
-        self.top = np.empty((rows, 1))
-        self.norm = np.empty((rows, 1))
+        self.first, self.second, self.rest = cols[0], cols[min(1, num_classes - 1)], cols[2:]
+        self.by_column = 2 <= num_classes < 8
+        self.top, self.norm = np.empty((rows, 1)), np.empty((rows, 1))
         self.grad, self.gw, self.gb = grad, grad[:, :-1], grad[:, -1]
+        fold = lr is not None and rows & (rows - 1) == 0
+        self.step = None if lr is None else np.array(lr / rows if fold else lr)
+        self.mean = None if fold else np.array(float(rows))
 
 
 def _steps(
     w: np.ndarray, b: np.ndarray, groups: list, params: np.ndarray | None = None,
-    lr: float = 0.0, pull: np.ndarray | None = None, shrink: float = 1.0,
+    pull: np.ndarray | None = None, shrink: np.ndarray | None = None,
 ) -> None:
     """The one softmax-gradient kernel: a mean cross-entropy gradient step on
     each (features, one-hot) block of each (workspace, blocks) group, in order.
@@ -313,30 +325,42 @@ def _steps(
     A step writes into the group's workspace with the calls of predict_proba,
     residual.T @ features and residual.sum(axis=0) on fresh arrays, in order,
     so it rounds as they do (p - 0.0 is p, so subtracting one-hot rows is
-    subtracting 1 at each label). Given params, the block w and b view, it then descends by lr and,
-    given pull, shrinks toward the anchor. A step makes numpy calls only.
+    subtracting 1 at each label). Given params, the block w and b view, it then
+    descends by the workspace's step and, given pull, shrinks toward the anchor.
+    A step makes numpy calls only, with 0-d array scalars, which numpy applies
+    sooner than floats. A training workspace of 2^k rows steps by lr / 2^k and
+    does not divide by 2^k: that moves only exponents, so the gemm, bias sum
+    and step round as before unless a scaled value is subnormal (below
+    2^-1022), where the fold rounds once and the division twice.
     """
-    wt, matmul, maximum, exp, add_reduce = w.T, np.matmul, np.maximum, np.exp, np.add.reduce
+    wt, matmul, maximum, exp, add = w.T, np.matmul, np.maximum, np.exp, np.add
     for ws, blocks in groups:
-        z, zt, top, norm, first, last, middle = (
-            ws.z, ws.zt, ws.top, ws.norm, ws.first, ws.last, ws.middle)
-        grad, gw, gb, rows = ws.grad, ws.gw, ws.gb, len(ws.z)
+        z, zt, top, norm, first, second, rest, by_column = (
+            ws.z, ws.zt, ws.top, ws.norm, ws.first, ws.second, ws.rest, ws.by_column)
+        grad, gw, gb, step, mean = ws.grad, ws.gw, ws.gb, ws.step, ws.mean
         for x, y in blocks:
             matmul(x, wt, out=z)
             z += b
-            maximum(first, last, out=top)
-            for col in middle:
+            maximum(first, second, out=top)
+            for col in rest:
                 maximum(top, col, out=top)
             z -= top
             exp(z, out=z)
-            z /= add_reduce(z, axis=1, keepdims=True, out=norm)
+            if by_column:
+                add(first, second, out=norm)
+                for col in rest:
+                    norm += col
+            else:
+                add.reduce(z, axis=1, keepdims=True, out=norm)
+            z /= norm
             z -= y
-            z /= rows
+            if mean is not None:
+                z /= mean
             matmul(zt, x, out=gw)
-            add_reduce(z, axis=0, out=gb)
+            add.reduce(z, axis=0, out=gb)
             if params is None:
                 continue
-            grad *= lr
+            grad *= step
             params -= grad
             if pull is not None:
                 params += pull
@@ -344,10 +368,7 @@ def _steps(
 
 
 def _gradient_arrays(
-    weights: np.ndarray,
-    biases: np.ndarray,
-    features: np.ndarray,
-    onehot: np.ndarray,
+    weights: np.ndarray, biases: np.ndarray, features: np.ndarray, onehot: np.ndarray,
     ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy gradient of a block of rows with one-hot targets:
@@ -406,8 +427,7 @@ def _sgd(
     - The weights and bias live in one (C, d+1) block, and so does each
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
-      whatever the layout. _shifted_exp says why the row max runs over
-      columns and the row sum does not.
+      whatever the layout; _steps says when the minibatch mean folds into lr.
     Dropout and every update act in place on arrays this function owns, never
     on the model or the batch it was given.
     """
@@ -418,7 +438,7 @@ def _sgd(
     params = np.column_stack([model.weights, model.biases])
     w, b = params[:, :-1], params[:, -1]
     grad = np.empty_like(params)
-    shrink = 1.0 / (1.0 + lr * rho)
+    shrink = np.array(1.0 / (1.0 + lr * rho))
     pull = (lr * rho) * np.column_stack([anchor.weights, anchor.biases]) if rho != 0.0 else None
     onehot = np.eye(model.num_classes).take(data.labels, axis=0)
     features = data.features
@@ -429,7 +449,7 @@ def _sgd(
     xs, ys = np.empty((n, d)), np.empty_like(onehot)
     tail = n % cfg.batch_size
     groups = [  # the full minibatches, then the tail, each under its workspace
-        (_Workspace(rows, grad), list(zip(xs[lo:hi].reshape(-1, rows, d),
+        (_Workspace(rows, grad, lr), list(zip(xs[lo:hi].reshape(-1, rows, d),
                                           ys[lo:hi].reshape(-1, rows, model.num_classes))))
         for lo, hi, rows in ((0, n - tail, cfg.batch_size), (n - tail, n, tail))
         if hi > lo
@@ -441,7 +461,7 @@ def _sgd(
         if cfg.dropout_rate > 0.0:
             rng.random(out=draw)
             xs *= draw >= cfg.dropout_rate
-        _steps(w, b, groups, params, lr, pull, shrink)
+        _steps(w, b, groups, params, pull, shrink)
     return ModelParams(np.ascontiguousarray(w), b.copy())
 
 

@@ -1,4 +1,5 @@
-"""The verdict rule of tools/ab.py on fixed numbers; no process is started."""
+"""The verdict rule and the output parser of tools/ab.py on fixed numbers and
+text; no process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -62,3 +63,29 @@ class TestVerdict:
         assert ab.verdict(base, cand, "lower", 0.25) == "gain"
         cand[0] = base[0]
         assert ab.verdict(base, cand, "lower", 0.25) == "no worse"
+
+
+# the tail of one bench/run.py run's stdout, as it prints it
+STDOUT = """workload s1-cfhfc seed 0 trace 0: 40 operations, 0 failed, 8 set-ups
+digest 95946e890898a5022f00
+machine {"nproc": 2}
+  setup_s                p25 0.5312  p50 0.5401  p75 0.5522  n 8
+  op_ms                  p25 258.1  p50 260.4  p75 263.9  n 40
+  raw_setup_s            p25 0.2811  p50 0.2852  p75 0.2903  n 8
+  raw_op_ms              p25 131.2  p50 132.5  p75 134.1  n 40
+  round_ms                             260.4 ms
+  op_ms_p50                            260.4 ms
+  setup_s                              0.5401 s
+  peak_rss_mb                          63.25 MB
+{"correct": true, "attempted": 40, "failed": 0, "metrics": {"op_ms_p50": {"value": 260.4, \
+"unit": "ms"}, "setup_s": {"value": 0.5401, "unit": "s"}, "peak_rss_mb": {"value": 63.25, \
+"unit": "MB"}}}
+"""
+
+
+class TestParse:
+    def test_reads_metrics_raw_p50_and_digest(self):
+        values, digest = ab.parse(STDOUT)
+        assert digest == "95946e890898a5022f00"
+        assert values == {"op_ms_p50": 260.4, "setup_s": 0.5401, "peak_rss_mb": 63.25,
+                          "raw_op_ms": 132.5}

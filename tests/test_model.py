@@ -4,6 +4,7 @@ The gradient checks use central finite differences as an independent oracle;
 the SGD test replays the update rule by hand with the same generator draws.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from cfhfc import (
     predict_proba,
     prox_local_train,
 )
-from cfhfc.model import _Workspace, _gradient_arrays, _row_any, _row_argmax, _row_max
+from cfhfc.model import (
+    _Workspace, _gradient_arrays, _row_any, _row_argmax, _row_max, _row_sum, _shifted_exp,
+)
 
 
 def random_batch(rng, n, num_features, num_classes):
@@ -181,9 +184,30 @@ class TestRowReductions:
             for mask in (z > 0.0, z >= 0.0, rng.random(z.shape) < 0.05):
                 assert _row_any(mask).tobytes() == mask.any(axis=1).tobytes()
 
+    def test_row_sum_matches_numpy(self):
+        for z in tied_blocks(4):
+            total = _row_sum(z)
+            want = z.sum(axis=1, keepdims=True)
+            # the same bytes, but that a row of -0.0 alone sums to -0.0 over columns
+            alone = (z.shape[1] < 8) & (z == 0.0).all(axis=1) & np.signbit(z).all(axis=1)
+            assert (total == want).all()
+            assert total[~alone].tobytes() == want[~alone].tobytes()
+            assert np.signbit(total[alone]).all()
+
+    @pytest.mark.parametrize("rows", [128, 32000])
+    @pytest.mark.parametrize("num_classes", range(1, 10))
+    def test_shifted_exp_row_sum_matches_numpy(self, num_classes, rows):
+        # columns below 8 classes, numpy's sum from 8 on: the same bytes either way
+        rng = np.random.default_rng(10 * num_classes + rows)
+        z = rng.normal(size=(rows, num_classes)) * rng.choice([1.0, 30.0], size=(rows, 1))
+        norm = _shifted_exp(z)[1]
+        assert norm.shape == (rows, 1)
+        assert norm.tobytes() == z.sum(axis=1, keepdims=True).tobytes()
+
     def test_one_column(self):
         z = np.array([[-0.0], [2.0], [np.nan]])
         assert _row_max(z).tobytes() == z.tobytes()
+        assert _row_sum(z).tobytes() == z.sum(axis=1, keepdims=True).tobytes()
         assert _row_argmax(z).tolist() == [0, 0, 0]
         assert _row_any(z > 0.0).tolist() == [False, True, False]
 
@@ -313,26 +337,28 @@ class TestGradient:
     @pytest.mark.parametrize("num_classes", [2, 4, 9])
     def test_block_output_matches_fresh_arrays(self, num_classes):
         """Through a reused workspace into a (C, d+1) block, or through a
-        workspace of its own, the kernel gives the bytes of fresh arrays."""
+        workspace of its own, the kernel gives the bytes of fresh arrays; at
+        16 rows too, since only training folds the mean into the step."""
         rng = np.random.default_rng(num_classes)
         model = random_model(rng, num_classes, 5)
-        batch = random_batch(rng, 13, 5, num_classes)
-        onehot = np.eye(num_classes)[batch.labels]
-        residual = (predict_proba(model, batch.features) - onehot) / len(batch)
-        want_w, want_b = residual.T @ batch.features, residual.sum(axis=0)
-        args = (model.weights, model.biases, batch.features, onehot)
-        grad = np.full((num_classes, 6), np.nan)
-        ws = _Workspace(len(batch), grad)
-        for buffer in (ws.z, ws.top, ws.norm):
-            buffer.fill(np.nan)
-        for _ in range(2):  # the second call starts from the first one's buffers
-            gw, gb = _gradient_arrays(*args, ws)
-            assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
-            assert_same_bytes(grad[:, :-1], want_w)
-            assert_same_bytes(grad[:, -1], want_b)
-        own_w, own_b = _gradient_arrays(*args)
-        assert_same_bytes(own_w, want_w)
-        assert_same_bytes(own_b, want_b)
+        for n in (13, 16):
+            batch = random_batch(rng, n, 5, num_classes)
+            onehot = np.eye(num_classes)[batch.labels]
+            residual = (predict_proba(model, batch.features) - onehot) / len(batch)
+            want_w, want_b = residual.T @ batch.features, residual.sum(axis=0)
+            args = (model.weights, model.biases, batch.features, onehot)
+            grad = np.full((num_classes, 6), np.nan)
+            ws = _Workspace(len(batch), grad)
+            for buffer in (ws.z, ws.top, ws.norm):
+                buffer.fill(np.nan)
+            for _ in range(2):  # the second call starts from the first one's buffers
+                gw, gb = _gradient_arrays(*args, ws)
+                assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
+                assert_same_bytes(grad[:, :-1], want_w)
+                assert_same_bytes(grad[:, -1], want_b)
+            own_w, own_b = _gradient_arrays(*args)
+            assert_same_bytes(own_w, want_w)
+            assert_same_bytes(own_b, want_b)
 
 
 class TestLocalTrain:
@@ -401,7 +427,8 @@ class TestLocalTrain:
         np.testing.assert_array_equal(out.weights, w)
         np.testing.assert_array_equal(out.biases, b)
 
-    @pytest.mark.parametrize("num_classes", [2, 4, 9])
+    # 7 and 8 classes: the last row sum over columns and the first of numpy's
+    @pytest.mark.parametrize("num_classes", [2, 4, 9, 7, 8])
     @pytest.mark.parametrize("n", [24, 19, 5])  # 3 full batches, a partial one, under one
     @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
@@ -411,14 +438,33 @@ class TestLocalTrain:
         anchor = random_model(rng, num_classes, 6)
         batch = random_batch(rng, n, 6, num_classes)
         inputs = (model.copy(), batch.features.copy(), batch.labels.copy())
-        for local_epochs in (1, 3):  # one epoch fills the buffers once and uses each view once
-            cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=local_epochs,
-                              dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+        # 8 rows fold the mean into the step size, 6 divide by them
+        for batch_size, local_epochs in itertools.product((8, 6), (1, 3)):
+            # one epoch fills the buffers once and uses each view once
+            cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size,
+                              local_epochs=local_epochs, dropout_rate=dropout_rate,
+                              proximal_coeff=proximal_coeff)
             assert_matches_reference(model, anchor, batch, cfg)
         assert_same_bytes(model.weights, inputs[0].weights)
         assert_same_bytes(model.biases, inputs[0].biases)
         assert_same_bytes(batch.features, inputs[1])
         assert_same_bytes(batch.labels, inputs[2])
+
+    @pytest.mark.parametrize("batch_size", [8, 6])
+    @pytest.mark.parametrize("num_classes", [4, 9])
+    def test_large_logits_match_reference_loop(self, num_classes, batch_size):
+        # weights and biases x500: most probabilities underflow to 0, a few are
+        # subnormal, and many round to 1, so most residuals are exactly 0 or -1
+        rng = np.random.default_rng(41 * num_classes + batch_size)
+        model, anchor = (
+            ModelParams(500.0 * m.weights, 500.0 * m.biases)
+            for m in (random_model(rng, num_classes, 6), random_model(rng, num_classes, 6))
+        )
+        batch = random_batch(rng, 37, 6, num_classes)
+        for dropout_rate in (0.0, 0.1):
+            cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=3,
+                              dropout_rate=dropout_rate, proximal_coeff=0.6)
+            assert_matches_reference(model, anchor, batch, cfg)
 
     @pytest.mark.parametrize("num_classes", [2, 4])
     @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])

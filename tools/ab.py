@@ -16,6 +16,10 @@ metric the candidate's wins, both sides' medians and quartiles, and a verdict:
   BENCHMARK.json of the baseline's median;
 - worse: neither.
 
+The same summary follows for each run's raw (unscaled) operation time p50,
+raw_op_ms, judged with op_ms_p50's bound: the benchmark scales each run by a
+host-speed probe, and the probe alone can move one run's scaled time.
+
 This stays outside bench/ until the benchmark has an A/B mode of its own.
 """
 
@@ -32,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 GAIN_WIN_SHARE = 0.9
+RAW_OP_MS = "raw_op_ms"  # bench/run.py's sample of unscaled operation times
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -61,17 +66,25 @@ def verdict(base: list[float], cand: list[float], better: str, bound: float) -> 
     return "worse"
 
 
+def parse(stdout: str) -> tuple[dict, str]:
+    """The end-to-end metric values, plus RAW_OP_MS, and the output digest that
+    one bench/run.py run printed: the metrics from its last line, the raw p50
+    from its sample line '  raw_op_ms  p25 A  p50 B  p75 C  n N'."""
+    lines = stdout.splitlines()
+    digest = next(line.split()[1] for line in lines if line.startswith("digest "))
+    raw = next(line.split() for line in lines if line.split()[:1] == [RAW_OP_MS])
+    values = {k: m["value"] for k, m in json.loads(lines[-1])["metrics"].items()}
+    return {**values, RAW_OP_MS: float(raw[raw.index("p50") + 1])}, digest
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One untraced run in tree: its end-to-end metric values and output digest."""
+    """One untraced run in tree, parsed."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: bench/run.py exited {done.returncode}\n{done.stderr}")
-    lines = done.stdout.splitlines()
-    digest = next(line.split()[1] for line in lines if line.startswith("digest "))
-    result = json.loads(lines[-1])
-    return {k: m["value"] for k, m in result["metrics"].items()}, digest
+    return parse(done.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
     trees = {"base": args.other.resolve(), "cand": ROOT}
-    metrics = SPEC["end_to_end"]
+    op_ms = next(m for m in SPEC["end_to_end"] if m["name"] == "op_ms_p50")
+    metrics = [*SPEC["end_to_end"], {**op_ms, "name": RAW_OP_MS}]
     values = {side: {m["name"]: [] for m in metrics} for side in trees}
     digests = set()
     for i in range(args.pairs):
