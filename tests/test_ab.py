@@ -73,7 +73,7 @@ machine {"nproc": 2}
   op_ms                  p25 258.1  p50 260.4  p75 263.9  n 40
   raw_setup_s            p25 0.2811  p50 0.2852  p75 0.2903  n 8
   raw_op_ms              p25 131.2  p50 132.5  p75 134.1  n 40
-  round_ms                             260.4 ms
+  round_ms_p50                         260.4 ms
   op_ms_p50                            260.4 ms
   setup_s                              0.5401 s
   peak_rss_mb                          63.25 MB
