@@ -16,7 +16,8 @@ from cfhfc import (
     Scenario,
     SyntheticSource,
     TrainConfig,
-    run_training,
+    init_state,
+    run_lockstep,
 )
 
 METHODS = ("fedavg", "fedprox", "cfhfc")
@@ -49,10 +50,14 @@ def scenario_for(method):
 
 
 def main():
-    runs = {}
+    # every method trains on the first one's data, in lockstep: each round,
+    # one call per client trains all three models
+    states = []
     for method in METHODS:
         print(f"running {method} ...")
-        runs[method] = run_training(scenario_for(method))
+        data = (states[0].clients, states[0].holdout) if states else None
+        states.append(init_state(scenario_for(method), data))
+    runs = dict(zip(METHODS, run_lockstep(states, states[0].scenario.rounds)))
 
     print("\naccuracy by round (binary attack-vs-normal on the shared holdout):")
     print("  round  " + "".join(f"{m:>9}" for m in METHODS))

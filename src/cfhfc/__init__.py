@@ -69,6 +69,7 @@ from .simulator import (
     build_scenario,
     clusters_for_clients,
     init_state,
+    run_lockstep,
     run_round,
     run_training,
     simulate_latency,

@@ -33,6 +33,7 @@ from .simulator import (  # bench/test_bench.py reads init_state and run_round h
     holdout_confusion,
     init_state,
     materialize_scenario,
+    run_lockstep,
     run_round,
     run_training,
     straggler_metrics,
@@ -296,19 +297,20 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
     _check_rounds(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    source = scenario.dataset.source
+    loaded = source.load() if isinstance(source, CsvSource) else None
+    data = materialize_scenario(scenario, loaded)
+    states = [init_state(replace(scenario, method=method), data) for method in methods]
     rows = []
     finals: dict[str, dict] = {}
-    data = materialize_scenario(scenario)
-    for method in methods:
-        run_scenario = replace(scenario, method=method)
-        reports, state = run_training(run_scenario, return_state=True, data=data)
+    for method, state, reports in zip(methods, states, run_lockstep(states, scenario.rounds)):
         rows += [[method] + _round_row(r) for r in reports]
-        finals[method] = _final_summary(run_scenario, reports, state)
+        finals[method] = _final_summary(state.scenario, reports, state)
     _write_csv(out / "compare.csv", ["method", "round", *_ROUND_COLUMNS], rows)
 
     reference = "fedavg" if "fedavg" in methods else methods[0]
     sweep = straggler_metrics(
-        scenario, client_counts=(scenario.num_clients,), methods=tuple(methods)
+        scenario, client_counts=(scenario.num_clients,), methods=tuple(methods), loaded=loaded
     )
     accuracy = {m: finals[m]["final"]["accuracy"] for m in methods}
     mean_sync = {m: finals[m]["latency"]["mean_sync_s"] for m in methods}

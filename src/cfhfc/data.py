@@ -81,6 +81,9 @@ class CsvSource:
         with Path(self.path).open(newline="") as fh:
             return len(next(csv.reader(fh), [])) - 1
 
+    def load(self) -> LabeledBatch:
+        return load_csv(self.path, self.label_column, self.num_classes)
+
 
 @dataclass
 class DatasetSpec:
@@ -124,14 +127,14 @@ class DatasetSpec:
     def num_classes(self) -> int:
         return self.source.num_classes
 
-    def pool_rows(self) -> int:
+    def pool_rows(self, loaded: LabeledBatch | None = None) -> int:
         """The rows the clients share once the holdout is set aside. A synthetic
         source has num_classes x samples_per_class rows, counted with no draw; a
-        CSV source has the rows that load_csv keeps."""
+        CSV source has the rows that load_csv keeps (loaded, if the caller read it)."""
         if isinstance(self.source, SyntheticSource):
             rows = self.source.num_classes * self.source.samples_per_class
         else:
-            rows = len(_stream(self.source, self.seed)[0])
+            rows = len(_stream(self.source, self.seed, loaded)[0])
         if self.holdout_fraction == 0.0:
             return rows
         return rows - _held_count(rows, self.holdout_fraction)
@@ -320,15 +323,15 @@ def _shard_rows(
     return [np.sort(np.concatenate([shards[s] for s in mine])) for mine in shard_ids]
 
 
-def _stream(source: SyntheticSource | CsvSource,
-            seed: int) -> tuple[np.ndarray, Iterable[np.ndarray]]:
+def _stream(source: SyntheticSource | CsvSource, seed: int,
+            loaded: LabeledBatch | None = None) -> tuple[np.ndarray, Iterable[np.ndarray]]:
     """Every source row's label, and its features as chunks drawn as they are read. A CSV is
-    one chunk of load_csv's rows, whose columns span exactly 0 to 1 (or are all 0.5), so the
-    fill's min-max pass keeps every double."""
+    one chunk of load_csv's rows (loaded, if given), whose columns span exactly 0 to 1 (or are
+    all 0.5), so the fill's min-max pass keeps every double."""
     if isinstance(source, SyntheticSource):
         labels = np.repeat(np.arange(source.num_classes), source.samples_per_class)
         return labels, _synthetic_chunks(source, seed)
-    loaded = load_csv(source.path, source.label_column, source.num_classes)
+    loaded = source.load() if loaded is None else loaded
     return loaded.labels, [loaded.features]
 
 
@@ -389,7 +392,7 @@ def _client_parts(owned: list[np.ndarray], fraction: float,
 
 
 def materialize_clients(
-    spec: DatasetSpec, num_clients: int, min_samples: int = 64
+    spec: DatasetSpec, num_clients: int, min_samples: int = 64, loaded: LabeledBatch | None = None
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
     """Plan every client's rows and the holdout's from the labels, then fill them in one stream.
 
@@ -400,14 +403,15 @@ def materialize_clients(
     duplicates from the pool (reported via RuntimeWarning); the shard
     partition sorts the pool by label and deals shards_per_client shards to
     each client. Each client then sets calibration_fraction of its rows
-    aside. None of it reads a feature: then one fill draws the source into a
-    matrix of the holdout's rows and each client's, sliced into the batches.
+    aside. None of it reads a feature: then one fill draws the source (or
+    loaded, a CSV source's load()) into a matrix of the holdout's rows and each
+    client's, sliced into the batches.
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    labels, chunks = _stream(spec.source, spec.seed)
+    labels, chunks = _stream(spec.source, spec.seed, loaded)
     pool, held = _holdout_rows(spec, len(labels))
     rng = np.random.default_rng(spec.seed)
     if spec.partition == "dirichlet":

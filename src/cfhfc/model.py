@@ -22,6 +22,7 @@ __all__ = [
     "gradient",
     "local_train",
     "prox_local_train",
+    "stack_train",
 ]
 
 
@@ -287,8 +288,8 @@ def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = Non
 
 
 class _Workspace:
-    """Buffers for the softmax gradient of one minibatch size, reused by
-    every step of that size in one _sgd call.
+    """Buffers for the softmax gradient of one minibatch size, reused by every step of
+    that size in one _sgd call; a (V, C, d+1) grad leads each of them with a model axis.
 
     z holds the logits, then the probabilities, then the residual; zt is its
     transpose, and first, second (first again at one class) and rest are its
@@ -302,14 +303,14 @@ class _Workspace:
                  "grad", "gw", "gb", "step", "mean")
 
     def __init__(self, rows: int, grad: np.ndarray, lr: float | None = None) -> None:
-        num_classes = grad.shape[0]
-        self.z = np.empty((rows, num_classes))
-        self.zt = self.z.T
-        cols = [self.z[:, c : c + 1] for c in range(num_classes)]
+        *lead, num_classes, _ = grad.shape
+        self.z = np.empty((*lead, rows, num_classes))
+        self.zt = self.z.swapaxes(-1, -2)
+        cols = [self.z[..., c : c + 1] for c in range(num_classes)]
         self.first, self.second, self.rest = cols[0], cols[min(1, num_classes - 1)], cols[2:]
         self.by_column = 2 <= num_classes < 8
-        self.top, self.norm = np.empty((rows, 1)), np.empty((rows, 1))
-        self.grad, self.gw, self.gb = grad, grad[:, :-1], grad[:, -1]
+        self.top, self.norm = np.empty((*lead, rows, 1)), np.empty((*lead, rows, 1))
+        self.grad, self.gw, self.gb = grad, grad[..., :-1], grad[..., -1]
         fold = lr is not None and rows & (rows - 1) == 0
         self.step = None if lr is None else np.array(lr / rows if fold else lr)
         self.mean = None if fold else np.array(float(rows))
@@ -317,7 +318,8 @@ class _Workspace:
 
 def _steps(
     w: np.ndarray, b: np.ndarray, groups: list, params: np.ndarray | None = None,
-    pull: np.ndarray | None = None, shrink: np.ndarray | None = None,
+    pulled: np.ndarray | None = None, pull: np.ndarray | None = None,
+    shrink: np.ndarray | None = None,
 ) -> None:
     """The one softmax-gradient kernel: a mean cross-entropy gradient step on
     each (features, one-hot) block of each (workspace, blocks) group, in order.
@@ -326,14 +328,17 @@ def _steps(
     residual.T @ features and residual.sum(axis=0) on fresh arrays, in order,
     so it rounds as they do (p - 0.0 is p, so subtracting one-hot rows is
     subtracting 1 at each label). Given params, the block w and b view, it then
-    descends by the workspace's step and, given pull, shrinks toward the anchor.
+    descends by the workspace's step and, given pull, shrinks pulled, the
+    anchored models' slice of params, toward the anchors.
     A step makes numpy calls only, with 0-d array scalars, which numpy applies
     sooner than floats. A training workspace of 2^k rows steps by lr / 2^k and
     does not divide by 2^k: that moves only exponents, so the gemm, bias sum
     and step round as before unless a scaled value is subnormal (below
     2^-1022), where the fold rounds once and the division twice.
+    With a leading model axis on w, b and the workspaces, the broadcast gemms
+    and last-two-axes reductions give each model the bytes of its own 2-D step.
     """
-    wt, matmul, maximum, exp, add = w.T, np.matmul, np.maximum, np.exp, np.add
+    wt, matmul, maximum, exp, add = w.swapaxes(-1, -2), np.matmul, np.maximum, np.exp, np.add
     for ws, blocks in groups:
         z, zt, top, norm, first, second, rest, by_column = (
             ws.z, ws.zt, ws.top, ws.norm, ws.first, ws.second, ws.rest, ws.by_column)
@@ -351,20 +356,20 @@ def _steps(
                 for col in rest:
                     norm += col
             else:
-                add.reduce(z, axis=1, keepdims=True, out=norm)
+                add.reduce(z, axis=-1, keepdims=True, out=norm)
             z /= norm
             z -= y
             if mean is not None:
                 z /= mean
             matmul(zt, x, out=gw)
-            add.reduce(z, axis=0, out=gb)
+            add.reduce(z, axis=-2, out=gb)
             if params is None:
                 continue
             grad *= step
             params -= grad
             if pull is not None:
-                params += pull
-                params *= shrink
+                pulled += pull
+                pulled *= shrink
 
 
 def _gradient_arrays(
@@ -389,14 +394,25 @@ def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
     return ModelParams(gw, gb)
 
 
-def _sgd(
-    model: ModelParams,
-    anchor: ModelParams | None,
-    data: LabeledBatch,
-    cfg: TrainConfig,
-    seed: int,
-) -> ModelParams:
-    """Shared SGD loop; the proximal pull is applied as an implicit step.
+def _check_pair(model: ModelParams, anchor: ModelParams | None, features: np.ndarray) -> None:
+    _check_width(model, features)
+    if anchor is not None and not model.same_shape_as(anchor):
+        raise ValueError(f"anchor shape {anchor.weights.shape} does not match "
+                         f"model shape {model.weights.shape}")
+
+
+def _block(model: ModelParams) -> np.ndarray:
+    return np.column_stack([model.weights, model.biases])
+
+
+def _trained(block: np.ndarray) -> ModelParams:
+    return ModelParams(np.ascontiguousarray(block[:, :-1]), block[:, -1].copy())
+
+
+def _sgd(params: np.ndarray, anchors: np.ndarray | None, data: LabeledBatch, cfg: TrainConfig,
+         seed: int) -> np.ndarray:
+    """Shared SGD loop on params, in place and returned: one model's (C, d+1) block or a
+    (V, C, d+1) stack, whose last models pull toward anchors (None: no pull) by an implicit step.
 
     Each minibatch first takes the usual gradient step and then shrinks toward
     the anchor by 1/(1 + lr*rho). The implicit form stays stable for any
@@ -428,19 +444,19 @@ def _sgd(
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
       whatever the layout; _steps says when the minibatch mean folds into lr.
-    Dropout and every update act in place on arrays this function owns, never
-    on the model or the batch it was given.
+    - A stack's pull and shrink touch only its anchored slice (+0.0 pull on -0.0 is +0.0).
+    Dropout acts on the call's own buffers and updates on params, never on the batch.
     """
-    _check_labels(data.labels, model.num_classes)
+    num_classes = params.shape[-2]
+    _check_labels(data.labels, num_classes)
     rng = np.random.default_rng(seed)
-    lr = cfg.learning_rate
-    rho = cfg.proximal_coeff if anchor is not None else 0.0
-    params = np.column_stack([model.weights, model.biases])
-    w, b = params[:, :-1], params[:, -1]
+    lr, rho = cfg.learning_rate, cfg.proximal_coeff
+    w, b = params[..., :-1], params[..., None, :, -1]
     grad = np.empty_like(params)
     shrink = np.array(1.0 / (1.0 + lr * rho))
-    pull = (lr * rho) * np.column_stack([anchor.weights, anchor.biases]) if rho != 0.0 else None
-    onehot = np.eye(model.num_classes).take(data.labels, axis=0)
+    pull = (lr * rho) * anchors if rho != 0.0 and anchors is not None else None
+    pulled = params if pull is None or params.ndim == 2 else params[len(params) - len(pull):]
+    onehot = np.eye(num_classes).take(data.labels, axis=0)
     features = data.features
     n, d = features.shape
     if cfg.dropout_rate > 0.0:
@@ -450,19 +466,19 @@ def _sgd(
     tail = n % cfg.batch_size
     groups = [  # the full minibatches, then the tail, each under its workspace
         (_Workspace(rows, grad, lr), list(zip(xs[lo:hi].reshape(-1, rows, d),
-                                          ys[lo:hi].reshape(-1, rows, model.num_classes))))
+                                          ys[lo:hi].reshape(-1, rows, num_classes))))
         for lo, hi, rows in ((0, n - tail, cfg.batch_size), (n - tail, n, tail))
         if hi > lo
     ]
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        features.take(order, axis=0, out=xs, mode="clip")
-        onehot.take(order, axis=0, out=ys, mode="clip")
+        perm = rng.permutation(n)
+        features.take(perm, axis=0, out=xs, mode="clip")
+        onehot.take(perm, axis=0, out=ys, mode="clip")
         if cfg.dropout_rate > 0.0:
             rng.random(out=draw)
             xs *= draw >= cfg.dropout_rate
-        _steps(w, b, groups, params, pull, shrink)
-    return ModelParams(np.ascontiguousarray(w), b.copy())
+        _steps(w, b, groups, params, pulled, pull, shrink)
+    return params
 
 
 def local_train(
@@ -475,7 +491,7 @@ def local_train(
     training only.
     """
     _check_width(model, data.features)
-    return _sgd(model, None, data, cfg, seed)
+    return _trained(_sgd(_block(model), None, data, cfg, seed))
 
 
 def prox_local_train(
@@ -491,10 +507,18 @@ def prox_local_train(
     pull strength. With proximal_coeff = 0 the result is bit-identical to
     local_train for the same seed.
     """
-    _check_width(model, data.features)
-    if not model.same_shape_as(anchor):
-        raise ValueError(
-            f"anchor shape {anchor.weights.shape} does not match "
-            f"model shape {model.weights.shape}"
-        )
-    return _sgd(model, anchor, data, cfg, seed)
+    _check_pair(model, anchor, data.features)
+    return _trained(_sgd(_block(model), _block(anchor), data, cfg, seed))
+
+
+def stack_train(models: list[ModelParams], anchors: list[ModelParams | None],
+                data: LabeledBatch, cfg: TrainConfig, seed: int) -> list[ModelParams]:
+    """Each model as local_train (anchor None) or prox_local_train trains it with this seed, byte
+    for byte, in one pass sharing every epoch's shuffle, gathers and dropout draw."""
+    for model, anchor in zip(models, anchors, strict=True):
+        _check_pair(model, anchor, data.features)
+    order = sorted(range(len(models)), key=lambda i: anchors[i] is not None)
+    anchored = [_block(anchors[i]) for i in order if anchors[i] is not None]
+    stack = _sgd(np.stack([_block(models[i]) for i in order]),
+                 np.stack(anchored) if anchored else None, data, cfg, seed)
+    return [_trained(stack[order.index(i)]) for i in range(len(models))]

@@ -44,6 +44,7 @@ from .model import (
     local_train,
     loss,
     prox_local_train,
+    stack_train,
 )
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "build_scenario",
     "init_state",
     "run_round",
+    "run_lockstep",
     "run_training",
     "materialize_scenario",
     "simulate_latency",
@@ -308,10 +310,11 @@ def _min_samples(scenario: Scenario) -> int:
 
 
 def materialize_scenario(
-    scenario: Scenario,
+    scenario: Scenario, loaded: LabeledBatch | None = None
 ) -> tuple[list[ClientDataset], LabeledBatch | None]:
-    """The scenario's client datasets and holdout."""
-    return materialize_clients(scenario.dataset, scenario.num_clients, _min_samples(scenario))
+    """The scenario's client datasets and holdout; loaded is a CSV source's load()."""
+    spec = scenario.dataset
+    return materialize_clients(spec, scenario.num_clients, _min_samples(scenario), loaded)
 
 
 def init_state(
@@ -471,18 +474,22 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
     return _clock(scenario, sizes, round_index=0)
 
 
-def _edge(state: TrainingState) -> list[ModelParams]:
-    """Edge tier: every client trains locally from the current global model."""
-    scenario = state.scenario
-    anchor, cfg = state.global_model, scenario.train_cfg
-    updated: list[ModelParams] = []
-    for client in state.clients:
-        seed = _derived_seed(scenario.seed, _TAG_TRAIN, state.round_index, client.client_id)
-        if scenario.method == "fedavg":
-            updated.append(local_train(anchor, client.train, cfg, seed))
+def _edge(states: list[TrainingState]) -> list[list[ModelParams]]:
+    """Edge tier: each client trains every state's global model (the states differ only in
+    method) in one stack_train call, or, for a lone state, local_train or prox_local_train."""
+    lead, cfg = states[0], states[0].scenario.train_cfg
+    models = [state.global_model for state in states]
+    anchors = [None if s.scenario.method == "fedavg" else s.global_model for s in states]
+    updated = []
+    for client in lead.clients:
+        seed = _derived_seed(lead.scenario.seed, _TAG_TRAIN, lead.round_index, client.client_id)
+        if len(states) > 1:
+            updated.append(stack_train(models, anchors, client.train, cfg, seed))
+        elif anchors[0] is None:
+            updated.append([local_train(models[0], client.train, cfg, seed)])
         else:
-            updated.append(prox_local_train(anchor, anchor, client.train, cfg, seed))
-    return updated
+            updated.append([prox_local_train(models[0], anchors[0], client.train, cfg, seed)])
+    return [list(per_state) for per_state in zip(*updated)]
 
 
 _UNGATED = (None, None, None, None)
@@ -590,27 +597,33 @@ def _evaluate(state: TrainingState) -> tuple[float, MetricReport]:
 
 
 def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, RoundReport]:
-    """Advance the federation by one synchronous round: edge, fog, evaluate.
-
-    Everything is read from state.scenario; scenario must equal it. Returns
-    the updated state and the round's report. The input state is mutated in
-    place (round counter, model, calibration states).
-    """
+    """One synchronous round (edge, fog, evaluate): run_lockstep's one-state case. scenario
+    must equal state.scenario; returns the state, mutated in place, and the round's report."""
     if scenario != state.scenario:
         raise ValueError("run_round was given a scenario other than state.scenario")
-    updated = _edge(state)
-    state.global_model, sync, cluster_stats = _fog(state, updated)
-    round_index = state.round_index
-    state.round_index += 1
-    test_loss, rates = _evaluate(state)
-    report = RoundReport(
-        round_index,
-        test_loss,
-        **{name: getattr(rates, name) for name in RATE_NAMES},
-        sync_latency_s=sync,
-        cluster_stats=cluster_stats,
-    )
-    return state, report
+    return state, run_lockstep([state], 1)[0][0]
+
+
+def run_lockstep(states: list[TrainingState], rounds: int) -> list[list[RoundReport]]:
+    """Each state's reports of rounds more rounds, run together: the states share one scenario
+    but for its method, one round index and one client list (init_state's data), so one call per
+    client trains every model, then each state runs its own fog and evaluation. Each state,
+    mutated in place, ends and reports as run_training's for its scenario would, byte for byte."""
+    lead = states[0]
+    for state in states[1:]:
+        if (replace(state.scenario, method=lead.scenario.method) != lead.scenario
+                or state.round_index != lead.round_index or state.clients is not lead.clients):
+            raise ValueError("lockstep states must differ only in method")
+    reports: list[list[RoundReport]] = [[] for _ in states]
+    for _ in range(rounds):
+        for state, log, updated in zip(states, reports, _edge(states)):
+            state.global_model, sync, cluster_stats = _fog(state, updated)
+            state.round_index += 1
+            test_loss, rates = _evaluate(state)
+            rates = {name: getattr(rates, name) for name in RATE_NAMES}
+            log.append(RoundReport(state.round_index - 1, test_loss, **rates,
+                                   sync_latency_s=sync, cluster_stats=cluster_stats))
+    return reports
 
 
 def run_training(
@@ -625,13 +638,8 @@ def run_training(
     states). data is passed to init_state.
     """
     state = init_state(scenario, data)
-    reports: list[RoundReport] = []
-    for _ in range(scenario.rounds):
-        state, report = run_round(state, scenario)
-        reports.append(report)
-    if return_state:
-        return reports, state
-    return reports
+    reports = run_lockstep([state], scenario.rounds)[0]
+    return (reports, state) if return_state else reports
 
 
 def _scaled_scenario(scenario: Scenario, num_clients: int) -> Scenario:
@@ -664,6 +672,7 @@ def straggler_metrics(
     fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3),
     client_counts: tuple[int, ...] = (20, 50, 80, 100),
     methods: tuple[str, ...] = METHODS,
+    loaded: LabeledBatch | None = None,
 ) -> dict[str, dict[int, dict[float, dict[str, float]]]]:
     """Latency-only straggler sweep.
 
@@ -676,7 +685,7 @@ def straggler_metrics(
     pool's rows per client, pool_rows / n, and no fewer than the rows a
     client is topped up to, rounded to a whole row. The size depends on no
     partition draw; a synthetic source is counted, not generated, and a CSV
-    source, whose pool is the same at every count, is loaded once.
+    source's pool, the same at every count, is loaded once, or passed as loaded.
     At the scenario's own client count the sweep bills the scenario's own
     fleet, clusters included.
 
@@ -687,7 +696,7 @@ def straggler_metrics(
     """
     csv_rows = None
     if not isinstance(scenario.dataset.source, SyntheticSource):
-        csv_rows = scenario.dataset.pool_rows()
+        csv_rows = scenario.dataset.pool_rows(loaded)
     billed = tuple(dict.fromkeys((0.0, *fractions)))
     out: dict[str, dict[int, dict[float, dict[str, float]]]] = {m: {} for m in methods}
     for n in client_counts:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cfhfc import cli, simulator
+from cfhfc import data as data_module
 from cfhfc.cli import main, resolve_scenario, scenario_to_dict
 from cfhfc.simulator import _fleet
 
@@ -428,6 +429,49 @@ class TestCompare:
                   if issubclass(w.category, RuntimeWarning) and "topped up" in str(w.message)]
         assert len(topped) == 1
         assert topped[0].startswith("topped up 2 client(s)")
+
+    def test_csv_source_is_loaded_once(self, tmp_path, monkeypatch):
+        """compare reads its CSV once: the clients, the holdout and the SME
+        sweep's pool count come from one load_csv, and the sweep's numbers are
+        those of a sweep that loads the file itself."""
+        rng = np.random.default_rng(2)
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(["f0,f1,f2,label"] + [
+            ",".join(f"{v:.4f}" for v in rng.random(3)) + f",{i % 4}" for i in range(400)
+        ] + ["0.1,oops,0.3,1"]) + "\n")  # one malformed row, skipped with a warning
+        config = tmp_path / "csv.json"
+        config.write_text(json.dumps({
+            "num_clients": 3, "num_clusters": 2,
+            "archetype_mix": {"pi3": 0.5, "pi400": 0.5},
+            "dataset": {"source": {"type": "csv", "path": str(path), "num_classes": 4}},
+            "train": {"batch_size": 32, "local_epochs": 1},
+        }))
+        loads = []
+        real = data_module.load_csv
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "load_csv", counting)
+        out = tmp_path / "cmp"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", "--config", str(config), "--rounds", "2",
+                         "--out", str(out)]) == 0
+        assert len(loads) == 1
+        skipped = [w for w in caught if "malformed" in str(w.message)]
+        assert len(skipped) == 1
+        comparison = json.loads((out / "compare.json").read_text())
+        assert comparison["methods"] == ["cfhfc", "fedavg", "fedprox"]
+        scenario = resolve_scenario(None, json.loads(config.read_text()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sweep = simulator.straggler_metrics(scenario, client_counts=(3,))
+        assert len(loads) == 2
+        for method in comparison["methods"]:
+            want = {str(f): row["sme"] for f, row in sweep[method][3].items()}
+            assert comparison["sme_per_straggler_fraction"][method] == want
 
     def test_single_method_rejected(self, tmp_path, config_path, capsys):
         code = main(["compare", "--config", str(config_path),

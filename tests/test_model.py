@@ -22,6 +22,7 @@ from cfhfc import (
 )
 from cfhfc.model import (
     _Workspace, _gradient_arrays, _row_any, _row_argmax, _row_max, _row_sum, _shifted_exp,
+    stack_train,
 )
 
 
@@ -567,6 +568,106 @@ class TestProxLocalTrain:
         batch = random_batch(rng, 10, 5, 3)
         with pytest.raises(ValueError, match="anchor shape"):
             prox_local_train(model, anchor, batch, TrainConfig(), seed=0)
+
+
+def assert_stack_matches_single_calls(models, anchors, batch, cfg, seed=5):
+    """stack_train gives every model the bytes of its own local_train (anchor
+    None) or prox_local_train call with the same seed."""
+    stacked = stack_train(models, anchors, batch, cfg, seed)
+    assert len(stacked) == len(models)
+    for model, anchor, got in zip(models, anchors, stacked):
+        if anchor is None:
+            want = local_train(model, batch, cfg, seed=seed)
+        else:
+            want = prox_local_train(model, anchor, batch, cfg, seed=seed)
+        assert_same_bytes(got.weights, want.weights)
+        assert_same_bytes(got.biases, want.biases)
+
+
+# which stack entries are plain (None) and which have an anchor (its index)
+STACKS = [(None, 0), (0, None), (None, 0, None, 1), (0, None, 1, None, None),
+          (None, None), (0, 1), (None,), (0,)]
+
+
+class TestStackTrain:
+    @pytest.mark.parametrize("num_classes", [2, 4, 7, 8, 9])
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_matches_single_calls(self, dropout_rate, proximal_coeff, num_classes):
+        rng = np.random.default_rng(7 * num_classes)
+        models = [random_model(rng, num_classes, 6) for _ in range(5)]
+        anchors = [random_model(rng, num_classes, 6) for _ in range(2)]
+        batch = random_batch(rng, 29, 6, num_classes)
+        inputs = [(m.weights.copy(), m.biases.copy()) for m in models + anchors]
+        # 8 rows fold the mean into the step size, 6 divide by them; 29 rows
+        # leave a tail of 5 either way
+        for batch_size in (8, 6):
+            cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=3,
+                              dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+            for kinds in STACKS:
+                stack_anchors = [None if k is None else anchors[k] for k in kinds]
+                assert_stack_matches_single_calls(models[: len(kinds)], stack_anchors,
+                                                  batch, cfg)
+        for m, (w, b) in zip(models + anchors, inputs):
+            assert_same_bytes(m.weights, w)
+            assert_same_bytes(m.biases, b)
+
+    @pytest.mark.parametrize("batch_size", [8, 6])
+    @pytest.mark.parametrize("num_classes", [4, 9])
+    def test_large_logits_match_single_calls(self, num_classes, batch_size):
+        rng = np.random.default_rng(43 * num_classes + batch_size)
+        models = [ModelParams(500.0 * m.weights, 500.0 * m.biases)
+                  for m in (random_model(rng, num_classes, 6) for _ in range(4))]
+        batch = random_batch(rng, 37, 6, num_classes)
+        for dropout_rate in (0.0, 0.1):
+            cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=3,
+                              dropout_rate=dropout_rate, proximal_coeff=0.6)
+            assert_stack_matches_single_calls(
+                models, [models[1], None, models[0], None], batch, cfg)
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_column_major_features_match_single_calls(self, dropout_rate):
+        rng = np.random.default_rng(29)
+        models = [random_model(rng, 3, 6) for _ in range(3)]
+        batch = random_batch(rng, 21, 6, 3)
+        batch.features = np.asfortranarray(batch.features)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
+                          dropout_rate=dropout_rate, proximal_coeff=0.6)
+        assert_stack_matches_single_calls(models, [models[2], None, models[0]], batch, cfg)
+
+    def test_plain_models_keep_negative_zeros_beside_pulled_ones(self):
+        # a feature that is 0.0 or -0.0 on every row never moves its weights,
+        # so a plain model keeps -0.0 there; a 0.0 pull added to it would not
+        rng = np.random.default_rng(19)
+        plain, pulled = random_model(rng, 3, 6), random_model(rng, 3, 6)
+        plain.weights[:, 0] = -0.0
+        features = rng.normal(size=(21, 6))
+        features[:, 0] = np.where(np.arange(21) % 2, 0.0, -0.0)
+        batch = LabeledBatch(features, rng.integers(0, 3, size=21))
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3,
+                          dropout_rate=0.1, proximal_coeff=0.6)
+        for order in ((0, 1), (1, 0)):
+            models = [(plain, pulled)[i] for i in order]
+            anchors = [(None, ModelParams.zeros(3, 6))[i] for i in order]
+            assert_stack_matches_single_calls(models, anchors, batch, cfg)
+            trained = stack_train(models, anchors, batch, cfg, seed=5)[order.index(0)]
+            assert np.signbit(trained.weights[:, 0]).all()
+
+    def test_rejects_mismatched_inputs(self):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, 3, 5)
+        batch = random_batch(rng, 10, 5, 3)
+        with pytest.raises(ValueError, match="anchor shape"):
+            stack_train([model, model], [None, ModelParams.zeros(3, 4)], batch,
+                        TrainConfig(), seed=0)
+        with pytest.raises(ValueError, match="expected 4 features, got 5"):
+            stack_train([model, ModelParams.zeros(3, 4)], [None, None], batch,
+                        TrainConfig(), seed=0)
+        with pytest.raises(ValueError):  # models of different class counts
+            stack_train([model, ModelParams.zeros(4, 5)], [None, None], batch,
+                        TrainConfig(), seed=0)
+        with pytest.raises(ValueError):  # an anchor entry short
+            stack_train([model, model], [None], batch, TrainConfig(), seed=0)
 
 
 class TestValidation:

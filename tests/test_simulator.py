@@ -32,6 +32,7 @@ from cfhfc import (
     clusters_for_clients,
     init_state,
     local_train,
+    run_lockstep,
     run_round,
     run_training,
     simulate_latency,
@@ -370,10 +371,10 @@ class TestLayerCalls:
                 scored.append(len(features))
             return real_logits(weights, biases, features, out)
 
-        def edge(state):
+        def edge(states):
             in_edge[0] = True
             try:
-                return real_edge(state)
+                return real_edge(states)
             finally:
                 in_edge[0] = False
 
@@ -391,6 +392,71 @@ class TestLayerCalls:
             state, report = run_round(state, scenario)
             assert len(pools) == len(report.cluster_stats) >= 1
             assert scored == [*pools, len(state.holdout)]
+
+
+def assert_same_model(a, b):
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.biases.tobytes() == b.biases.tobytes()
+
+
+def pulled(scenario):
+    """The scenario with a proximal pull, so that no two methods train alike."""
+    return replace(scenario, train_cfg=replace(scenario.train_cfg, proximal_coeff=0.6))
+
+
+LOCKSTEP_SCENARIOS = {
+    "six-clients": lambda: pulled(small_scenario(num_clients=6, num_clusters=2, rounds=3)),
+    "stragglers-jitter": lambda: pulled(replace(jittered_scenario("cfhfc"), rounds=3)),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("methods", [("fedprox", "cfhfc"), ("fedavg", "cfhfc", "fedprox")],
+                             ids="-".join)
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_SCENARIOS))
+    def test_matches_per_method_run_training(self, name, methods):
+        """Each state's reports and final model, calibration included, are the
+        bytes run_training gives its method alone."""
+        scenario = LOCKSTEP_SCENARIOS[name]()
+        data = materialize_scenario(scenario)
+        states = [init_state(replace(scenario, method=m), data) for m in methods]
+        logs = run_lockstep(states, scenario.rounds)
+        for method, state, reports in zip(methods, states, logs):
+            own, own_state = run_training(replace(scenario, method=method), return_state=True)
+            assert reports == own
+            assert state.round_index == own_state.round_index == scenario.rounds
+            assert_same_model(state.global_model, own_state.global_model)
+            assert state.calib_states == own_state.calib_states
+        # the methods do train apart
+        finals = {state.global_model.weights.tobytes() for state in states}
+        assert len(finals) == len(methods)
+
+    def test_continues_states_a_round_at_a_time(self):
+        scenario = LOCKSTEP_SCENARIOS["six-clients"]()
+        data = materialize_scenario(scenario)
+        methods = ("cfhfc", "fedavg")
+        states = [init_state(replace(scenario, method=m), data) for m in methods]
+        logs = [run_lockstep(states, 1) for _ in range(scenario.rounds)]
+        for i, method in enumerate(methods):
+            own = run_training(replace(scenario, method=method))
+            assert [log[i][0] for log in logs] == own
+
+    @pytest.mark.parametrize("change", ["seed", "train_cfg", "clients", "round"])
+    def test_rejects_states_that_differ_beyond_method(self, change):
+        scenario = LOCKSTEP_SCENARIOS["six-clients"]()
+        data = materialize_scenario(scenario)
+        other = replace(scenario, method="fedavg")
+        if change == "seed":
+            other = replace(other, seed=scenario.seed + 1)
+        elif change == "train_cfg":
+            other = replace(other, train_cfg=replace(other.train_cfg, local_epochs=1))
+        states = [init_state(scenario, data),
+                  init_state(other, None if change == "clients" else data)]
+        if change == "round":
+            run_round(states[1], other)
+        with pytest.raises(ValueError, match="differ only in method"):
+            run_lockstep(states, 1)
+        assert states[0].round_index == 0
 
 
 class TestMethodReductions:
@@ -563,7 +629,7 @@ def edge_digests(method: str) -> list[list[str]]:
     for _ in range(2):
         rounds.append([
             hashlib.sha256(m.weights.tobytes() + m.biases.tobytes()).hexdigest()
-            for m in simulator._edge(state)
+            for m in simulator._edge([state])[0]
         ])
         state, _ = run_round(state, state.scenario)
     return rounds
