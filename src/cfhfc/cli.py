@@ -210,7 +210,7 @@ def _round_row(report: RoundReport) -> list:
 
 def _rounds_rows(scenario: Scenario, reports: list[RoundReport]):
     header = ["round", *_ROUND_COLUMNS]
-    clusters = range(scenario.num_clusters) if scenario.method == "cfhfc" else ()
+    clusters = range(scenario.num_clusters) if METHODS[scenario.method].clustered else ()
     header += [f"cluster{k}_{c}" for k in clusters for c in _CLUSTER_COLUMNS]
     rows = []
     for r in reports:

@@ -3,9 +3,8 @@
 Each round runs edge, fog, and cloud in sequence: clients train locally on
 their own slice, fog nodes cluster clients by hardware and reduce their
 updates with membership weights, cluster models are conformally calibrated,
-and the cloud combines the cluster models into the next global model. The
-fedavg and fedprox baselines run the same loop with the fog tier collapsed
-into a single pool.
+and the cloud combines the cluster models into the next global model. A flat
+method (a row of METHODS) collapses the fog tier into a single pool.
 
 Timing is simulated, not measured: a documented cost model turns profiles,
 data sizes, and straggler status into per-client round times, from which
@@ -66,7 +65,19 @@ __all__ = [
     "straggler_metrics",
 ]
 
-METHODS = ("cfhfc", "fedavg", "fedprox")
+
+@dataclass(frozen=True)
+class Method:
+    """A row of METHODS, the one place where a method name gets its meaning."""
+
+    proximal: bool  # the edge pulls each client toward the global model (FedProx's term)
+    clustered: bool  # FCM fog, per-cluster gates and bill; else one size pool, slowest bill
+    partial_work: float = 0.0  # slowdown share a straggler is billed as skipping; it still trains
+
+
+METHODS = {"cfhfc": Method(proximal=True, clustered=True),
+           "fedavg": Method(proximal=False, clustered=False),
+           "fedprox": Method(proximal=True, clustered=False, partial_work=0.5)}
 
 # device archetypes: (cpu GHz, memory GB, bandwidth Mbps)
 ARCHETYPES: dict[str, tuple[float, float, float]] = {
@@ -129,7 +140,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.num_clusters < 1:
@@ -281,7 +292,7 @@ class RoundReport:
 
 @dataclass
 class LatencyReport:
-    """The timing model's bill for one round and, for cfhfc, the partition behind it:
+    """The timing model's bill for one round and, if clustered, the partition behind it:
     memberships, normalized observed profiles, each cluster's participants and seconds."""
 
     sync_latency_s: float
@@ -380,15 +391,11 @@ def _cluster_round(
 # [CPU_FLOOR, 1] so slow devices do not divide by zero), plus a model upload
 # and download of BYTES_PER_PARAM bytes per parameter over its bandwidth, plus
 # ROUND_OVERHEAD_S of fixed round trip. Stragglers multiply their whole round
-# time by the scenario slowdown. Under fedprox the bill assumes a straggler
-# absorbs the fraction FEDPROX_PARTIAL_WORK of its slowdown by doing
-# proportionally less local work; training still runs every client for the
-# full local_epochs, so only the bill is reduced.
+# time by the scenario slowdown, less the method's partial_work share.
 WORK_S_PER_SAMPLE = 2.5e-5  # seconds per sample-epoch at full speed
 BYTES_PER_PARAM = 8
 ROUND_OVERHEAD_S = 1.0
 CPU_FLOOR = 0.1
-FEDPROX_PARTIAL_WORK = 0.5
 
 
 def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyReport:
@@ -425,24 +432,19 @@ def _bill(
     base: np.ndarray,
     round_index: int,
 ) -> LatencyReport:
-    """The method's bill on a fleet whose base times are base; scenario.method and
-    scenario.straggler_fraction are not read.
-
-    Stragglers slow down (less under fedprox). The baselines wait on the
-    slowest client. The clustered method partitions this round's observed
-    profiles, and each cluster's participants are its clients at or above the
-    participation floor. Each cluster synchronizes inside itself first (it
-    completes when its slowest participant does), and clients only wait on
-    their own cluster; the bill is the participation-mass-weighted mean of
-    cluster completion times plus one cloud join overhead.
-    """
+    """The named method's bill on a fleet whose base times are base; scenario.method and
+    scenario.straggler_fraction are not read. A clustered bill partitions this round's
+    observed profiles: each cluster waits on its slowest participant (a client at or above
+    the participation floor), and the bill is their participation-mass-weighted mean plus
+    one cloud join overhead."""
     profiles, stragglers = fleet
+    spec = METHODS[method]
     times = base.copy()
     slowdown = scenario.straggler_slowdown
-    if method == "fedprox":
-        slowdown = 1.0 + (slowdown - 1.0) * (1.0 - FEDPROX_PARTIAL_WORK)
+    if spec.partial_work:  # a share of 0 leaves a huge slowdown's bits as they are
+        slowdown = 1.0 + (slowdown - 1.0) * (1.0 - spec.partial_work)
     times[stragglers] *= slowdown
-    if method != "cfhfc":
+    if not spec.clustered:
         return LatencyReport(float(times.max()))
     memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
     floor = scenario.cluster_cfg.participation_floor
@@ -479,7 +481,7 @@ def _edge(states: list[TrainingState]) -> list[list[ModelParams]]:
     method) in one stack_train call, or, for a lone state, local_train or prox_local_train."""
     lead, cfg = states[0], states[0].scenario.train_cfg
     models = [state.global_model for state in states]
-    anchors = [None if s.scenario.method == "fedavg" else s.global_model for s in states]
+    anchors = [s.global_model if METHODS[s.scenario.method].proximal else None for s in states]
     updated = []
     for client in lead.clients:
         seed = _derived_seed(lead.scenario.seed, _TAG_TRAIN, lead.round_index, client.client_id)
@@ -536,17 +538,13 @@ def _calibrate_cluster(
 def _fog(
     state: TrainingState, updated: list[ModelParams]
 ) -> tuple[ModelParams, float, tuple[ClusterRoundStat, ...]]:
-    """Fog and cloud tiers: the next global model, sync latency and cluster stats.
-
-    _clock bills the round. The baselines pool every update by data size.
-    The clustered method takes the bill's partition, reduces each cluster's
-    participants with their memberships, calibrates each cluster model and
-    blends the cluster models in the cloud.
-    """
+    """Fog and cloud tiers: the next global model, sync latency and cluster stats. A flat
+    method pools the updates by data size; a clustered one reduces each cluster of _clock's
+    partition by membership, calibrates it and blends the cluster models in the cloud."""
     scenario = state.scenario
     sizes = np.array([c.size for c in state.clients], dtype=np.float64)
     bill = _clock(scenario, sizes, state.round_index)
-    if scenario.method != "cfhfc":
+    if not METHODS[scenario.method].clustered:
         return weighted_average(updated, sizes), bill.sync_latency_s, ()
 
     cluster_models: list[ClusterModel] = []
@@ -671,7 +669,7 @@ def straggler_metrics(
     scenario: Scenario,
     fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3),
     client_counts: tuple[int, ...] = (20, 50, 80, 100),
-    methods: tuple[str, ...] = METHODS,
+    methods: tuple[str, ...] = tuple(METHODS),
     loaded: LabeledBatch | None = None,
 ) -> dict[str, dict[int, dict[float, dict[str, float]]]]:
     """Latency-only straggler sweep.
@@ -694,6 +692,8 @@ def straggler_metrics(
     times once per client count, the fleet once per count and distinct
     fraction (0.0 first), then each method's bill.
     """
+    if len(set(methods)) < len(methods) or not METHODS.keys() >= set(methods):
+        raise ValueError(f"methods must be distinct names of {tuple(METHODS)}, got {methods}")
     csv_rows = None
     if not isinstance(scenario.dataset.source, SyntheticSource):
         csv_rows = scenario.dataset.pool_rows(loaded)

@@ -1,5 +1,5 @@
-"""The verdict rule and the output parser of tools/ab.py on fixed numbers and
-text; no process is started."""
+"""The verdict rule, the output parser and the workload flag of tools/ab.py on
+fixed numbers and text; no process is started."""
 
 import importlib.util
 from pathlib import Path
@@ -89,3 +89,35 @@ class TestParse:
         assert digest == "95946e890898a5022f00"
         assert values == {"op_ms_p50": 260.4, "setup_s": 0.5401, "peak_rss_mb": 63.25,
                           "raw_op_ms": 132.5}
+
+
+class TestWorkloads:
+    @staticmethod
+    def fake_run(calls):
+        def run(tree, workload, seed, seconds):
+            calls.append((tree, workload))
+            return {**{m["name"]: 1.0 for m in ab.SPEC["end_to_end"]}, ab.RAW_OP_MS: 1.0}, "d"
+        return run
+
+    @pytest.mark.parametrize("workload", ["all", "s1"])
+    def test_only_benchmark_workloads_are_taken(self, workload, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(ab, "run", self.fake_run(calls))
+        with pytest.raises(SystemExit) as exc:
+            ab.main(["base", "--workload", "s1-cfhfc", "--workload", workload])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert calls == []
+
+    def test_each_repeated_workload_gets_its_own_verdict(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(ab, "run", self.fake_run(calls))
+        assert ab.main(["base", "--workload", "s3-gate", "--workload", "compare-cli",
+                        "--pairs", "2", "--seconds", "1"]) == 0
+        base = Path("base").resolve()
+        assert calls == [(tree, workload) for workload in ("s3-gate", "compare-cli")
+                         for tree in (base, ab.ROOT, ab.ROOT, base)]
+        out = capsys.readouterr().out
+        for workload in ("s3-gate", "compare-cli"):
+            assert f"{workload} seed 0, 2 pairs of 1 s; digests equal" in out
+        assert out.count("no worse") == 2 * (len(ab.SPEC["end_to_end"]) + 1)

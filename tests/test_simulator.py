@@ -41,8 +41,8 @@ from cfhfc import (
 )
 from cfhfc import data as data_module
 from cfhfc import model as model_module
-from cfhfc import simulator
-from cfhfc.simulator import METHODS, _TAG_TRAIN, _derived_seed, materialize_scenario
+from cfhfc import cli, simulator
+from cfhfc.simulator import METHODS, _TAG_TRAIN, Method, _derived_seed, materialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -526,6 +526,60 @@ class TestMethodReductions:
         assert all(s.confidence is None for s in off[0][0].cluster_stats)
 
 
+def scenario_outputs(scenario, names):
+    """Each named method's reports and rounds.csv header and rows after 2 rounds, and
+    its sweep cells, as text, so that equal outputs are equal bytes."""
+    sweep = straggler_metrics(replace(scenario, method=names[0]), fractions=(0.0, 0.5),
+                              client_counts=(6, 9), methods=tuple(names))
+    outputs = []
+    for name, cells in zip(names, sweep.values()):
+        method_scenario = replace(scenario, method=name)
+        reports = run_training(method_scenario)
+        outputs.append((repr(reports), repr(cli._rounds_rows(method_scenario, reports)),
+                        repr(cells)))
+    return outputs
+
+
+class TestMethodTable:
+    """METHODS is the one place where a method name means anything."""
+
+    def test_renamed_rows_give_the_same_bytes(self, monkeypatch):
+        scenario = pulled(replace(jittered_scenario("cfhfc"), rounds=2))
+        original = scenario_outputs(scenario, ("cfhfc", "fedavg", "fedprox"))
+        renamed = {"hier": METHODS["cfhfc"], "flat": METHODS["fedavg"],
+                   "anchored": METHODS["fedprox"]}
+        # cli imports the table by name, so both bindings are the renamed table
+        monkeypatch.setattr(simulator, "METHODS", renamed)
+        monkeypatch.setattr(cli, "METHODS", renamed)
+        assert scenario_outputs(scenario, ("hier", "flat", "anchored")) == original
+        with pytest.raises(ValueError, match="method must be one of"):
+            replace(scenario, method="cfhfc")
+
+    def test_a_new_row_runs_from_the_table_alone(self, monkeypatch):
+        """cfhfc without the proximal pull: fedavg's edge, cfhfc's bill and fog."""
+        monkeypatch.setitem(METHODS, "cfhfc-plain", Method(proximal=False, clustered=True))
+        scenario = pulled(replace(jittered_scenario("cfhfc"), rounds=2))
+        data = materialize_scenario(scenario)
+        states = {m: init_state(replace(scenario, method=m), data)
+                  for m in ("cfhfc-plain", "fedavg", "cfhfc")}
+        edge = {m: simulator._edge([state])[0] for m, state in states.items()}
+        for new, plain, pulled_model in zip(*edge.values()):
+            assert_same_model(new, plain)
+            assert new.weights.tobytes() != pulled_model.weights.tobytes()
+        sizes = np.array([c.size for c in data[0]], dtype=np.float64)
+        new_bill, cfhfc_bill = (simulate_latency(states[m].scenario, sizes)
+                                for m in ("cfhfc-plain", "cfhfc"))
+        assert repr(new_bill) == repr(cfhfc_bill)
+        sweep = straggler_metrics(scenario, fractions=(0.0, 0.5), client_counts=(6, 9),
+                                  methods=("cfhfc-plain", "cfhfc"))
+        assert repr(sweep["cfhfc-plain"]) == repr(sweep["cfhfc"])
+        new_scenario = states["cfhfc-plain"].scenario
+        reports = run_training(new_scenario)
+        assert all(r.cluster_stats for r in reports)
+        assert cli._rounds_rows(new_scenario, reports)[0] == cli._rounds_rows(
+            states["cfhfc"].scenario, reports)[0]
+
+
 class TestCalibrationWiring:
     """The scenario's calibration config is what the gate reads each round."""
 
@@ -785,6 +839,17 @@ class TestStragglerMetrics:
             client_counts=(6,),
             methods=("cfhfc", "fedavg", "fedprox"),
         )
+
+    @pytest.mark.parametrize("methods", [("fedavg", "FedProx", "fedprox", "fedavg"),
+                                         ("fedavg", "fedprox", "fedavg")],
+                             ids=["unknown", "repeated"])
+    def test_rejects_unknown_and_repeated_methods_before_any_bill(self, methods, monkeypatch):
+        billed = []
+        monkeypatch.setattr(simulator, "_bill", lambda *args: billed.append(args))
+        with pytest.raises(ValueError, match=re.escape("('cfhfc', 'fedavg', 'fedprox')")):
+            straggler_metrics(build_scenario("scenario1", straggler_fraction=0.3),
+                              fractions=(0.3,), client_counts=(20,), methods=methods)
+        assert billed == []
 
     def test_own_client_count_keeps_the_scenario_clusters(self):
         """At the scenario's own client count the sweep bills the scenario's

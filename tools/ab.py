@@ -3,7 +3,9 @@
     python3 tools/ab.py OTHER_TREE --workload s1-cfhfc --seed 0 --pairs 10 --seconds 6
 
 OTHER_TREE is the baseline (usually a checkout of the parent commit) and the
-tree this script sits in is the candidate. Each pair runs each tree's own
+tree this script sits in is the candidate. --workload takes a workload name
+from BENCHMARK.json and repeats: the workloads run one after another, each
+with its own pairs and verdicts. Each pair runs each tree's own
 `python3 bench/run.py --workload W --seed S --seconds T --trace 0` in a fresh
 process from that tree's root; the tree that runs first alternates from pair
 to pair, so a drift of the host lands on both sides. It prints each pair's
@@ -87,10 +89,40 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str
     return parse(done.stdout)
 
 
+def judge(trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float) -> None:
+    """Run one workload's alternating pairs in both trees and print its verdicts."""
+    op_ms = next(m for m in SPEC["end_to_end"] if m["name"] == "op_ms_p50")
+    metrics = [*SPEC["end_to_end"], {**op_ms, "name": RAW_OP_MS}]
+    values = {side: {m["name"]: [] for m in metrics} for side in trees}
+    digests = set()
+    for i in range(pairs):
+        order = ("base", "cand") if i % 2 == 0 else ("cand", "base")
+        row = {}
+        for side in order:
+            row[side], digest = run(trees[side], workload, seed, seconds)
+            digests.add(digest)
+            for name, value in row[side].items():
+                values[side][name].append(value)
+        print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
+            f"{m['name']} {row['base'][m['name']]:.4g} -> {row['cand'][m['name']]:.4g}"
+            for m in metrics), flush=True)
+    print(f"{workload} seed {seed}, {pairs} pairs of {seconds:g} s; "
+          f"digests {'equal' if len(digests) == 1 else 'DIFFER'}")
+    for m in metrics:
+        base, cand = values["base"][m["name"]], values["cand"][m["name"]]
+        b25, b50, b75 = quartiles(base)
+        c25, c50, c75 = quartiles(cand)
+        print(f"  {m['name']:<12} wins {wins(base, cand, m['better'])}/{pairs}  "
+              f"base {b50:.4g} [{b25:.4g}, {b75:.4g}]  cand {c50:.4g} [{c25:.4g}, {c75:.4g}]  "
+              f"ratio {c50 / b50:.3f}  {verdict(base, cand, m['better'], m['bound'])}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="the baseline tree")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=[w["name"] for w in SPEC["workloads"]],
+                        help="repeatable: one verdict per workload")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
@@ -98,30 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds positive")
     trees = {"base": args.other.resolve(), "cand": ROOT}
-    op_ms = next(m for m in SPEC["end_to_end"] if m["name"] == "op_ms_p50")
-    metrics = [*SPEC["end_to_end"], {**op_ms, "name": RAW_OP_MS}]
-    values = {side: {m["name"]: [] for m in metrics} for side in trees}
-    digests = set()
-    for i in range(args.pairs):
-        order = ("base", "cand") if i % 2 == 0 else ("cand", "base")
-        row = {}
-        for side in order:
-            row[side], digest = run(trees[side], args.workload, args.seed, args.seconds)
-            digests.add(digest)
-            for name, value in row[side].items():
-                values[side][name].append(value)
-        print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
-            f"{m['name']} {row['base'][m['name']]:.4g} -> {row['cand'][m['name']]:.4g}"
-            for m in metrics), flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
-          f"digests {'equal' if len(digests) == 1 else 'DIFFER'}")
-    for m in metrics:
-        base, cand = values["base"][m["name"]], values["cand"][m["name"]]
-        b25, b50, b75 = quartiles(base)
-        c25, c50, c75 = quartiles(cand)
-        print(f"  {m['name']:<12} wins {wins(base, cand, m['better'])}/{args.pairs}  "
-              f"base {b50:.4g} [{b25:.4g}, {b75:.4g}]  cand {c50:.4g} [{c25:.4g}, {c75:.4g}]  "
-              f"ratio {c50 / b50:.3f}  {verdict(base, cand, m['better'], m['bound'])}")
+    for workload in args.workload:
+        judge(trees, workload, args.seed, args.pairs, args.seconds)
     return 0
 
 
