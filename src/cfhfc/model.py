@@ -9,6 +9,7 @@ shared across clients and rounds without defensive copies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,7 +290,8 @@ def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = Non
 
 class _Workspace:
     """Buffers for the softmax gradient of one minibatch size, reused by every step of
-    that size in one _sgd call; a (V, C, d+1) grad leads each of them with a model axis.
+    that size on the same clients in one _sgd call; a grad with leading client or model
+    axes, such as (a, V, C, d+1), leads each of them with the same axes.
 
     z holds the logits, then the probabilities, then the residual; zt is its
     transpose, and first, second (first again at one class) and rest are its
@@ -394,11 +396,16 @@ def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
     return ModelParams(gw, gb)
 
 
-def _check_pair(model: ModelParams, anchor: ModelParams | None, features: np.ndarray) -> None:
-    _check_width(model, features)
-    if anchor is not None and not model.same_shape_as(anchor):
-        raise ValueError(f"anchor shape {anchor.weights.shape} does not match "
-                         f"model shape {model.weights.shape}")
+def _check_stack(models: list[ModelParams], anchors: list[ModelParams | None],
+                 batches: list[LabeledBatch]) -> None:
+    for model, anchor in zip(models, anchors, strict=True):
+        if anchor is not None and not model.same_shape_as(anchor):
+            raise ValueError(f"anchor shape {anchor.weights.shape} does not match "
+                             f"model shape {model.weights.shape}")
+        for data in batches:
+            _check_width(model, data.features)
+    for data in batches:
+        _check_labels(data.labels, models[0].num_classes)
 
 
 def _block(model: ModelParams) -> np.ndarray:
@@ -409,10 +416,17 @@ def _trained(block: np.ndarray) -> ModelParams:
     return ModelParams(np.ascontiguousarray(block[:, :-1]), block[:, -1].copy())
 
 
-def _sgd(params: np.ndarray, anchors: np.ndarray | None, data: LabeledBatch, cfg: TrainConfig,
-         seed: int) -> np.ndarray:
-    """Shared SGD loop on params, in place and returned: one model's (C, d+1) block or a
-    (V, C, d+1) stack, whose last models pull toward anchors (None: no pull) by an implicit step.
+# A group pads its clients to its largest one's rows and holds at most this many
+# minibatches' rows in all: 16,384 rows at the default batch size of 128.
+_GROUP_ROWS = 1 << 14
+
+
+def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBatch],
+         cfg: TrainConfig, seeds: list[int]) -> np.ndarray:
+    """Shared SGD loop on params, in place and returned: a (G, V, C, d+1) stack of G clients'
+    copies of V models. Client c trains on batches[c], largest first, with its own generator
+    seeded by seeds[c]; each client's last models pull toward anchors, a (Va, C, d+1) stack
+    (None: no pull), by an implicit step.
 
     Each minibatch first takes the usual gradient step and then shrinks toward
     the anchor by 1/(1 + lr*rho). The implicit form stays stable for any
@@ -420,26 +434,31 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, data: LabeledBatch, cfg
     and is skipped entirely when rho == 0, so the rho = 0 path is bit-identical
     to plain SGD.
 
-    Every output is bit-identical to a loop that gathers, masks and scales
-    each minibatch afresh (tests/test_model.py keeps that loop):
-    - Each call allocates an (n, d) feature and an (n, C) one-hot buffer,
-      and each epoch refills them in shuffled order with take(order, axis=0,
-      out=..., mode="clip"), a plain row copy like features[order]: clip
-      never fires on a permutation, and unlike mode="raise" it does not
-      buffer. The minibatches are views of the buffers, built once per call
-      (the full ones as one (full, batch_size, d) reshape, then the tail),
-      grouped under a _Workspace for their row count, and each epoch runs
-      them in one _steps call: an epoch allocates only its order and mask.
-    - One rng.random(out=draw) call masks the whole epoch. The generator
+    Every (client, model) output is bit-identical to a loop that gathers, masks
+    and scales each minibatch afresh (tests/test_model.py keeps that loop):
+    - Each call allocates one client-major (G, rows, d) feature and (G, rows, C)
+      one-hot buffer, padded to the largest client's rows, and each epoch refills
+      each client's leading rows in its shuffled order with take(order, axis=0,
+      out=..., mode="clip"), a plain row copy like features[order]: clip never
+      fires on a permutation, and unlike mode="raise" it does not buffer.
+    - Full minibatch j of the clients with more than j of them, a prefix, is one
+      (a, V, rows, C) step, a broadcast gemm against their (a, V, C, d+1)
+      parameters; each client's tail then steps on its own (V, C, d+1) slice. A
+      lone client steps on its slice throughout and a lone model on 2-D blocks:
+      each slice's gemm and last-two-axes reductions round as the 2-D step does.
+      The views and a _Workspace per row count are built once per call, and an
+      epoch makes one _steps call per run of steps on the same clients.
+    - One rng.random(out=draw) call masks a client's epoch. The generator
       yields one double per element in row order, so it hands out the same
       doubles, in the same order, as one draw per minibatch would, and
       filling a reused C-ordered buffer consumes the stream as a fresh array does.
-    - The features are divided by 1 - dropout_rate once per call, and each
-      epoch only multiplies by its 0/1 mask. (x / s) * m equals (x * m) / s
-      bit for bit: at m = 1 both are x / s, and at m = 0 both are a zero with
-      the sign of x, since s > 0. This holds for every x whose x / s is
-      finite, i.e. every feature of magnitude below s times the largest
-      double.
+    - The features are divided by s = 1 - dropout_rate once per call for a lone
+      client, and in the buffer each epoch for a group, whose G scaled copies
+      would double its buffers; the 0/1 mask multiplies them. (x / s) * m
+      equals (x * m) / s bit for bit: at m = 1 both are x / s, and at m = 0
+      both are a zero with the sign of x, since s > 0. This holds for every x
+      whose x / s is finite, i.e. every feature of magnitude below s times the
+      largest double.
     - The weights and bias live in one (C, d+1) block, and so does each
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
@@ -447,37 +466,45 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, data: LabeledBatch, cfg
     - A stack's pull and shrink touch only its anchored slice (+0.0 pull on -0.0 is +0.0).
     Dropout acts on the call's own buffers and updates on params, never on the batch.
     """
-    num_classes = params.shape[-2]
-    _check_labels(data.labels, num_classes)
-    rng = np.random.default_rng(seed)
-    lr, rho = cfg.learning_rate, cfg.proximal_coeff
-    w, b = params[..., :-1], params[..., None, :, -1]
-    grad = np.empty_like(params)
+    (num_clients, num_models, num_classes, cols), size = params.shape, cfg.batch_size
+    lr, rho, rate = cfg.learning_rate, cfg.proximal_coeff, cfg.dropout_rate
+    ns = [len(data) for data in batches]
+    xs, ys = np.empty((num_clients, ns[0], cols - 1)), np.empty((num_clients, ns[0], num_classes))
+    grad, draw = np.empty_like(params), np.empty((ns[0], cols - 1))
+    model = 0 if num_models == 1 else slice(None)
     shrink = np.array(1.0 / (1.0 + lr * rho))
-    pull = (lr * rho) * anchors if rho != 0.0 and anchors is not None else None
-    pulled = params if pull is None or params.ndim == 2 else params[len(params) - len(pull):]
-    onehot = np.eye(num_classes).take(data.labels, axis=0)
-    features = data.features
-    n, d = features.shape
-    if cfg.dropout_rate > 0.0:
-        features = features / (1.0 - cfg.dropout_rate)
-        draw = np.empty((n, d))
-    xs, ys = np.empty((n, d)), np.empty_like(onehot)
-    tail = n % cfg.batch_size
-    groups = [  # the full minibatches, then the tail, each under its workspace
-        (_Workspace(rows, grad, lr), list(zip(xs[lo:hi].reshape(-1, rows, d),
-                                          ys[lo:hi].reshape(-1, rows, num_classes))))
-        for lo, hi, rows in ((0, n - tail, cfg.batch_size), (n - tail, n, tail))
-        if hi > lo
-    ]
+    pull = (lr * rho) * anchors[model] if rho != 0.0 and anchors is not None else None
+    full = [n // size for n in ns]
+    steps = [(0 if a == 1 else slice(a), j * size, size)
+             for j in range(full[0]) for a in [sum(f > j for f in full)]]
+    steps += [(c, n - n % size, n % size) for c, n in enumerate(ns) if n % size]
+    calls = []
+    for who, run in itertools.groupby(steps, key=lambda step: step[0]):
+        p, x, y = params[who, model], xs[who], ys[who]
+        if isinstance(who, slice) and num_models > 1:
+            x, y = x[:, None], y[:, None]
+        groups = [(_Workspace(rows, grad[who, model], lr),
+                   [(x[..., lo : lo + rows, :], y[..., lo : lo + rows, :]) for _, lo, _ in same])
+                  for rows, same in itertools.groupby(run, key=lambda step: step[2])]
+        pulled = p if pull is None or num_models == 1 else p[..., num_models - len(anchors) :, :, :]
+        calls.append((p[..., :-1], p[..., None, :, -1], groups, p, pulled))
+    eye = np.eye(num_classes)
+    clients = [(np.random.default_rng(seed), n, xs[c, :n], ys[c, :n], draw[:n],
+                data.features / (1.0 - rate) if rate > 0.0 and num_clients == 1 else data.features,
+                eye.take(data.labels, axis=0))
+               for c, (data, seed, n) in enumerate(zip(batches, seeds, ns))]
     for _ in range(cfg.local_epochs):
-        perm = rng.permutation(n)
-        features.take(perm, axis=0, out=xs, mode="clip")
-        onehot.take(perm, axis=0, out=ys, mode="clip")
-        if cfg.dropout_rate > 0.0:
-            rng.random(out=draw)
-            xs *= draw >= cfg.dropout_rate
-        _steps(w, b, groups, params, pulled, pull, shrink)
+        for rng, n, x, y, mask, features, onehot in clients:
+            perm = rng.permutation(n)
+            features.take(perm, axis=0, out=x, mode="clip")
+            onehot.take(perm, axis=0, out=y, mode="clip")
+            if rate > 0.0:
+                if num_clients > 1:
+                    x /= 1.0 - rate
+                rng.random(out=mask)
+                x *= mask >= rate
+        for call in calls:
+            _steps(*call, pull, shrink)
     return params
 
 
@@ -490,8 +517,8 @@ def local_train(
     minibatch is kept, and input dropout (inverted scaling) is applied during
     training only.
     """
-    _check_width(model, data.features)
-    return _trained(_sgd(_block(model), None, data, cfg, seed))
+    _check_stack([model], [None], [data])
+    return _trained(_sgd(_block(model)[None, None], None, [data], cfg, [seed])[0, 0])
 
 
 def prox_local_train(
@@ -507,18 +534,35 @@ def prox_local_train(
     pull strength. With proximal_coeff = 0 the result is bit-identical to
     local_train for the same seed.
     """
-    _check_pair(model, anchor, data.features)
-    return _trained(_sgd(_block(model), _block(anchor), data, cfg, seed))
+    _check_stack([model], [anchor], [data])
+    trained = _sgd(_block(model)[None, None], _block(anchor)[None], [data], cfg, [seed])
+    return _trained(trained[0, 0])
 
 
 def stack_train(models: list[ModelParams], anchors: list[ModelParams | None],
-                data: LabeledBatch, cfg: TrainConfig, seed: int) -> list[ModelParams]:
-    """Each model as local_train (anchor None) or prox_local_train trains it with this seed, byte
-    for byte, in one pass sharing every epoch's shuffle, gathers and dropout draw."""
-    for model, anchor in zip(models, anchors, strict=True):
-        _check_pair(model, anchor, data.features)
+                batches: list[LabeledBatch], cfg: TrainConfig,
+                seeds: list[int]) -> list[list[ModelParams]]:
+    """Every model trained on every client: out[c][i] has the bytes of local_train (anchors[i]
+    None) or prox_local_train of models[i] on batches[c] with seeds[c]. A client's models share
+    each epoch's shuffle, gathers and dropout draw; the clients train largest first, in groups
+    of at most _GROUP_ROWS padded rows, one _sgd call per group. A bad
+    input is a ValueError before any group trains."""
+    if not models:
+        raise ValueError("stack_train needs at least one model")
+    if len(batches) != len(seeds):
+        raise ValueError(f"{len(batches)} client batches but {len(seeds)} seeds")
+    _check_stack(models, anchors, batches)
     order = sorted(range(len(models)), key=lambda i: anchors[i] is not None)
+    stack = np.stack([_block(models[i]) for i in order])
     anchored = [_block(anchors[i]) for i in order if anchors[i] is not None]
-    stack = _sgd(np.stack([_block(models[i]) for i in order]),
-                 np.stack(anchored) if anchored else None, data, cfg, seed)
-    return [_trained(stack[order.index(i)]) for i in range(len(models))]
+    anchored = np.stack(anchored) if anchored else None
+    by_size = sorted(range(len(batches)), key=lambda c: -len(batches[c]))
+    trained: list[list[ModelParams]] = [[] for _ in batches]
+    while by_size:
+        group = by_size[: _GROUP_ROWS // len(batches[by_size[0]]) or 1]
+        by_size = by_size[len(group) :]
+        stacks = _sgd(np.repeat(stack[None], len(group), axis=0), anchored,
+                      [batches[c] for c in group], cfg, [seeds[c] for c in group])
+        for c, client in zip(group, stacks):
+            trained[c] = [_trained(client[order.index(i)]) for i in range(len(models))]
+    return trained

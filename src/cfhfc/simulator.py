@@ -477,21 +477,21 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
 
 
 def _edge(states: list[TrainingState]) -> list[list[ModelParams]]:
-    """Edge tier: each client trains every state's global model (the states differ only in
-    method) in one stack_train call, or, for a lone state, local_train or prox_local_train."""
+    """Edge tier: every client trains every state's global model (the states differ only in
+    method) in one stack_train call, or, for a lone state, one local_train or prox_local_train
+    call per client."""
     lead, cfg = states[0], states[0].scenario.train_cfg
     models = [state.global_model for state in states]
     anchors = [s.global_model if METHODS[s.scenario.method].proximal else None for s in states]
-    updated = []
-    for client in lead.clients:
-        seed = _derived_seed(lead.scenario.seed, _TAG_TRAIN, lead.round_index, client.client_id)
-        if len(states) > 1:
-            updated.append(stack_train(models, anchors, client.train, cfg, seed))
-        elif anchors[0] is None:
-            updated.append([local_train(models[0], client.train, cfg, seed)])
-        else:
-            updated.append([prox_local_train(models[0], anchors[0], client.train, cfg, seed)])
-    return [list(per_state) for per_state in zip(*updated)]
+    batches = [client.train for client in lead.clients]
+    seeds = [_derived_seed(lead.scenario.seed, _TAG_TRAIN, lead.round_index, client.client_id)
+             for client in lead.clients]
+    if len(states) > 1:
+        return [list(column) for column in zip(*stack_train(models, anchors, batches, cfg, seeds))]
+    if anchors[0] is None:
+        return [[local_train(models[0], data, cfg, seed) for data, seed in zip(batches, seeds)]]
+    return [[prox_local_train(models[0], anchors[0], data, cfg, seed)
+             for data, seed in zip(batches, seeds)]]
 
 
 _UNGATED = (None, None, None, None)
@@ -604,9 +604,14 @@ def run_round(state: TrainingState, scenario: Scenario) -> tuple[TrainingState, 
 
 def run_lockstep(states: list[TrainingState], rounds: int) -> list[list[RoundReport]]:
     """Each state's reports of rounds more rounds, run together: the states share one scenario
-    but for its method, one round index and one client list (init_state's data), so one call per
-    client trains every model, then each state runs its own fog and evaluation. Each state,
-    mutated in place, ends and reports as run_training's for its scenario would, byte for byte."""
+    but for its method, one round index and one client list (init_state's data), so one call
+    trains every model on every client, then each state runs its own fog and evaluation. Each
+    state, mutated in place, ends and reports as run_training's for its scenario would, byte
+    for byte. An empty states list or a negative rounds is a ValueError."""
+    if not states:
+        raise ValueError("run_lockstep needs at least one state in states")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     lead = states[0]
     for state in states[1:]:
         if (replace(state.scenario, method=lead.scenario.method) != lead.scenario

@@ -20,6 +20,7 @@ from cfhfc import (
     predict_proba,
     prox_local_train,
 )
+from cfhfc import model as model_module
 from cfhfc.model import (
     _Workspace, _gradient_arrays, _row_any, _row_argmax, _row_max, _row_sum, _shifted_exp,
     stack_train,
@@ -570,18 +571,25 @@ class TestProxLocalTrain:
             prox_local_train(model, anchor, batch, TrainConfig(), seed=0)
 
 
+def assert_clients_match_single_calls(models, anchors, batches, cfg, seeds):
+    """stack_train gives every (client, model) pair the bytes of its own
+    local_train (anchor None) or prox_local_train call with the client's seed."""
+    stacked = stack_train(models, anchors, batches, cfg, seeds)
+    assert len(stacked) == len(batches)
+    for batch, seed, trained in zip(batches, seeds, stacked):
+        assert len(trained) == len(models)
+        for model, anchor, got in zip(models, anchors, trained):
+            if anchor is None:
+                want = local_train(model, batch, cfg, seed=seed)
+            else:
+                want = prox_local_train(model, anchor, batch, cfg, seed=seed)
+            assert_same_bytes(got.weights, want.weights)
+            assert_same_bytes(got.biases, want.biases)
+
+
 def assert_stack_matches_single_calls(models, anchors, batch, cfg, seed=5):
-    """stack_train gives every model the bytes of its own local_train (anchor
-    None) or prox_local_train call with the same seed."""
-    stacked = stack_train(models, anchors, batch, cfg, seed)
-    assert len(stacked) == len(models)
-    for model, anchor, got in zip(models, anchors, stacked):
-        if anchor is None:
-            want = local_train(model, batch, cfg, seed=seed)
-        else:
-            want = prox_local_train(model, anchor, batch, cfg, seed=seed)
-        assert_same_bytes(got.weights, want.weights)
-        assert_same_bytes(got.biases, want.biases)
+    """The one-client case of assert_clients_match_single_calls."""
+    assert_clients_match_single_calls(models, anchors, [batch], cfg, [seed])
 
 
 # which stack entries are plain (None) and which have an anchor (its index)
@@ -650,7 +658,7 @@ class TestStackTrain:
             models = [(plain, pulled)[i] for i in order]
             anchors = [(None, ModelParams.zeros(3, 6))[i] for i in order]
             assert_stack_matches_single_calls(models, anchors, batch, cfg)
-            trained = stack_train(models, anchors, batch, cfg, seed=5)[order.index(0)]
+            trained = stack_train(models, anchors, [batch], cfg, [5])[0][order.index(0)]
             assert np.signbit(trained.weights[:, 0]).all()
 
     def test_rejects_mismatched_inputs(self):
@@ -658,16 +666,85 @@ class TestStackTrain:
         model = random_model(rng, 3, 5)
         batch = random_batch(rng, 10, 5, 3)
         with pytest.raises(ValueError, match="anchor shape"):
-            stack_train([model, model], [None, ModelParams.zeros(3, 4)], batch,
-                        TrainConfig(), seed=0)
+            stack_train([model, model], [None, ModelParams.zeros(3, 4)], [batch],
+                        TrainConfig(), [0])
         with pytest.raises(ValueError, match="expected 4 features, got 5"):
-            stack_train([model, ModelParams.zeros(3, 4)], [None, None], batch,
-                        TrainConfig(), seed=0)
+            stack_train([model, ModelParams.zeros(3, 4)], [None, None], [batch],
+                        TrainConfig(), [0])
         with pytest.raises(ValueError):  # models of different class counts
-            stack_train([model, ModelParams.zeros(4, 5)], [None, None], batch,
-                        TrainConfig(), seed=0)
+            stack_train([model, ModelParams.zeros(4, 5)], [None, None], [batch],
+                        TrainConfig(), [0])
         with pytest.raises(ValueError):  # an anchor entry short
-            stack_train([model, model], [None], batch, TrainConfig(), seed=0)
+            stack_train([model, model], [None], [batch], TrainConfig(), [0])
+
+
+    # clients at batch size 8, in no particular order: below one minibatch (5, 3),
+    # exactly k minibatches (24 twice, 8), a tail (29, 13, 500), and 1,030 rows,
+    # more than a 1,024-row budget alone
+    CLIENT_SIZES = (24, 5, 1030, 13, 500, 8, 29, 3, 24)
+
+    def clients(self, rng, num_classes):
+        batches = [random_batch(rng, n, 6, num_classes) for n in self.CLIENT_SIZES]
+        return batches, [int(s) for s in rng.integers(0, 2**31, size=len(batches))]
+
+    @pytest.mark.parametrize("num_classes", [3, 9])
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_clients_of_unequal_sizes_match_single_calls(self, dropout_rate, proximal_coeff,
+                                                         num_classes, monkeypatch):
+        monkeypatch.setattr(model_module, "_GROUP_ROWS", 1024)
+        rng = np.random.default_rng(11 * num_classes)
+        models = [random_model(rng, num_classes, 6) for _ in range(3)]
+        anchor = random_model(rng, num_classes, 6)
+        batches, seeds = self.clients(rng, num_classes)
+        for local_epochs in (2, 0):
+            cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=local_epochs,
+                              dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+            for kinds in ((None, anchor, None), (anchor,), (None,)):
+                assert_clients_match_single_calls(models[: len(kinds)], list(kinds), batches,
+                                                  cfg, seeds)
+
+    def test_budget_groups_clients_largest_first(self, monkeypatch):
+        """Each group is one _sgd call over the clients sorted by size, largest first
+        (ties in client order), at most _GROUP_ROWS padded rows, or one client alone."""
+        calls = []
+        real = model_module._sgd
+
+        def recording(params, anchors, batches, cfg, seeds):
+            calls.append([len(b) for b in batches])
+            return real(params, anchors, batches, cfg, seeds)
+
+        monkeypatch.setattr(model_module, "_sgd", recording)
+        monkeypatch.setattr(model_module, "_GROUP_ROWS", 1024)
+        rng = np.random.default_rng(3)
+        batches, seeds = self.clients(rng, 3)
+        cfg = TrainConfig(batch_size=8, local_epochs=1)
+        stack_train([random_model(rng, 3, 6)], [None], batches, cfg, seeds)
+        assert calls == [[1030], [500, 29], [24, 24, 13, 8, 5, 3]]
+        calls.clear()
+        monkeypatch.setattr(model_module, "_GROUP_ROWS", 1 << 14)
+        stack_train([random_model(rng, 3, 6)], [None], batches, cfg, seeds)
+        assert calls == [sorted(self.CLIENT_SIZES, reverse=True)]
+
+    def test_rejects_bad_clients_before_any_group_trains(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("a group trained")
+
+        monkeypatch.setattr(model_module, "_sgd", untouchable)
+        rng = np.random.default_rng(17)
+        model, cfg = random_model(rng, 3, 5), TrainConfig()
+        good = random_batch(rng, 300, 5, 3)
+        with pytest.raises(ValueError, match="at least one model"):
+            stack_train([], [], [good], cfg, [0])
+        with pytest.raises(ValueError, match="2 client batches but 1 seeds"):
+            stack_train([model], [None], [good, good], cfg, [0])
+        # the bad client is the smallest, so a group without it would train first
+        narrow = random_batch(rng, 10, 4, 3)
+        with pytest.raises(ValueError, match="expected 5 features, got 4"):
+            stack_train([model, model], [None, model], [good, narrow], cfg, [0, 1])
+        outside = LabeledBatch(rng.normal(size=(10, 5)), np.array([0, 1, 2, 3] + [0] * 6))
+        with pytest.raises(ValueError, match="label 3 out of range for 3 classes"):
+            stack_train([model, model], [None, model], [good, outside], cfg, [0, 1])
 
 
 class TestValidation:

@@ -404,17 +404,47 @@ def pulled(scenario):
     return replace(scenario, train_cfg=replace(scenario.train_cfg, proximal_coeff=0.6))
 
 
+def skewed_scenario():
+    """Six Dirichlet clients (concentration 0.1) of 26 to 188 training rows at
+    batch size 32: the smallest is below one minibatch."""
+    scenario = small_scenario(num_clients=6, num_clusters=2, rounds=3)
+    dataset = replace(scenario.dataset, partition="dirichlet", concentration=0.1,
+                      calibration_fraction=0.6,
+                      source=replace(SMALL_SOURCE, samples_per_class=600))
+    return pulled(replace(scenario, dataset=dataset))
+
+
 LOCKSTEP_SCENARIOS = {
     "six-clients": lambda: pulled(small_scenario(num_clients=6, num_clusters=2, rounds=3)),
     "stragglers-jitter": lambda: pulled(replace(jittered_scenario("cfhfc"), rounds=3)),
+    "skewed-groups": skewed_scenario,
 }
 
 
+def recorded_groups(monkeypatch) -> list[list[int]]:
+    """The client sizes of each model._sgd call from here on, in call order."""
+    calls = []
+    real = model_module._sgd
+
+    def recording(params, anchors, batches, cfg, seeds):
+        calls.append([len(b) for b in batches])
+        return real(params, anchors, batches, cfg, seeds)
+
+    monkeypatch.setattr(model_module, "_sgd", recording)
+    return calls
+
+
 class TestLockstep:
+    @pytest.fixture
+    def small_groups(self, monkeypatch):
+        """A 512-row group budget: every scenario's clients train in several groups
+        (skewed-groups: 188 and 169 rows, then 164, 138 and 88, then 26)."""
+        monkeypatch.setattr(model_module, "_GROUP_ROWS", 512)
+
     @pytest.mark.parametrize("methods", [("fedprox", "cfhfc"), ("fedavg", "cfhfc", "fedprox")],
                              ids="-".join)
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_SCENARIOS))
-    def test_matches_per_method_run_training(self, name, methods):
+    def test_matches_per_method_run_training(self, name, methods, small_groups):
         """Each state's reports and final model, calibration included, are the
         bytes run_training gives its method alone."""
         scenario = LOCKSTEP_SCENARIOS[name]()
@@ -431,7 +461,31 @@ class TestLockstep:
         finals = {state.global_model.weights.tobytes() for state in states}
         assert len(finals) == len(methods)
 
-    def test_continues_states_a_round_at_a_time(self):
+    def test_skewed_clients_train_in_several_groups(self, small_groups, monkeypatch):
+        scenario = skewed_scenario()
+        data = materialize_scenario(scenario)
+        states = [init_state(replace(scenario, method=m), data) for m in ("cfhfc", "fedavg")]
+        groups = recorded_groups(monkeypatch)
+        run_lockstep(states, 2)
+        assert groups == [[188, 169], [164, 138, 88], [26]] * 2
+        assert min(map(min, groups)) < scenario.train_cfg.batch_size
+
+    def test_scenario1_compare_trains_once_per_client_group(self, monkeypatch):
+        """Three methods at scenario1 train in 4 groups of at most 16,384 padded rows,
+        not one call per client: 4,421 to 2,813 rows, 2,746 to 1,688, 1,427 to 230,
+        and the other 230-row client."""
+        scenario = build_scenario("scenario1", seed=0)
+        scenario = replace(scenario, train_cfg=replace(scenario.train_cfg, local_epochs=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the top-up warning
+            data = materialize_scenario(scenario)
+        states = [init_state(replace(scenario, method=m), data) for m in METHODS]
+        groups = recorded_groups(monkeypatch)
+        run_lockstep(states, 1)
+        assert [len(group) for group in groups] == [3, 5, 11, 1]
+        assert sum(groups, []) == sorted((len(c.train) for c in data[0]), reverse=True)
+
+    def test_continues_states_a_round_at_a_time(self, small_groups):
         scenario = LOCKSTEP_SCENARIOS["six-clients"]()
         data = materialize_scenario(scenario)
         methods = ("cfhfc", "fedavg")
@@ -457,6 +511,18 @@ class TestLockstep:
         with pytest.raises(ValueError, match="differ only in method"):
             run_lockstep(states, 1)
         assert states[0].round_index == 0
+
+    def test_rejects_no_states_and_negative_rounds(self):
+        with pytest.raises(ValueError, match="at least one state in states"):
+            run_lockstep([], 1)
+        scenario = LOCKSTEP_SCENARIOS["six-clients"]()
+        state = init_state(scenario)
+        before = state.global_model.copy()
+        with pytest.raises(ValueError, match="rounds must be >= 0, got -1"):
+            run_lockstep([state], -1)
+        assert state.round_index == 0
+        assert_same_model(state.global_model, before)
+        assert run_lockstep([state], 0) == [[]]
 
 
 class TestMethodReductions:
