@@ -289,9 +289,8 @@ def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = Non
 
 
 class _Workspace:
-    """Buffers for the softmax gradient of one minibatch size, reused by every step of
-    that size on the same clients in one _sgd call; a grad with leading client or model
-    axes, such as (a, V, C, d+1), leads each of them with the same axes.
+    """Buffers for the softmax gradient of one minibatch size, reused by every step of that
+    size on the same clients in one _sgd call; a grad's leading client or model axes lead each.
 
     z holds the logits, then the probabilities, then the residual; zt is its
     transpose, and first, second (first again at one class) and rest are its
@@ -416,8 +415,8 @@ def _trained(block: np.ndarray) -> ModelParams:
     return ModelParams(np.ascontiguousarray(block[:, :-1]), block[:, -1].copy())
 
 
-# A group pads its clients to its largest one's rows and holds at most this many
-# minibatches' rows in all: 16,384 rows at the default batch size of 128.
+# stack_train's padded rows per group: 128 minibatches of the default 128 rows, a 2.6 MB
+# feature buffer at 20 features. A client larger than that trains alone.
 _GROUP_ROWS = 1 << 14
 
 
@@ -436,29 +435,25 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
 
     Every (client, model) output is bit-identical to a loop that gathers, masks
     and scales each minibatch afresh (tests/test_model.py keeps that loop):
-    - Each call allocates one client-major (G, rows, d) feature and (G, rows, C)
-      one-hot buffer, padded to the largest client's rows, and each epoch refills
-      each client's leading rows in its shuffled order with take(order, axis=0,
-      out=..., mode="clip"), a plain row copy like features[order]: clip never
-      fires on a permutation, and unlike mode="raise" it does not buffer.
-    - Full minibatch j of the clients with more than j of them, a prefix, is one
-      (a, V, rows, C) step, a broadcast gemm against their (a, V, C, d+1)
-      parameters; each client's tail then steps on its own (V, C, d+1) slice. A
-      lone client steps on its slice throughout and a lone model on 2-D blocks:
-      each slice's gemm and last-two-axes reductions round as the 2-D step does.
-      The views and a _Workspace per row count are built once per call, and an
-      epoch makes one _steps call per run of steps on the same clients.
+    - Each call allocates a client-major (G, rows, d) feature and (G, rows, C) one-hot
+      buffer, padded to the largest client, and each epoch refills each client's rows in its
+      shuffled order with take(order, axis=0, out=..., mode="clip"), a row copy like
+      features[order]: clip never fires on a permutation, and unlike "raise" it does not buffer.
+    - Full minibatch j of the clients that have one, a prefix, is one (a, V, rows, C) step, a
+      broadcast gemm against their (a, V, C, d+1) parameters; each tail then steps on its
+      client's (V, C, d+1) slice, as do a lone client's steps, and a lone model's on 2-D blocks.
+      Each slice's gemm and last-two-axes reductions round as the 2-D step does. An epoch makes
+      one _steps call per run of steps on the same clients, on views built once per call.
     - One rng.random(out=draw) call masks a client's epoch. The generator
       yields one double per element in row order, so it hands out the same
       doubles, in the same order, as one draw per minibatch would, and
       filling a reused C-ordered buffer consumes the stream as a fresh array does.
-    - The features are divided by s = 1 - dropout_rate once per call for a lone
-      client, and in the buffer each epoch for a group, whose G scaled copies
-      would double its buffers; the 0/1 mask multiplies them. (x / s) * m
-      equals (x * m) / s bit for bit: at m = 1 both are x / s, and at m = 0
-      both are a zero with the sign of x, since s > 0. This holds for every x
-      whose x / s is finite, i.e. every feature of magnitude below s times the
-      largest double.
+    - The features are divided by s = 1 - dropout_rate once per call for a lone client,
+      and in the buffer each epoch for a group, which would need a scaled copy of every
+      client; the 0/1 mask multiplies them. (x / s) * m equals (x * m) / s bit for bit: at
+      m = 1 both are x / s, and at m = 0 both are a zero with the sign of x, since s > 0.
+      This holds for every x whose x / s is finite, i.e. every feature of magnitude below
+      s times the largest double.
     - The weights and bias live in one (C, d+1) block, and so does each
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
@@ -488,10 +483,9 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
                   for rows, same in itertools.groupby(run, key=lambda step: step[2])]
         pulled = p if pull is None or num_models == 1 else p[..., num_models - len(anchors) :, :, :]
         calls.append((p[..., :-1], p[..., None, :, -1], groups, p, pulled))
-    eye = np.eye(num_classes)
     clients = [(np.random.default_rng(seed), n, xs[c, :n], ys[c, :n], draw[:n],
                 data.features / (1.0 - rate) if rate > 0.0 and num_clients == 1 else data.features,
-                eye.take(data.labels, axis=0))
+                np.eye(num_classes).take(data.labels, axis=0))
                for c, (data, seed, n) in enumerate(zip(batches, seeds, ns))]
     for _ in range(cfg.local_epochs):
         for rng, n, x, y, mask, features, onehot in clients:
@@ -544,9 +538,8 @@ def stack_train(models: list[ModelParams], anchors: list[ModelParams | None],
                 seeds: list[int]) -> list[list[ModelParams]]:
     """Every model trained on every client: out[c][i] has the bytes of local_train (anchors[i]
     None) or prox_local_train of models[i] on batches[c] with seeds[c]. A client's models share
-    each epoch's shuffle, gathers and dropout draw; the clients train largest first, in groups
-    of at most _GROUP_ROWS padded rows, one _sgd call per group. A bad
-    input is a ValueError before any group trains."""
+    each epoch's shuffle, gathers and dropout draw; clients train largest first, one _sgd call
+    per group of at most _GROUP_ROWS padded rows. Bad input fails before any group trains."""
     if not models:
         raise ValueError("stack_train needs at least one model")
     if len(batches) != len(seeds):

@@ -478,8 +478,7 @@ def simulate_latency(scenario: Scenario, sizes: np.ndarray) -> LatencyReport:
 
 def _edge(states: list[TrainingState]) -> list[list[ModelParams]]:
     """Edge tier: every client trains every state's global model (the states differ only in
-    method) in one stack_train call, or, for a lone state, one local_train or prox_local_train
-    call per client."""
+    method) in one stack_train call, or a lone state's in local_train or prox_local_train."""
     lead, cfg = states[0], states[0].scenario.train_cfg
     models = [state.global_model for state in states]
     anchors = [s.global_model if METHODS[s.scenario.method].proximal else None for s in states]
@@ -606,8 +605,7 @@ def run_lockstep(states: list[TrainingState], rounds: int) -> list[list[RoundRep
     """Each state's reports of rounds more rounds, run together: the states share one scenario
     but for its method, one round index and one client list (init_state's data), so one call
     trains every model on every client, then each state runs its own fog and evaluation. Each
-    state, mutated in place, ends and reports as run_training's for its scenario would, byte
-    for byte. An empty states list or a negative rounds is a ValueError."""
+    state, mutated in place, ends and reports as run_training's would, byte for byte."""
     if not states:
         raise ValueError("run_lockstep needs at least one state in states")
     if rounds < 0:
