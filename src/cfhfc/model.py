@@ -415,15 +415,14 @@ def _trained(block: np.ndarray) -> ModelParams:
     return ModelParams(np.ascontiguousarray(block[:, :-1]), block[:, -1].copy())
 
 
-# stack_train's padded rows per group: 128 minibatches of the default 128 rows, a 2.6 MB
-# feature buffer at 20 features. A client larger than that trains alone.
+# stack_train's padded rows per group (2.6 MB of features at d = 20); a larger client trains alone
 _GROUP_ROWS = 1 << 14
 
 
 def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBatch],
          cfg: TrainConfig, seeds: list[int]) -> np.ndarray:
     """Shared SGD loop on params, in place and returned: a (G, V, C, d+1) stack of G clients'
-    copies of V models. Client c trains on batches[c], largest first, with its own generator
+    copies of V models. Client c trains on batches[c] (the largest first) with its own generator
     seeded by seeds[c]; each client's last models pull toward anchors, a (Va, C, d+1) stack
     (None: no pull), by an implicit step.
 
@@ -464,32 +463,33 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
     (num_clients, num_models, num_classes, cols), size = params.shape, cfg.batch_size
     lr, rho, rate = cfg.learning_rate, cfg.proximal_coeff, cfg.dropout_rate
     ns = [len(data) for data in batches]
-    xs, ys = np.empty((num_clients, ns[0], cols - 1)), np.empty((num_clients, ns[0], num_classes))
+    states = [(np.random.default_rng(seed), np.eye(num_classes).take(data.labels, axis=0),
+               data.features / (1.0 - rate) if rate > 0.0 and num_clients == 1 else data.features)
+              for data, seed in zip(batches, seeds)]  # before the buffers: measured faster
     grad, draw = np.empty_like(params), np.empty((ns[0], cols - 1))
+    xs, ys = np.empty((num_clients, ns[0], cols - 1)), np.empty((num_clients, ns[0], num_classes))
     model = 0 if num_models == 1 else slice(None)
     shrink = np.array(1.0 / (1.0 + lr * rho))
     pull = (lr * rho) * anchors[model] if rho != 0.0 and anchors is not None else None
-    full = [n // size for n in ns]
-    steps = [(0 if a == 1 else slice(a), j * size, size)
-             for j in range(full[0]) for a in [sum(f > j for f in full)]]
-    steps += [(c, n - n % size, n % size) for c, n in enumerate(ns) if n % size]
+    full = [n // size for n in ns] + [0]  # steps full[a] to full[a - 1] train the first a
+    runs = [(0 if a == 1 else slice(a), full[a] * size, full[a - 1] * size, size)
+            for a in range(len(ns), 0, -1) if full[a] < full[a - 1]]
+    runs += [(c, n - n % size, n, n % size) for c, n in enumerate(ns) if n % size]
     calls = []
-    for who, run in itertools.groupby(steps, key=lambda step: step[0]):
+    for who, same in itertools.groupby(runs, key=lambda run: run[0]):
         p, x, y = params[who, model], xs[who], ys[who]
         if isinstance(who, slice) and num_models > 1:
             x, y = x[:, None], y[:, None]
         groups = [(_Workspace(rows, grad[who, model], lr),
-                   [(x[..., lo : lo + rows, :], y[..., lo : lo + rows, :]) for _, lo, _ in same])
-                  for rows, same in itertools.groupby(run, key=lambda step: step[2])]
+                   [(x[..., j:j + rows, :], y[..., j:j + rows, :]) for j in range(lo, hi, rows)])
+                  for _, lo, hi, rows in same]
         pulled = p if pull is None or num_models == 1 else p[..., num_models - len(anchors) :, :, :]
         calls.append((p[..., :-1], p[..., None, :, -1], groups, p, pulled))
-    clients = [(np.random.default_rng(seed), n, xs[c, :n], ys[c, :n], draw[:n],
-                data.features / (1.0 - rate) if rate > 0.0 and num_clients == 1 else data.features,
-                np.eye(num_classes).take(data.labels, axis=0))
-               for c, (data, seed, n) in enumerate(zip(batches, seeds, ns))]
+    clients = [(*state, xs[c, :n], ys[c, :n], draw[:n])
+               for c, (state, n) in enumerate(zip(states, ns))]
     for _ in range(cfg.local_epochs):
-        for rng, n, x, y, mask, features, onehot in clients:
-            perm = rng.permutation(n)
+        for rng, onehot, features, x, y, mask in clients:
+            perm = rng.permutation(len(x))
             features.take(perm, axis=0, out=x, mode="clip")
             onehot.take(perm, axis=0, out=y, mode="clip")
             if rate > 0.0:
