@@ -290,27 +290,31 @@ def loss(model: ModelParams, data: LabeledBatch, *, out: np.ndarray | None = Non
 
 class _Workspace:
     """Buffers for the softmax gradient of one minibatch size, reused by every step of that
-    size on the same clients in one _sgd call; a grad's leading client or model axes lead each.
+    size on the same clients in one _sgd call; a grad's leading client axis leads each.
 
-    z holds the logits, then the probabilities, then the residual; zt is its
-    transpose, and first, second (first again at one class) and rest are its
-    (rows, 1) columns in the order the row max and, by_column (2 to 7 classes),
-    the row sum take them. top and norm take the row max and row sum; grad,
-    viewed by gw and gb, is the call's shared (C, d+1) gradient block. Given
-    lr, step and mean are the 0-d step size and row divisor (None if folded).
+    z holds the (rows, models * C) logits, then probabilities, then residual; zt is its
+    transpose, soft views it as a (C,) row per (row, model) and hot as (rows, models, C).
+    first, second (first again at one class) and rest are soft's columns in the order the row
+    max and, by_column (2 to 7 classes), the row sum take them. top and norm take the row max
+    and row sum; grad, viewed by gw and gb, is the call's shared (models * C, d+1) gradient
+    block. Given lr, step and mean are the 0-d step size and row divisor (None if folded).
     """
 
-    __slots__ = ("z", "zt", "first", "second", "rest", "by_column", "top", "norm",
-                 "grad", "gw", "gb", "step", "mean")
+    __slots__ = ("z", "zt", "soft", "hot", "first", "second", "rest", "by_column", "top",
+                 "norm", "grad", "gw", "gb", "step", "mean")
 
-    def __init__(self, rows: int, grad: np.ndarray, lr: float | None = None) -> None:
-        *lead, num_classes, _ = grad.shape
-        self.z = np.empty((*lead, rows, num_classes))
+    def __init__(self, rows: int, grad: np.ndarray, lr: float | None = None,
+                 models: int = 1) -> None:
+        *lead, width, _ = grad.shape
+        num_classes = width // models
+        self.z = np.empty((*lead, rows, width))
         self.zt = self.z.swapaxes(-1, -2)
-        cols = [self.z[..., c : c + 1] for c in range(num_classes)]
+        self.soft = self.z.reshape(*lead, rows * models, num_classes)
+        self.hot = self.z.reshape(*lead, rows, models, num_classes)
+        cols = [self.soft[..., c : c + 1] for c in range(num_classes)]
         self.first, self.second, self.rest = cols[0], cols[min(1, num_classes - 1)], cols[2:]
         self.by_column = 2 <= num_classes < 8
-        self.top, self.norm = np.empty((*lead, rows, 1)), np.empty((*lead, rows, 1))
+        self.top, self.norm = np.empty((2, *lead, rows * models, 1))
         self.grad, self.gw, self.gb = grad, grad[..., :-1], grad[..., -1]
         fold = lr is not None and rows & (rows - 1) == 0
         self.step = None if lr is None else np.array(lr / rows if fold else lr)
@@ -336,13 +340,15 @@ def _steps(
     does not divide by 2^k: that moves only exponents, so the gemm, bias sum
     and step round as before unless a scaled value is subnormal (below
     2^-1022), where the fold rounds once and the division twice.
-    With a leading model axis on w, b and the workspaces, the broadcast gemms
-    and last-two-axes reductions give each model the bytes of its own 2-D step.
+    With V models side by side on the class axis of w, b and the workspaces, both gemms,
+    the softmax on the soft view, the (rows, 1, C) one-hot on the hot view and the bias
+    sum over rows give each model the bytes of its own 2-D step, one gemm each for all V.
     """
     wt, matmul, maximum, exp, add = w.swapaxes(-1, -2), np.matmul, np.maximum, np.exp, np.add
     for ws, blocks in groups:
-        z, zt, top, norm, first, second, rest, by_column = (
-            ws.z, ws.zt, ws.top, ws.norm, ws.first, ws.second, ws.rest, ws.by_column)
+        z, zt, soft, hot, top, norm, first, second, rest, by_column = (
+            ws.z, ws.zt, ws.soft, ws.hot, ws.top, ws.norm, ws.first, ws.second, ws.rest,
+            ws.by_column)
         grad, gw, gb, step, mean = ws.grad, ws.gw, ws.gb, ws.step, ws.mean
         for x, y in blocks:
             matmul(x, wt, out=z)
@@ -350,16 +356,16 @@ def _steps(
             maximum(first, second, out=top)
             for col in rest:
                 maximum(top, col, out=top)
-            z -= top
+            soft -= top
             exp(z, out=z)
             if by_column:
                 add(first, second, out=norm)
                 for col in rest:
                     norm += col
             else:
-                add.reduce(z, axis=-1, keepdims=True, out=norm)
-            z /= norm
-            z -= y
+                add.reduce(soft, axis=-1, keepdims=True, out=norm)
+            soft /= norm
+            hot -= y
             if mean is not None:
                 z /= mean
             matmul(zt, x, out=gw)
@@ -382,7 +388,7 @@ def _gradient_arrays(
     (its own when ws is None). Returns ws's weight and bias gradient views."""
     if ws is None:
         ws = _Workspace(len(features), np.empty((len(biases), features.shape[1] + 1)))
-    _steps(weights, biases, [(ws, [(features, onehot)])])
+    _steps(weights, biases, [(ws, [(features, onehot[:, None])])])
     return ws.gw, ws.gb
 
 
@@ -397,12 +403,17 @@ def gradient(model: ModelParams, data: LabeledBatch) -> ModelParams:
 
 def _check_stack(models: list[ModelParams], anchors: list[ModelParams | None],
                  batches: list[LabeledBatch]) -> None:
-    for model, anchor in zip(models, anchors, strict=True):
+    if len(anchors) != len(models):
+        raise ValueError(f"{len(models)} models but {len(anchors)} anchors")
+    for model, anchor in zip(models, anchors):
         if anchor is not None and not model.same_shape_as(anchor):
             raise ValueError(f"anchor shape {anchor.weights.shape} does not match "
                              f"model shape {model.weights.shape}")
         for data in batches:
             _check_width(model, data.features)
+        if not model.same_shape_as(models[0]):
+            raise ValueError(f"models of shapes {models[0].weights.shape} and "
+                             f"{model.weights.shape} do not stack")
     for data in batches:
         _check_labels(data.labels, models[0].num_classes)
 
@@ -438,18 +449,17 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
       buffer, padded to the largest client, and each epoch refills each client's rows in its
       shuffled order with take(order, axis=0, out=..., mode="clip"), a row copy like
       features[order]: clip never fires on a permutation, and unlike "raise" it does not buffer.
-    - Full minibatch j of the clients that have one, a prefix, is one (a, V, rows, C) step, a
-      broadcast gemm against their (a, V, C, d+1) parameters; each tail then steps on its
-      client's (V, C, d+1) slice, as do a lone client's steps, and a lone model's on 2-D blocks.
-      Each slice's gemm and last-two-axes reductions round as the 2-D step does. An epoch makes
+    - A client's V models lie side by side on the class axis: params viewed as (G, V·C, d+1).
+      Full minibatch j of the clients that have one, a prefix, is one step on their
+      (a, V·C, d+1) slice, one (a, rows, d) @ (a, d, V·C) gemm; each tail then steps on its
+      client's (V·C, d+1) slice, as do a lone client's steps, on 2-D blocks. An epoch makes
       one _steps call per run of steps on the same clients, on views built once per call.
     - One rng.random(out=draw) call masks a client's epoch. The generator
       yields one double per element in row order, so it hands out the same
       doubles, in the same order, as one draw per minibatch would, and
       filling a reused C-ordered buffer consumes the stream as a fresh array does.
-    - The features are divided by s = 1 - dropout_rate once per call for a lone client,
-      and in the buffer each epoch for a group, which would need a scaled copy of every
-      client; the 0/1 mask multiplies them. (x / s) * m equals (x * m) / s bit for bit: at
+    - Each client's features are divided by s = 1 - dropout_rate once per call, before the
+      gathers; the 0/1 mask multiplies them. (x / s) * m equals (x * m) / s bit for bit: at
       m = 1 both are x / s, and at m = 0 both are a zero with the sign of x, since s > 0.
       This holds for every x whose x / s is finite, i.e. every feature of magnitude below
       s times the largest double.
@@ -457,33 +467,32 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
       step's gradient, so an update is four elementwise ops on the block
       instead of eight on two arrays; elementwise ops round the same
       whatever the layout; _steps says when the minibatch mean folds into lr.
-    - A stack's pull and shrink touch only its anchored slice (+0.0 pull on -0.0 is +0.0).
+    - Pull and shrink touch only the anchored models' rows (+0.0 pull on -0.0 is +0.0).
     Dropout acts on the call's own buffers and updates on params, never on the batch.
     """
     (num_clients, num_models, num_classes, cols), size = params.shape, cfg.batch_size
     lr, rho, rate = cfg.learning_rate, cfg.proximal_coeff, cfg.dropout_rate
     ns = [len(data) for data in batches]
     states = [(np.random.default_rng(seed), np.eye(num_classes).take(data.labels, axis=0),
-               data.features / (1.0 - rate) if rate > 0.0 and num_clients == 1 else data.features)
+               data.features / (1.0 - rate) if rate > 0.0 else data.features)
               for data, seed in zip(batches, seeds)]  # before the buffers: measured faster
-    grad, draw = np.empty_like(params), np.empty((ns[0], cols - 1))
+    folded = params.reshape(num_clients, num_models * num_classes, cols)
+    grad, draw = np.empty_like(folded), np.empty((ns[0], cols - 1))
     xs, ys = np.empty((num_clients, ns[0], cols - 1)), np.empty((num_clients, ns[0], num_classes))
-    model = 0 if num_models == 1 else slice(None)
     shrink = np.array(1.0 / (1.0 + lr * rho))
-    pull = (lr * rho) * anchors[model] if rho != 0.0 and anchors is not None else None
+    pull = (lr * rho) * anchors.reshape(-1, cols) if rho != 0.0 and anchors is not None else None
     full = [n // size for n in ns] + [0]  # steps full[a] to full[a - 1] train the first a
     runs = [(0 if a == 1 else slice(a), full[a] * size, full[a - 1] * size, size)
             for a in range(len(ns), 0, -1) if full[a] < full[a - 1]]
     runs += [(c, n - n % size, n, n % size) for c, n in enumerate(ns) if n % size]
     calls = []
     for who, same in itertools.groupby(runs, key=lambda run: run[0]):
-        p, x, y = params[who, model], xs[who], ys[who]
-        if isinstance(who, slice) and num_models > 1:
-            x, y = x[:, None], y[:, None]
-        groups = [(_Workspace(rows, grad[who, model], lr),
-                   [(x[..., j:j + rows, :], y[..., j:j + rows, :]) for j in range(lo, hi, rows)])
+        p, x, y = folded[who], xs[who], ys[who]
+        groups = [(_Workspace(rows, grad[who], lr, num_models),
+                   [(x[..., j:j + rows, :], y[..., j:j + rows, None, :])
+                    for j in range(lo, hi, rows)])
                   for _, lo, hi, rows in same]
-        pulled = p if pull is None or num_models == 1 else p[..., num_models - len(anchors) :, :, :]
+        pulled = None if pull is None else p[..., -len(pull) :, :]
         calls.append((p[..., :-1], p[..., None, :, -1], groups, p, pulled))
     clients = [(*state, xs[c, :n], ys[c, :n], draw[:n])
                for c, (state, n) in enumerate(zip(states, ns))]
@@ -493,8 +502,6 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
             features.take(perm, axis=0, out=x, mode="clip")
             onehot.take(perm, axis=0, out=y, mode="clip")
             if rate > 0.0:
-                if num_clients > 1:
-                    x /= 1.0 - rate
                 rng.random(out=mask)
                 x *= mask >= rate
         for call in calls:

@@ -610,6 +610,8 @@ def run_lockstep(states: list[TrainingState], rounds: int) -> list[list[RoundRep
         raise ValueError("run_lockstep needs at least one state in states")
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if len({id(state) for state in states}) < len(states):
+        raise ValueError("states holds one state more than once")
     lead = states[0]
     for state in states[1:]:
         if (replace(state.scenario, method=lead.scenario.method) != lead.scenario

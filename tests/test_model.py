@@ -585,6 +585,7 @@ def assert_clients_match_single_calls(models, anchors, batches, cfg, seeds):
                 want = prox_local_train(model, anchor, batch, cfg, seed=seed)
             assert_same_bytes(got.weights, want.weights)
             assert_same_bytes(got.biases, want.biases)
+    return stacked
 
 
 def assert_stack_matches_single_calls(models, anchors, batch, cfg, seed=5):
@@ -704,6 +705,37 @@ class TestStackTrain:
                 assert_clients_match_single_calls(models[: len(kinds)], list(kinds), batches,
                                                   cfg, seeds)
 
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 7, 8, 9])
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_models_side_by_side_match_single_calls(self, dropout_rate, proximal_coeff,
+                                                    num_classes, monkeypatch):
+        """V models on one class axis share each step's two gemms, V·C columns wide: 2 to 8
+        models, plain and anchored mixed, at class counts on both sides of the row sum's
+        8-class switch and of 4-row gemm tiles, 7 features, and clients of whole minibatches
+        (48, 32 at 16 rows; 48 at 12) or with a tail (37 and 17, one row at 16; 3) in two
+        groups. 16 rows fold the mean into the step size, 12 divide by them. Every pair also
+        matches the reference loop, so a change to the kernel that the lone path shares shows
+        too, and minibatches over 8 rows tell a sequential bias sum from numpy's pairwise one."""
+        monkeypatch.setattr(model_module, "_GROUP_ROWS", 100)
+        rng = np.random.default_rng(31 * num_classes)
+        pool = [random_model(rng, num_classes, 7) for _ in range(8)]
+        anchors = [random_model(rng, num_classes, 7) for _ in range(2)]
+        batches = [random_batch(rng, n, 7, num_classes) for n in (37, 48, 3, 32, 17)]
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=len(batches))]
+        for batch_size in (16, 12):
+            cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=2,
+                              dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+            for num_models in (2, 3, 5, 8):
+                kinds = [None if i % 3 == 0 else anchors[i % 2] for i in range(num_models)]
+                stacked = assert_clients_match_single_calls(pool[:num_models], kinds, batches,
+                                                            cfg, seeds)
+                for batch, seed, trained in zip(batches, seeds, stacked):
+                    for model, anchor, got in zip(pool, kinds, trained):
+                        w, b = reference_sgd(model, anchor, batch, cfg, seed)
+                        assert_same_bytes(got.weights, w)
+                        assert_same_bytes(got.biases, b)
+
     def test_budget_groups_clients_largest_first(self, monkeypatch):
         """Each group is one _sgd call over the clients sorted by size, largest first
         (ties in client order), at most _GROUP_ROWS padded rows, or one client alone."""
@@ -745,6 +777,22 @@ class TestStackTrain:
         outside = LabeledBatch(rng.normal(size=(10, 5)), np.array([0, 1, 2, 3] + [0] * 6))
         with pytest.raises(ValueError, match="label 3 out of range for 3 classes"):
             stack_train([model, model], [None, model], [good, outside], cfg, [0, 1])
+
+    def test_names_models_and_anchors_that_do_not_stack(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("a group trained")
+
+        monkeypatch.setattr(model_module, "_sgd", untouchable)
+        rng = np.random.default_rng(23)
+        model, cfg = random_model(rng, 3, 5), TrainConfig()
+        batches = [random_batch(rng, n, 5, 3) for n in (300, 10)]
+        shapes = r"models of shapes \(3, 5\) and \(4, 5\) do not stack"
+        with pytest.raises(ValueError, match=shapes):
+            stack_train([model, random_model(rng, 4, 5)], [None, None], batches, cfg, [0, 1])
+        with pytest.raises(ValueError, match="2 models but 1 anchors"):
+            stack_train([model, model], [model], batches, cfg, [0, 1])
+        with pytest.raises(ValueError, match="1 models but 2 anchors"):
+            stack_train([model], [None, model], batches, cfg, [0, 1])
 
 
 class TestValidation:

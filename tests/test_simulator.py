@@ -524,6 +524,16 @@ class TestLockstep:
         assert_same_model(state.global_model, before)
         assert run_lockstep([state], 0) == [[]]
 
+    def test_rejects_a_state_given_twice(self):
+        """One state twice would train once and run two fogs on it, the second blending
+        updates trained from the first one's model."""
+        state = init_state(LOCKSTEP_SCENARIOS["six-clients"]())
+        before = state.global_model.copy()
+        with pytest.raises(ValueError, match="one state more than once"):
+            run_lockstep([state, state], 1)
+        assert state.round_index == 0
+        assert_same_model(state.global_model, before)
+
 
 class TestMethodReductions:
     def test_fedprox_zero_coeff_equals_fedavg(self):
