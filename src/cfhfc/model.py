@@ -449,10 +449,10 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
       buffer, padded to the largest client, and each epoch refills each client's rows in its
       shuffled order with take(order, axis=0, out=..., mode="clip"), a row copy like
       features[order]: clip never fires on a permutation, and unlike "raise" it does not buffer.
-    - A client's V models lie side by side on the class axis: params viewed as (G, V·C, d+1).
+    - A client's V models lie side by side on the class axis: params viewed as (G, V*C, d+1).
       Full minibatch j of the clients that have one, a prefix, is one step on their
-      (a, V·C, d+1) slice, one (a, rows, d) @ (a, d, V·C) gemm; each tail then steps on its
-      client's (V·C, d+1) slice, as do a lone client's steps, on 2-D blocks. An epoch makes
+      (a, V*C, d+1) slice, one (a, rows, d) @ (a, d, V*C) gemm; each tail then steps on its
+      client's (V*C, d+1) slice, as do a lone client's steps, on 2-D blocks. An epoch makes
       one _steps call per run of steps on the same clients, on views built once per call.
     - One rng.random(out=draw) call masks a client's epoch. The generator
       yields one double per element in row order, so it hands out the same

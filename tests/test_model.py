@@ -710,7 +710,7 @@ class TestStackTrain:
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
     def test_models_side_by_side_match_single_calls(self, dropout_rate, proximal_coeff,
                                                     num_classes, monkeypatch):
-        """V models on one class axis share each step's two gemms, V·C columns wide: 2 to 8
+        """V models on one class axis share each step's two gemms, V*C columns wide: 2 to 8
         models, plain and anchored mixed, at class counts on both sides of the row sum's
         8-class switch and of 4-row gemm tiles, 7 features, and clients of whole minibatches
         (48, 32 at 16 rows; 48 at 12) or with a tail (37 and 17, one row at 16; 3) in two
