@@ -20,6 +20,7 @@ __all__ = [
     "minmax_scale",
     "normalize_profiles",
     "fcm_fit",
+    "fcm_fit_stack",
 ]
 
 
@@ -126,7 +127,7 @@ def _weighted_norm(
 
 
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
-    """Standard fuzzy memberships from a (n, K) distance matrix.
+    """Standard fuzzy memberships from a (..., n, K) stack of distance matrices.
 
     Zero distances short-circuit: the mass is split uniformly over all
     centroids the point coincides with, which keeps duplicate centroids
@@ -136,34 +137,34 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
     # mu_ik = 1 / sum_r (d_ik / d_ir)^(2/(m-1)), numerically safe for tiny d;
     # rows with a zero distance divide by zero here and are overwritten below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = dist[:, :, None] / dist[:, None, :]
-        ratios **= 2.0 / (m - 1.0)
-        out = 1.0 / ratios.sum(axis=2)
+        ratios = dist[..., :, None] / dist[..., None, :]
+        if m != 3.0:  # the default m = 3 makes the exponent 1.0, and x ** 1.0 is x
+            ratios **= 2.0 / (m - 1.0)
+        out = 1.0 / ratios.sum(axis=-1)
     if zeros.any():  # past the first iteration, centroids rarely sit on a point
-        hit = zeros.any(axis=1)
-        out[hit] = zeros[hit] / zeros[hit].sum(axis=1, keepdims=True)
+        hit = zeros.any(axis=-1)
+        out[hit] = zeros[hit] / zeros[hit].sum(axis=-1, keepdims=True)
     return out
 
 
 def _farthest_point_init(
-    points: np.ndarray, k: int, w: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+    points: np.ndarray, k: int, w: np.ndarray, seed: int, dist: np.ndarray
+) -> np.ndarray:
     """Seeded farthest-point seeding: deterministic given seed and order.
 
-    Returns the k seeds and the (n, k) matrix of every point's distance to
-    each seed, which fcm_fit takes as its first distance matrix. It must be
-    C-contiguous: the membership ratios inherit its layout, and an F-ordered
-    cube sums its last axis in another order than numpy's pairwise one.
+    Returns the k seeds and writes every point's distance to each seed into
+    the (n, k) dist, the fit's first distance matrix. dist must be C-contiguous:
+    the membership ratios inherit its layout, and an F-ordered cube sums its
+    last axis in another order than numpy's pairwise one.
     """
     n = points.shape[0]
     chosen = [seed % n]
-    dist = np.empty((n, k))
     min_dist = _weighted_norm(points, points[chosen[0]], w, out=dist[:, 0])
     for j in range(1, k):
         chosen.append(int(min_dist.argmax()))
         column = _weighted_norm(points, points[chosen[-1]], w, out=dist[:, j])
         min_dist = np.minimum(min_dist, column)
-    return points[chosen], dist
+    return points[chosen]
 
 
 def fcm_fit(
@@ -181,7 +182,16 @@ def fcm_fit(
     movement (in the weighted distance) drops below tol. Centroids that end up
     with no soft mass keep their previous position. The recorded objective
     trace (sum of mu^m * d^2 after each full iteration) is non-increasing.
+    This is fcm_fit_stack's one-slice case.
     """
+    return fcm_fit_stack([points], num_clusters, fuzzifier, weights, max_iter, tol, (seed,))[0]
+
+
+def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
+                  weights: ResourceWeights | None = None, max_iter: int = 100,
+                  tol: float = 1e-7, seeds: tuple[int, ...] = (0,)) -> list[FuzzyPartition]:
+    """fcm_fit on each (n, 3) slice of a (F, n, 3) stack, slice f from seeds[f], in one loop:
+    each partition has the bytes of its own fcm_fit call, and a converged slice leaves it."""
     if weights is None:
         weights = ResourceWeights()
     if not 1.0 < fuzzifier < np.inf:
@@ -193,39 +203,45 @@ def fcm_fit(
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+    if points.ndim != 3 or points.shape[2] != 3:
+        raise ValueError(f"points must have shape (n, 3) per slice, got {points.shape[1:]}")
+    if not 0 < len(seeds) == len(points):
+        raise ValueError(f"got {len(seeds)} seeds for {len(points)} slices of points")
     if not ((points >= 0.0) & (points <= 1.0)).all():
         raise ValueError("points are not normalized to [0, 1]; call normalize_profiles")
-    n = points.shape[0]
+    count, n = points.shape[:2]
     if n < num_clusters:
         raise ValueError(f"{n} profiles cannot fill {num_clusters} clusters")
 
     w = weights.as_array()
     # every (point, centroid) distance, rewritten in place each iteration
-    centroids, dist = _farthest_point_init(points, num_clusters, w, seed)
-    trace: list[float] = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        memberships = _memberships_from_distances(dist, fuzzifier)
-        mass = memberships**fuzzifier
-        # each row of mass.T @ points rounds like mass[:, k] @ points, and the
-        # contiguous rows sum like mass[:, k].sum(); mass.sum(axis=0) would not
-        sums = mass.T @ points
-        totals = np.ascontiguousarray(mass.T).sum(axis=1)
+    dist = np.empty((count, n, num_clusters))
+    centroids = np.array([_farthest_point_init(block, num_clusters, w, seed, out)
+                          for block, seed, out in zip(points, seeds, dist)])
+    traces: list[list[float]] = [[] for _ in range(count)]  # one entry per iteration run
+    ids, pts, d, c = np.arange(count), points, dist, centroids  # the slices still moving
+    for iteration in range(1, max_iter + 1):
+        mass = _memberships_from_distances(d, fuzzifier) ** fuzzifier
+        # one gemm per slice: each row of its mass.T @ points rounds like
+        # mass[:, k] @ points, and the contiguous rows sum like mass[:, k].sum()
+        sums = mass.swapaxes(-1, -2) @ pts
+        totals = np.ascontiguousarray(mass.swapaxes(-1, -2)).sum(axis=-1)
         live = totals > 0.0
-        new_centroids = centroids.copy()
-        new_centroids[live] = sums[live] / totals[live, None]
-        moved = _weighted_norm(new_centroids, centroids, w).max()
-        centroids = new_centroids
-        _weighted_norm(points[:, None, :], centroids, w, out=dist)
-        trace.append(float(np.sum(mass * dist**2)))
-        if moved < tol:
+        new_centroids = c.copy()
+        new_centroids[live] = sums[live] / totals[live][:, None]
+        moved = _weighted_norm(new_centroids, c, w).max(axis=-1)
+        c = new_centroids
+        _weighted_norm(pts[:, :, None, :], c[:, None], w, out=d)
+        # each slice sums its own contiguous n*K row, as np.sum of it alone would
+        objective = (mass * d**2).reshape(len(d), -1).sum(axis=-1)
+        for f, value in zip(ids.tolist(), objective.tolist()):
+            traces[f].append(value)
+        done = (moved < tol) | (iteration == max_iter)
+        if done.any():
+            dist[ids], centroids[ids] = d, c
+            ids, pts, d, c = ids[~done], pts[~done], d[~done], c[~done]
+        if not ids.size:
             break
-    return FuzzyPartition(
-        memberships=_memberships_from_distances(dist, fuzzifier),
-        centroids=centroids,
-        fuzzifier=fuzzifier,
-        iterations_used=iterations,
-        objective_trace=tuple(trace),
-    )
+    memberships = _memberships_from_distances(dist, fuzzifier)
+    return [FuzzyPartition(mu, at, fuzzifier, len(trace), tuple(trace))
+            for mu, at, trace in zip(memberships, centroids, traces)]

@@ -26,7 +26,7 @@ from .calibration import (
     calibrate,
     predict_with_calibration,
 )
-from .clustering import ResourceWeights, fcm_fit, minmax_scale
+from .clustering import ResourceWeights, fcm_fit, fcm_fit_stack, minmax_scale
 from .data import ClientDataset, DatasetSpec, SyntheticSource, materialize_clients
 from .metrics import (
     RATE_NAMES,
@@ -357,32 +357,27 @@ def init_state(
 
 def _cluster_round(
     scenario: Scenario,
-    profiles: np.ndarray,
-    stragglers: np.ndarray,
+    fleets: list[tuple[np.ndarray, np.ndarray]],
     round_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster this round's observed profiles: the memberships and the normalized matrix.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cluster this round's observed profiles of each fleet: memberships and normalized matrix.
 
     Straggling devices expose their slowed-down cpu (utilization is what the
     fog can actually measure); optional jitter models run-to-run load noise.
     """
-    raw = profiles.copy()
-    raw[stragglers, 0] /= scenario.straggler_slowdown
+    raw = np.stack([profiles for profiles, _ in fleets])
+    raw[np.stack([stragglers for _, stragglers in fleets]), 0] /= scenario.straggler_slowdown
     jitter = scenario.cluster_cfg.profile_jitter
     if jitter > 0.0:
-        rng = np.random.default_rng(
-            _derived_seed(scenario.seed, _TAG_JITTER, round_index)
-        )
-        raw = raw * rng.uniform(1.0 - jitter, 1.0 + jitter, size=raw.shape)
-    normalized = minmax_scale(raw)
-    partition = fcm_fit(
-        normalized,
-        scenario.num_clusters,
-        fuzzifier=scenario.cluster_cfg.fuzzifier,
-        weights=scenario.cluster_cfg.weights,
-        seed=_derived_seed(scenario.seed, _TAG_FCM, round_index),
-    )
-    return partition.memberships, normalized
+        rng = np.random.default_rng(_derived_seed(scenario.seed, _TAG_JITTER, round_index))
+        raw *= rng.uniform(1.0 - jitter, 1.0 + jitter, size=raw.shape[1:])
+    normalized = np.stack([minmax_scale(observed) for observed in raw])
+    cfg, seed = scenario.cluster_cfg, _derived_seed(scenario.seed, _TAG_FCM, round_index)
+    args = (scenario.num_clusters, cfg.fuzzifier, cfg.weights)
+    # a round makes one fcm_fit call, which tests and the benchmark's tracer count
+    fits = ([fcm_fit(normalized[0], *args, seed=seed)] if len(fleets) == 1
+            else fcm_fit_stack(normalized, *args, seeds=(seed,) * len(fleets)))
+    return [(fit.memberships, observed) for fit, observed in zip(fits, normalized)]
 
 
 # The timing model's cost constants, read by _clock's two halves alone. A
@@ -402,14 +397,16 @@ def _clock(scenario: Scenario, sizes: np.ndarray, round_index: int) -> LatencyRe
     """The timing model's bill for one round: every training round and every
     simulate_latency call is billed here.
 
-    It has two halves, which the straggler sweep calls apart to share the
-    method-free one: _base_times, each client's time from its profile and data
-    size, and _bill, the method's slowdown and synchronization. The fleet
-    comes from the scenario (_fleet) here and in the sweep, and nowhere else.
+    Its parts, which the straggler sweep calls apart to share the method-free
+    ones: _base_times, each client's time from its profile and data size; for a
+    clustered method, _cluster_round's partition; and _bill, the method's
+    slowdown and synchronization. _fleet builds the fleet here and in the sweep.
     """
     fleet = _fleet(scenario, scenario.straggler_fraction)
     base = _base_times(scenario, fleet[0], sizes)
-    return _bill(scenario, scenario.method, fleet, base, round_index)
+    clustered = METHODS[scenario.method].clustered
+    partition = _cluster_round(scenario, [fleet], round_index)[0] if clustered else None
+    return _bill(scenario, scenario.method, fleet[1], base, partition)
 
 
 def _base_times(scenario: Scenario, profiles: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -428,16 +425,15 @@ def _base_times(scenario: Scenario, profiles: np.ndarray, sizes: np.ndarray) -> 
 def _bill(
     scenario: Scenario,
     method: str,
-    fleet: tuple[np.ndarray, np.ndarray],
+    stragglers: np.ndarray,
     base: np.ndarray,
-    round_index: int,
+    partition: tuple[np.ndarray, np.ndarray] | None,
 ) -> LatencyReport:
-    """The named method's bill on a fleet whose base times are base; scenario.method and
-    scenario.straggler_fraction are not read. A clustered bill partitions this round's
-    observed profiles: each cluster waits on its slowest participant (a client at or above
+    """The named method's bill on a fleet with these stragglers and base times; scenario.method
+    and scenario.straggler_fraction are not read. A clustered bill reads the fleet's partition
+    from _cluster_round: each cluster waits on its slowest participant (a client at or above
     the participation floor), and the bill is their participation-mass-weighted mean plus
     one cloud join overhead."""
-    profiles, stragglers = fleet
     spec = METHODS[method]
     times = base.copy()
     slowdown = scenario.straggler_slowdown
@@ -446,7 +442,7 @@ def _bill(
     times[stragglers] *= slowdown
     if not spec.clustered:
         return LatencyReport(float(times.max()))
-    memberships, normalized = _cluster_round(scenario, profiles, stragglers, round_index)
+    memberships, normalized = partition
     floor = scenario.cluster_cfg.participation_floor
     member = memberships >= floor
     participants = [np.flatnonzero(column) for column in member.T]
@@ -692,13 +688,20 @@ def straggler_metrics(
     At the scenario's own client count the sweep bills the scenario's own
     fleet, clusters included.
 
-    Each cell is the bill simulate_latency gives the scaled scenario at that
-    method and fraction, through the same two halves of _clock: the base
-    times once per client count, the fleet once per count and distinct
-    fraction (0.0 first), then each method's bill.
+    Each cell is the bill simulate_latency gives the scaled scenario at that method and
+    fraction, through _clock's two halves: the base times once per client count, the fleet
+    once per count and distinct fraction (0.0 first), one stacked fit of those fleets if a
+    method is clustered, then each method's bill.
     """
     if len(set(methods)) < len(methods) or not METHODS.keys() >= set(methods):
         raise ValueError(f"methods must be distinct names of {tuple(METHODS)}, got {methods}")
+    for n in client_counts:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"client_counts must hold ints >= 1, got {n!r}")
+    for fraction in fractions:
+        if not 0.0 <= fraction < 1.0:  # Scenario.straggler_fraction's range
+            raise ValueError(f"fractions must lie in [0, 1), got {fraction!r}")
+    clustered = any(METHODS[method].clustered for method in methods)
     csv_rows = None
     if not isinstance(scenario.dataset.source, SyntheticSource):
         csv_rows = scenario.dataset.pool_rows(loaded)
@@ -711,10 +714,11 @@ def straggler_metrics(
         fleets = [_fleet(scaled, fraction) for fraction in billed]
         # the profiles, unlike the stragglers, are the same at every fraction
         base = _base_times(scaled, fleets[0][0], sizes)
+        partitions = _cluster_round(scaled, fleets, 0) if clustered else [None] * len(fleets)
         for method in methods:
             sync = {
-                fraction: _bill(scaled, method, fleet, base, 0).sync_latency_s
-                for fraction, fleet in zip(billed, fleets)
+                fraction: _bill(scaled, method, stragglers, base, partition).sync_latency_s
+                for fraction, (_, stragglers), partition in zip(billed, fleets, partitions)
             }
             out[method][n] = {
                 fraction: {

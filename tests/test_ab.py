@@ -121,3 +121,35 @@ class TestWorkloads:
         for workload in ("s3-gate", "compare-cli"):
             assert f"{workload} seed 0, 2 pairs of 1 s; digests equal" in out
         assert out.count("no worse") == 2 * (len(ab.SPEC["end_to_end"]) + 1)
+
+
+class TestScale:
+    """Each side's median scale is printed, and a note when the probe moves
+    op_ms_p50's verdict away from raw_op_ms's."""
+
+    @staticmethod
+    def fake_run(scaled, raw):
+        def run(tree, workload, seed, seconds):
+            side = "cand" if tree == ab.ROOT else "base"
+            values = {m["name"]: 1.0 for m in ab.SPEC["end_to_end"]}
+            return {**values, "op_ms_p50": scaled[side], ab.RAW_OP_MS: raw[side]}, "d"
+        return run
+
+    def judged(self, monkeypatch, capsys, scaled, raw):
+        monkeypatch.setattr(ab, "run", self.fake_run(scaled, raw))
+        assert ab.main(["base", "--workload", "s3-gate", "--pairs", "2", "--seconds", "1"]) == 0
+        return capsys.readouterr().out
+
+    def test_disagreeing_verdicts_get_a_note(self, monkeypatch, capsys):
+        # the candidate's raw time is 20% lower, but its probe doubled its scale
+        out = self.judged(monkeypatch, capsys, scaled={"base": 100.0, "cand": 160.0},
+                          raw={"base": 100.0, "cand": 80.0})
+        assert "scale        op_ms_p50 / raw_op_ms median: base 1  cand 2\n" in out
+        assert ("note: op_ms_p50 reads worse scaled but gain raw; bench/harness.py's "
+                "docstring says when the host-speed probe flatters one side") in out
+
+    def test_agreeing_verdicts_get_none(self, monkeypatch, capsys):
+        out = self.judged(monkeypatch, capsys, scaled={"base": 100.0, "cand": 90.0},
+                          raw={"base": 50.0, "cand": 45.0})
+        assert "scale        op_ms_p50 / raw_op_ms median: base 2  cand 2\n" in out
+        assert "note:" not in out

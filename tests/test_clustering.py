@@ -6,6 +6,7 @@ own update code.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from cfhfc import (
     fcm_fit,
     normalize_profiles,
 )
-from cfhfc.clustering import _memberships_from_distances, _weighted_norm, minmax_scale
+from cfhfc import clustering
+from cfhfc.clustering import (
+    _memberships_from_distances,
+    _weighted_norm,
+    fcm_fit_stack,
+    minmax_scale,
+)
 
 SQRT_03 = 0.5477225575051661  # sqrt(0.3), the cpu-axis unit distance
 
@@ -466,3 +473,67 @@ class TestParentReplay:
             m = FUZZIFIERS[case % len(FUZZIFIERS)]
             got = _memberships_from_distances(dist, m)
             assert got.tobytes() == reference_memberships_from_distances(dist, m).tobytes()
+
+
+def stack_cases(count, seed):
+    """count stacks of 1-5 slices of one shape: each replay case's points, K,
+    fuzzifier, weights and max_iter, then slices of mixed kinds, each with its
+    own seed."""
+    rng = np.random.default_rng(seed)
+    kinds = ("uniform", "grid", "duplicates", "equal")
+    for case, (points, k, m, weights, max_iter, first) in enumerate(replay_cases(count, seed)):
+        size = 1 + case % 5
+        more = [replay_points(rng, len(points), kinds[int(rng.integers(4))]) for _ in range(size - 1)]
+        seeds = [first, *rng.integers(0, 1000, size=size - 1).tolist()]
+        yield np.stack([points, *more]), k, m, weights, max_iter, seeds
+
+
+class TestFitStack:
+    """fcm_fit_stack fits each slice as reference_fcm_fit fits it alone."""
+
+    def test_each_slice_matches_reference_bytes(self):
+        seen = Counter()
+        for points, k, m, weights, max_iter, seeds in stack_cases(200, seed=21):
+            got = fcm_fit_stack(points, k, fuzzifier=m, weights=weights,
+                                max_iter=max_iter, seeds=seeds)
+            assert len(got) == len(points)
+            for part, block, seed in zip(got, points, seeds):
+                want = reference_fcm_fit(block, k, fuzzifier=m, weights=weights,
+                                         max_iter=max_iter, seed=seed)
+                assert partition_bytes(part) == partition_bytes(want), (len(points), k, m)
+                seen["equal"] += bool((block == block[0]).all())
+            seen[f"slices={len(points)}"] += 1
+            seen["mixed iterations"] += len({part.iterations_used for part in got}) > 1
+            seen["max_iter=1"] += max_iter == 1
+            seen["K=1"] += k == 1
+            seen[f"m={m}"] += 1
+        for key in (*(f"slices={size}" for size in range(1, 6)), "equal", "max_iter=1", "K=1",
+                    "m=2.0", "m=3.0"):
+            assert seen[key] >= 3, key
+        assert seen["mixed iterations"] >= 20
+
+    def test_fcm_fit_is_the_one_slice_stack(self):
+        points = replay_points(np.random.default_rng(22), 30, "uniform")
+        alone = fcm_fit(points, 4, fuzzifier=2.0, seed=7)
+        (stacked,) = fcm_fit_stack(points[None], 4, fuzzifier=2.0, seeds=(7,))
+        assert partition_bytes(alone) == partition_bytes(stacked)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seeds": (0, 1)}, "2 seeds for 3 slices"),
+        ({"seeds": (0, 1, 2, 3)}, "4 seeds for 3 slices"),
+        ({"points": np.empty((0, 6, 3)), "seeds": ()}, "0 seeds for 0 slices"),
+        ({"points": np.full((3, 6, 3), 1.5)}, "not normalized"),
+        ({"points": np.full((3, 6, 3), -0.5)}, "not normalized"),
+        ({"num_clusters": 7}, "6 profiles cannot fill 7 clusters"),
+        ({"points": np.full((3, 6, 2), 0.5)}, r"shape \(n, 3\) per slice"),
+    ], ids=["fewer-seeds", "more-seeds", "empty", "above-one", "below-zero", "n-below-k",
+            "two-columns"])
+    def test_bad_stack_is_rejected_before_any_work(self, change, message, monkeypatch):
+        seeded = []
+        monkeypatch.setattr(clustering, "_farthest_point_init",
+                            lambda *args: seeded.append(args))
+        args = {"points": np.random.default_rng(23).random((3, 6, 3)), "num_clusters": 2,
+                "seeds": (0, 1, 2), **change}
+        with pytest.raises(ValueError, match=message):
+            fcm_fit_stack(**args)
+        assert seeded == []

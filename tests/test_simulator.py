@@ -327,36 +327,55 @@ class TestLayerCalls:
             }
 
     def test_sweep_bills_each_distinct_fraction_once(self, monkeypatch):
-        """One fleet per client count and distinct fraction, 0.0 first, billed
-        once per method, with one FCM fit in each cfhfc bill and no
-        simulate_latency call."""
+        """One fleet per client count and distinct fraction, 0.0 first; then one
+        stacked FCM fit per count, whose slices are those fleets in that order;
+        then each fleet billed once per method, with no fit inside any bill, no
+        single fcm_fit and no simulate_latency call."""
         calls = self.counted_calls(monkeypatch)
-        real_fleet, real_bill = simulator._fleet, simulator._bill
-        fleets, billed = [], []
+        real_fleet, real_bill, real_stack = (
+            simulator._fleet, simulator._bill, simulator.fcm_fit_stack)
+        events, stacked = [], []
 
         def fleet(scenario, straggler_fraction):
-            fleets.append((scenario.num_clients, straggler_fraction))
+            events.append(("fleet", scenario.num_clients, straggler_fraction))
             return real_fleet(scenario, straggler_fraction)
 
+        def stack(points, *args, **kwargs):
+            events.append(("stack", len(points[0]), len(points)))
+            stacked.append(np.array(points))
+            return real_stack(points, *args, **kwargs)
+
         def bill(scenario, method, *args):
-            fits = calls["fcm_fit"]
+            fits = calls["fcm_fit"] + len(stacked)
             report = real_bill(scenario, method, *args)
-            billed.append((scenario.num_clients, method, calls["fcm_fit"] - fits))
+            events.append(("bill", scenario.num_clients, method,
+                           calls["fcm_fit"] + len(stacked) - fits))
             return report
 
         monkeypatch.setattr(simulator, "_fleet", fleet)
         monkeypatch.setattr(simulator, "_bill", bill)
-        straggler_metrics(jittered_scenario("cfhfc"), fractions=(0.5, 0.25, 0.5),
-                          client_counts=(6, 9))
-        assert fleets == [(n, fraction) for n in (6, 9) for fraction in (0.0, 0.5, 0.25)]
-        assert billed == [
-            (n, method, int(method == "cfhfc"))
+        monkeypatch.setattr(simulator, "fcm_fit_stack", stack)
+        scenario = jittered_scenario("cfhfc")
+        straggler_metrics(scenario, fractions=(0.5, 0.25, 0.5), client_counts=(6, 9))
+        distinct = (0.0, 0.5, 0.25)
+        assert events == [
+            event
             for n in (6, 9)
-            for method in ("cfhfc", "fedavg", "fedprox")
-            for _ in (0.0, 0.5, 0.25)
+            for event in [
+                *(("fleet", n, fraction) for fraction in distinct),
+                ("stack", n, len(distinct)),
+                *(("bill", n, method, 0)
+                  for method in ("cfhfc", "fedavg", "fedprox") for _ in distinct),
+            ]
         ]
-        assert calls["fcm_fit"] == 6
+        assert calls["fcm_fit"] == 0
         assert calls["simulate_latency"] == 0
+        monkeypatch.undo()
+        for n, points in zip((6, 9), stacked):
+            scaled = simulator._scaled_scenario(scenario, n)
+            for fraction, slice_ in zip(distinct, points):
+                alone = simulator._cluster_round(scaled, [simulator._fleet(scaled, fraction)], 0)
+                assert slice_.tobytes() == alone[0][1].tobytes(), (n, fraction)
 
     def test_each_block_is_scored_once_per_round(self, monkeypatch):
         """Outside the edge tier a round computes logits once per gated
@@ -926,6 +945,22 @@ class TestStragglerMetrics:
             straggler_metrics(build_scenario("scenario1", straggler_fraction=0.3),
                               fractions=(0.3,), client_counts=(20,), methods=methods)
         assert billed == []
+
+    @pytest.mark.parametrize("grid", [
+        {"fractions": (0.0, -0.1)}, {"fractions": (1.5,)}, {"fractions": (1.0,)},
+        {"fractions": (float("nan"),)}, {"client_counts": (20, 2.5)},
+        {"client_counts": (0,)}, {"client_counts": (True,)},
+    ], ids=["negative", "above-one", "one", "nan", "float-count", "zero-count", "bool-count"])
+    def test_rejects_a_bad_grid_before_any_fleet_or_bill(self, grid, monkeypatch):
+        """Fractions lie in Scenario.straggler_fraction's [0, 1), and client
+        counts are ints >= 1; the error names the bad value."""
+        work = []
+        monkeypatch.setattr(simulator, "_fleet", lambda *args: work.append(args))
+        monkeypatch.setattr(simulator, "_bill", lambda *args: work.append(args))
+        (name, values), = grid.items()
+        with pytest.raises(ValueError, match=rf"^{name} .*got {re.escape(repr(values[-1]))}$"):
+            straggler_metrics(build_scenario("scenario1"), **grid)
+        assert work == []
 
     def test_own_client_count_keeps_the_scenario_clusters(self):
         """At the scenario's own client count the sweep bills the scenario's

@@ -20,7 +20,9 @@ metric the candidate's wins, both sides' medians and quartiles, and a verdict:
 
 The same summary follows for each run's raw (unscaled) operation time p50,
 raw_op_ms, judged with op_ms_p50's bound: the benchmark scales each run by a
-host-speed probe, and the probe alone can move one run's scaled time.
+host-speed probe, and the probe alone can move one run's scaled time. Each
+side's median scale (op_ms_p50 / raw_op_ms) is printed, and a note when the
+scaled and raw verdicts of op_ms_p50 disagree.
 
 This stays outside bench/ until the benchmark has an A/B mode of its own.
 """
@@ -108,13 +110,23 @@ def judge(trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds:
             for m in metrics), flush=True)
     print(f"{workload} seed {seed}, {pairs} pairs of {seconds:g} s; "
           f"digests {'equal' if len(digests) == 1 else 'DIFFER'}")
+    verdicts = {}
     for m in metrics:
         base, cand = values["base"][m["name"]], values["cand"][m["name"]]
         b25, b50, b75 = quartiles(base)
         c25, c50, c75 = quartiles(cand)
+        verdicts[m["name"]] = verdict(base, cand, m["better"], m["bound"])
         print(f"  {m['name']:<12} wins {wins(base, cand, m['better'])}/{pairs}  "
               f"base {b50:.4g} [{b25:.4g}, {b75:.4g}]  cand {c50:.4g} [{c25:.4g}, {c75:.4g}]  "
-              f"ratio {c50 / b50:.3f}  {verdict(base, cand, m['better'], m['bound'])}")
+              f"ratio {c50 / b50:.3f}  {verdicts[m['name']]}")
+    scale = {side: statistics.median(s / r for s, r in zip(v["op_ms_p50"], v[RAW_OP_MS]))
+             for side, v in values.items()}
+    print(f"  scale        op_ms_p50 / {RAW_OP_MS} median: "
+          f"base {scale['base']:.4g}  cand {scale['cand']:.4g}")
+    if verdicts["op_ms_p50"] != verdicts[RAW_OP_MS]:
+        print(f"  note: op_ms_p50 reads {verdicts['op_ms_p50']} scaled but "
+              f"{verdicts[RAW_OP_MS]} raw; bench/harness.py's docstring says when the "
+              "host-speed probe flatters one side")
 
 
 def main(argv: list[str] | None = None) -> int:
