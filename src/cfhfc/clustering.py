@@ -239,9 +239,9 @@ def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
         done = (moved < tol) | (iteration == max_iter)
         if done.any():
             dist[ids], centroids[ids] = d, c
+            if done.all():
+                break
             ids, pts, d, c = ids[~done], pts[~done], d[~done], c[~done]
-        if not ids.size:
-            break
     memberships = _memberships_from_distances(dist, fuzzifier)
     return [FuzzyPartition(mu, at, fuzzifier, len(trace), tuple(trace))
             for mu, at, trace in zip(memberships, centroids, traces)]
