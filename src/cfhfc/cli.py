@@ -1,4 +1,4 @@
-"""Command line front end: run, compare, report, defaults.
+"""Command line front end: run, compare, defaults.
 
 Configuration comes from a named preset, an optional strict JSON config file
 (unknown keys and mistyped values are rejected with the offending field
@@ -20,9 +20,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import CsvSource, SyntheticSource, materialize_holdout
-from .metrics import RATE_NAMES, classification_metrics, roc_sweep, trapezoid_auc
-from .model import LabeledBatch, ModelParams
+from .data import CsvSource, SyntheticSource
+from .metrics import RATE_NAMES, roc_sweep, trapezoid_auc
 from .simulator import (  # bench/test_bench.py reads init_state and run_round here
     _PRESETS,
     METHODS,
@@ -39,7 +38,7 @@ from .simulator import (  # bench/test_bench.py reads init_state and run_round h
     straggler_metrics,
 )
 
-__all__ = ["main", "cmd_run", "cmd_compare", "cmd_report", "ConfigError"]
+__all__ = ["main", "cmd_run", "cmd_compare", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -224,20 +223,16 @@ def _rounds_rows(scenario: Scenario, reports: list[RoundReport]):
     return header, rows
 
 
-def _roc(
-    scenario: Scenario, model: ModelParams, holdout: LabeledBatch
-) -> tuple[list[tuple[float, float, float]], float]:
-    """The model's holdout ROC points at 101 thresholds, and their AUC."""
-    attack = scenario.resolved_attack_classes()
-    points = roc_sweep(model, holdout, attack, np.linspace(0.0, 1.0, 101))
-    return points, trapezoid_auc(points)
+def _roc(state) -> list[tuple[float, float, float]] | None:
+    """The global model's holdout ROC points at 101 thresholds; None without a holdout."""
+    if state.holdout is None:
+        return None
+    attack = state.scenario.resolved_attack_classes()
+    return roc_sweep(state.global_model, state.holdout, attack, np.linspace(0.0, 1.0, 101))
 
 
-def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
+def _final_summary(scenario: Scenario, reports: list[RoundReport], points):
     final = reports[-1]
-    auc = None
-    if state.holdout is not None:
-        _, auc = _roc(scenario, state.global_model, state.holdout)
     syncs = [r.sync_latency_s for r in reports]
     rates = {name: getattr(final, name) for name in RATE_NAMES}
     return {
@@ -249,7 +244,7 @@ def _final_summary(scenario: Scenario, reports: list[RoundReport], state):
             k: v if math.isfinite(v) else None
             for k, v in {"loss": final.global_loss, **rates}.items()
         },
-        "auc": auc,
+        "auc": None if points is None else trapezoid_auc(points),
         "latency": {
             "mean_sync_s": float(np.mean(syncs)),
             "max_sync_s": float(np.max(syncs)),
@@ -263,16 +258,19 @@ def _check_rounds(scenario: Scenario) -> None:
 
 
 def cmd_run(scenario: Scenario, out_dir: str | Path) -> int:
-    """Train one method and persist rounds.csv, summary.json, config, model."""
+    """Train one method and persist rounds.csv, summary.json, config, model and,
+    with a holdout, the final model's roc_sweep.csv, confusion.csv and summary.txt."""
     _check_rounds(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports, state = run_training(scenario, return_state=True)
     header, rows = _rounds_rows(scenario, reports)
     _write_csv(out / "rounds.csv", header, rows)
-    _write_json(out / "summary.json", _final_summary(scenario, reports, state))
+    points = _roc(state)
+    summary = _final_summary(scenario, reports, points)
+    _write_json(out / "summary.json", summary)
     _write_json(out / "config.resolved.json", scenario_to_dict(scenario))
-    model = state.global_model
+    model, holdout = state.global_model, state.holdout
     (out / "final_model.json").write_text(
         json.dumps(
             {
@@ -282,6 +280,26 @@ def cmd_run(scenario: Scenario, out_dir: str | Path) -> int:
         )
         + "\n"
     )
+    if holdout is None:
+        return 0
+    _write_csv(out / "roc_sweep.csv", ["threshold", "fpr", "tpr"], points)
+    counts = holdout_confusion(scenario, model, holdout)
+    num_classes = scenario.dataset.num_classes
+    _write_csv(
+        out / "confusion.csv",
+        ["truth"] + [f"pred_{c}" for c in range(num_classes)],
+        [[c] + list(counts.per_class[c]) for c in range(num_classes)],
+    )
+    about = {
+        "run": out,
+        "method": scenario.method,
+        "seed": scenario.seed,
+        "holdout": f"{len(holdout)} samples",
+    }
+    scores = {**{name: getattr(reports[-1], name) for name in RATE_NAMES}, "auc": summary["auc"]}
+    lines = [f"{k + ':':<11}{v}" for k, v in about.items()] + [""]
+    lines += [f"{k + ':':<11}{v:.6f}" for k, v in scores.items()]
+    (out / "summary.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -305,7 +323,7 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
     finals: dict[str, dict] = {}
     for method, state, reports in zip(methods, states, run_lockstep(states, scenario.rounds)):
         rows += [[method] + _round_row(r) for r in reports]
-        finals[method] = _final_summary(state.scenario, reports, state)
+        finals[method] = _final_summary(state.scenario, reports, _roc(state))
     _write_csv(out / "compare.csv", ["method", "round", *_ROUND_COLUMNS], rows)
 
     reference = "fedavg" if "fedavg" in methods else methods[0]
@@ -335,50 +353,6 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
         },
     }
     _write_json(out / "compare.json", comparison)
-    return 0
-
-
-def cmd_report(run_dir: str | Path, out_dir: str | Path | None = None) -> int:
-    """Turn a finished run directory into ROC, confusion, and text summaries."""
-    run_path = Path(run_dir)
-    config_path = run_path / "config.resolved.json"
-    model_path = run_path / "final_model.json"
-    for p in (run_path / "rounds.csv", config_path, model_path):
-        if not p.exists():
-            raise ConfigError(f"missing run artifacts: {p} not found")
-    scenario = resolve_scenario(None, json.loads(config_path.read_text()))
-    if scenario.dataset.holdout_fraction == 0.0:
-        raise ConfigError("run has no holdout split; cannot build a report")
-    out = Path(out_dir) if out_dir is not None else run_path
-    out.mkdir(parents=True, exist_ok=True)
-
-    raw_model = json.loads(model_path.read_text())
-    model = ModelParams(np.array(raw_model["weights"]), np.array(raw_model["biases"]))
-    # the holdout is drawn before any partition, so no client is built for it
-    holdout = materialize_holdout(scenario.dataset)
-
-    points, auc = _roc(scenario, model, holdout)
-    _write_csv(out / "roc_sweep.csv", ["threshold", "fpr", "tpr"], points)
-
-    counts = holdout_confusion(scenario, model, holdout)
-    num_classes = scenario.dataset.num_classes
-    _write_csv(
-        out / "confusion.csv",
-        ["truth"] + [f"pred_{c}" for c in range(num_classes)],
-        [[c] + list(counts.per_class[c]) for c in range(num_classes)],
-    )
-
-    report = classification_metrics(counts)
-    about = {
-        "run": run_path,
-        "method": scenario.method,
-        "seed": scenario.seed,
-        "holdout": f"{len(holdout)} samples",
-    }
-    scores = {**{name: getattr(report, name) for name in RATE_NAMES}, "auc": auc}
-    lines = [f"{k + ':':<11}{v}" for k, v in about.items()] + [""]
-    lines += [f"{k + ':':<11}{v:.6f}" for k, v in scores.items()]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -416,6 +390,8 @@ def _load_config_file(path: str | None) -> dict | None:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")
     return cfg
@@ -436,10 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(cmp_p, repeat_method=True)
     cmp_p.add_argument("--out", default="out")
 
-    rep_p = sub.add_parser("report", help="derive ROC/confusion from a run directory")
-    rep_p.add_argument("run_dir")
-    rep_p.add_argument("--out", default=None)
-
     sub.add_parser("defaults", help="print the default configuration as JSON")
 
     args = parser.parse_args(argv)
@@ -447,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "defaults":
             print(json.dumps(scenario_to_dict(Scenario()), indent=2, sort_keys=True))
             return 0
-        if args.command == "report":
-            return cmd_report(args.run_dir, args.out)
         scenario = resolve_scenario(
             args.preset,
             _load_config_file(args.config),

@@ -33,7 +33,6 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "materialize_clients",
-    "materialize_holdout",
 ]
 
 CHUNK_ROWS = 8192  # synthetic rows drawn, bounded and scattered at a time
@@ -422,10 +421,3 @@ def materialize_clients(
     holdout, *batches = _fill(chunks, labels, [held, *parts])
     pairs = zip(batches[::2], batches[1::2])
     return [ClientDataset(client, *pair) for client, pair in enumerate(pairs)], holdout
-
-
-def materialize_holdout(spec: DatasetSpec) -> LabeledBatch | None:
-    """materialize_clients' holdout, byte for byte, with no partition and no client rows."""
-    labels, chunks = _stream(spec.source, spec.seed)
-    held = _holdout_rows(spec, len(labels))[1]
-    return None if held is None else _fill(chunks, labels, [held])[0]

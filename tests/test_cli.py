@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfhfc import cli, simulator
+from cfhfc import simulator
 from cfhfc import data as data_module
 from cfhfc.cli import main, resolve_scenario, scenario_to_dict
 from cfhfc.simulator import _fleet
@@ -129,7 +129,7 @@ class TestRun:
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_path), "--out", str(out)])
         assert code == 0
-        for name in RUN_ARTIFACTS:
+        for name in RUN_ARTIFACTS + REPORT_ARTIFACTS:
             assert (out / name).exists(), name
 
         rounds = (out / "rounds.csv").read_text().splitlines()
@@ -148,6 +148,10 @@ class TestRun:
         assert main(["run", "--config", str(config_path), "--out", str(out_a)]) == 0
         assert main(["run", "--config", str(config_path), "--out", str(out_b)]) == 0
         assert read_all(out_a, RUN_ARTIFACTS) == read_all(out_b, RUN_ARTIFACTS)
+        # summary.txt's first line names the run directory; the rest must match
+        a, b = read_all(out_a, REPORT_ARTIFACTS), read_all(out_b, REPORT_ARTIFACTS)
+        assert a.pop("summary.txt").split(b"\n", 1)[1] == b.pop("summary.txt").split(b"\n", 1)[1]
+        assert a == b
 
     def test_lf_line_endings_and_compact_floats(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -184,11 +188,18 @@ class TestRun:
         assert "not found" in capsys.readouterr().err
 
     def test_invalid_json_config(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code = main(["run", "--config", str(path)])
-        assert code == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        """Text that is not JSON, a directory and bytes that are not UTF-8 are config errors."""
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        folder = tmp_path / "folder.json"
+        folder.mkdir()
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        for path, reason in [(broken, "is not valid JSON"), (folder, "cannot be read"),
+                             (binary, "cannot be read")]:
+            assert main(["run", "--config", str(path)]) == 1, path.name
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config file {path} {reason}: "), err
 
     def test_invalid_field_value(self, tmp_path, capsys):
         bad = dict(SMALL_CONFIG)
@@ -574,12 +585,12 @@ class TestGoldenArtifacts:
 
 
 class TestReport:
+    """run's holdout report: the final model's ROC sweep, confusion and text summary."""
+
     def test_derives_roc_confusion_and_summary(self, tmp_path, config_path):
         run_dir = tmp_path / "run"
         assert main(["run", "--config", str(config_path),
                      "--out", str(run_dir)]) == 0
-        code = main(["report", str(run_dir)])
-        assert code == 0
         roc = (run_dir / "roc_sweep.csv").read_text().splitlines()
         assert roc[0] == "threshold,fpr,tpr"
         last = roc[-1].split(",")
@@ -596,55 +607,32 @@ class TestReport:
                       "fnr:", "auc:"):
             assert field in text
 
-    def test_builds_no_clients(self, tmp_path):
-        # a dirichlet split this skewed tops clients up while the run trains
-        config = copy.deepcopy(SMALL_CONFIG)
-        config.update(rounds=1, num_clients=8)
-        config["dataset"].update(partition="dirichlet", concentration=0.05)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+    def test_summary_text_agrees_with_summary_json(self, tmp_path, config_path):
         run_dir = tmp_path / "run"
-        with pytest.warns(RuntimeWarning, match="topped up"):
-            assert main(["run", "--config", str(path), "--out", str(run_dir)]) == 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["report", str(run_dir)]) == 0
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-
-    def test_separate_output_directory(self, tmp_path, config_path):
-        run_dir = tmp_path / "run"
-        main(["run", "--config", str(config_path), "--out", str(run_dir)])
-        report_dir = tmp_path / "derived"
-        assert main(["report", str(run_dir), "--out", str(report_dir)]) == 0
-        assert (report_dir / "roc_sweep.csv").exists()
-        assert not (run_dir / "roc_sweep.csv").exists()
-
-    def test_missing_run_directory(self, tmp_path, capsys):
-        code = main(["report", str(tmp_path / "nowhere")])
-        assert code == 1
-        assert "missing run artifacts" in capsys.readouterr().err
+        assert main(["run", "--config", str(config_path), "--out", str(run_dir)]) == 0
+        summary = json.loads((run_dir / "summary.json").read_text())
+        scores = {**{k: v for k, v in summary["final"].items() if k != "loss"},
+                  "auc": summary["auc"]}
+        lines = (run_dir / "summary.txt").read_text().splitlines()
+        text = dict(line.split(":", 1) for line in lines[lines.index("") + 1:])
+        assert {k: v.strip() for k, v in text.items()} == {
+            k: f"{v:.6f}" for k, v in scores.items()
+        }
 
     def test_report_matches_golden(self, tmp_path, config_path, monkeypatch):
         """Frozen from an earlier build; run from tmp_path so the run: line reads `run`."""
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(config_path), "--out", "run"]) == 0
-        assert main(["report", "run"]) == 0
         for name in REPORT_ARTIFACTS:
             golden = (GOLDEN / f"report.{name}").read_bytes()
             assert (tmp_path / "run" / name).read_bytes() == golden, name
 
-    def test_no_holdout_is_rejected_before_loading_data(self, tmp_path, capsys, monkeypatch):
+    def test_no_holdout_writes_no_report(self, tmp_path):
         run_dir = tmp_path / "run"
         config = tmp_path / "no_holdout.json"
         config.write_text(json.dumps(NO_HOLDOUT_CONFIG))
         assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
-        loads = []
-        monkeypatch.setattr(cli, "materialize_holdout", lambda spec: loads.append(spec))
-        assert main(["report", str(run_dir)]) == 1
-        assert capsys.readouterr().err == (
-            "config error: run has no holdout split; cannot build a report\n"
-        )
-        assert loads == []
+        assert strict_json(run_dir / "summary.json")["auc"] is None
         for name in REPORT_ARTIFACTS:
             assert not (run_dir / name).exists(), name
 
