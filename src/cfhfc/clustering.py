@@ -107,23 +107,37 @@ def normalize_profiles(profiles: list[HardwareProfile]) -> np.ndarray:
 def _weighted_norm(
     a: np.ndarray, b: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """sqrt(sum_j w[j] * (a[..., j] - b[..., j])**2), into out if given.
-
-    One pass over (..., 3) blocks: t = (w * d) * d, then out = t[..., 0] +
-    t[..., 1], plus t[..., 2], then the square root. Those are the products
-    and left-to-right adds of np.sqrt(np.sum(w * d * d, axis=-1)), since
-    numpy adds a 3-wide last axis left to right, so the doubles match. Its
-    two (..., 3) temporaries, d and t, are dropped on return, before the
-    next membership cube is built.
-    """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    """sqrt(sum_j w[j] * (a[..., j] - b[..., j])**2), into out if given: _plane_norm
+    over the three (strided) axis planes of a - b."""
     d = a - b
-    t = w * d
+    return _plane_norm(np.moveaxis(d, -1, 0), w, np.empty(d.shape[:-1]) if out is None else out)
+
+
+def _plane_norm(d: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sqrt(sum_j w[j] * d[j]**2) over the (3, ...) per-axis planes d, into out.
+
+    t = (w * d) * d, then out = t[0] + t[1], plus t[2], then the square root.
+    Those are the products and left-to-right adds of
+    np.sqrt(np.sum(w * d * d, axis=-1)) on (..., 3) blocks, since numpy adds a
+    3-wide last axis left to right, so the doubles match. On contiguous planes
+    each step runs over one block instead of every third double.
+    """
+    t = w.reshape(3, *(1,) * (d.ndim - 1)) * d
     t *= d
-    np.add(t[..., 0], t[..., 1], out=out)
-    out += t[..., 2]
+    np.add(t[0], t[1], out=out)
+    out += t[2]
     return np.sqrt(out, out=out)
+
+
+def _ratio_memberships(rows: np.ndarray, m: float) -> np.ndarray:
+    """mu_ik = 1 / sum_r (d_ik / d_ir)^(2/(m-1)) for C-contiguous (..., K) rows with no
+    zero distance, numerically safe for tiny d. Each row sums as numpy's pairwise sum of
+    that row alone; an F-ordered cube would sum its last axis in another order."""
+    with np.errstate(over="ignore"):
+        ratios = rows[..., :, None] / rows[..., None, :]
+        if m != 3.0:  # the default m = 3 makes the exponent 1.0, and x ** 1.0 is x
+            ratios **= 2.0 / (m - 1.0)
+        return 1.0 / ratios.sum(axis=-1)
 
 
 def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
@@ -131,40 +145,38 @@ def _memberships_from_distances(dist: np.ndarray, m: float) -> np.ndarray:
 
     Zero distances short-circuit: the mass is split uniformly over all
     centroids the point coincides with, which keeps duplicate centroids
-    populated and is symmetric when every distance is zero.
+    populated and is symmetric when every distance is zero. Only the rows off
+    every centroid build ratios, gathered into one C-contiguous block.
     """
     zeros = dist == 0.0
-    # mu_ik = 1 / sum_r (d_ik / d_ir)^(2/(m-1)), numerically safe for tiny d;
-    # rows with a zero distance divide by zero here and are overwritten below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = dist[..., :, None] / dist[..., None, :]
-        if m != 3.0:  # the default m = 3 makes the exponent 1.0, and x ** 1.0 is x
-            ratios **= 2.0 / (m - 1.0)
-        out = 1.0 / ratios.sum(axis=-1)
-    if zeros.any():  # past the first iteration, centroids rarely sit on a point
-        hit = zeros.any(axis=-1)
-        out[hit] = zeros[hit] / zeros[hit].sum(axis=-1, keepdims=True)
+    if not zeros.any():  # past the first iteration, centroids rarely sit on a point
+        return _ratio_memberships(np.ascontiguousarray(dist), m)
+    count = zeros.sum(axis=-1, keepdims=True)
+    out = zeros / np.maximum(count, 1)  # rows off every centroid read 0 here
+    miss = count[..., 0] == 0
+    if miss.any():
+        out[miss] = _ratio_memberships(dist[miss], m)
     return out
 
 
 def _farthest_point_init(
-    points: np.ndarray, k: int, w: np.ndarray, seed: int, dist: np.ndarray
+    planes: np.ndarray, k: int, w: np.ndarray, seeds: tuple[int, ...], dist: np.ndarray
 ) -> np.ndarray:
-    """Seeded farthest-point seeding: deterministic given seed and order.
-
-    Returns the k seeds and writes every point's distance to each seed into
-    the (n, k) dist, the fit's first distance matrix. dist must be C-contiguous:
-    the membership ratios inherit its layout, and an F-ordered cube sums its
-    last axis in another order than numpy's pairwise one.
-    """
-    n = points.shape[0]
-    chosen = [seed % n]
-    min_dist = _weighted_norm(points, points[chosen[0]], w, out=dist[:, 0])
+    """Seeded farthest-point seeding of each slice of the (3, F, n) per-axis point planes,
+    all in one pass of k - 1 argmax and minimum steps. Returns the (F, k) seed indices
+    and writes each point's distance to its slice's seeds into the (F, n, k) dist."""
+    _, count, n = planes.shape
+    at = np.arange(count)
+    chosen = np.empty((k, count), dtype=np.intp)
+    chosen[0] = [seed % n for seed in seeds]
+    columns = np.empty((k, count, n))  # seed j's (F, n) distances, contiguous
+    nearest = _plane_norm(planes - planes[:, at, chosen[0], None], w, columns[0]).copy()
     for j in range(1, k):
-        chosen.append(int(min_dist.argmax()))
-        column = _weighted_norm(points, points[chosen[-1]], w, out=dist[:, j])
-        min_dist = np.minimum(min_dist, column)
-    return points[chosen]
+        chosen[j] = nearest.argmax(axis=-1)
+        column = _plane_norm(planes - planes[:, at, chosen[j], None], w, columns[j])
+        np.minimum(nearest, column, out=nearest)
+    dist[...] = columns.transpose(1, 2, 0)
+    return chosen.T
 
 
 def fcm_fit(
@@ -208,7 +220,7 @@ def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
     if not 0 < len(seeds) == len(points):
         raise ValueError(f"got {len(seeds)} seeds for {len(points)} slices of points")
     if not ((points >= 0.0) & (points <= 1.0)).all():
-        raise ValueError("points are not normalized to [0, 1]; call normalize_profiles")
+        raise ValueError("points are not normalized to [0, 1]; scale them with minmax_scale")
     count, n = points.shape[:2]
     if n < num_clusters:
         raise ValueError(f"{n} profiles cannot fill {num_clusters} clusters")
@@ -216,8 +228,10 @@ def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
     w = weights.as_array()
     # every (point, centroid) distance, rewritten in place each iteration
     dist = np.empty((count, n, num_clusters))
-    centroids = np.array([_farthest_point_init(block, num_clusters, w, seed, out)
-                          for block, seed, out in zip(points, seeds, dist)])
+    planes = np.ascontiguousarray(points.transpose(2, 0, 1))  # (3, F, n): one plane per axis
+    centroids = points[np.arange(count)[:, None],
+                       _farthest_point_init(planes, num_clusters, w, seeds, dist)]
+    planes = planes[..., None]
     traces: list[list[float]] = [[] for _ in range(count)]  # one entry per iteration run
     ids, pts, d, c = np.arange(count), points, dist, centroids  # the slices still moving
     for iteration in range(1, max_iter + 1):
@@ -227,11 +241,14 @@ def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
         sums = mass.swapaxes(-1, -2) @ pts
         totals = np.ascontiguousarray(mass.swapaxes(-1, -2)).sum(axis=-1)
         live = totals > 0.0
-        new_centroids = c.copy()
-        new_centroids[live] = sums[live] / totals[live][:, None]
+        if live.all():
+            new_centroids = sums / totals[..., None]
+        else:
+            new_centroids = c.copy()
+            new_centroids[live] = sums[live] / totals[live][:, None]
         moved = _weighted_norm(new_centroids, c, w).max(axis=-1)
         c = new_centroids
-        _weighted_norm(pts[:, :, None, :], c[:, None], w, out=d)
+        _plane_norm(planes - c.transpose(2, 0, 1)[:, :, None], w, d)  # (3, F, n, K) planes
         # each slice sums its own contiguous n*K row, as np.sum of it alone would
         objective = (mass * d**2).reshape(len(d), -1).sum(axis=-1)
         for f, value in zip(ids.tolist(), objective.tolist()):
@@ -242,6 +259,7 @@ def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
             if done.all():
                 break
             ids, pts, d, c = ids[~done], pts[~done], d[~done], c[~done]
+            planes = planes[:, ~done]
     memberships = _memberships_from_distances(dist, fuzzifier)
     return [FuzzyPartition(mu, at, fuzzifier, len(trace), tuple(trace))
             for mu, at, trace in zip(memberships, centroids, traces)]

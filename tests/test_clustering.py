@@ -537,3 +537,129 @@ class TestFitStack:
         with pytest.raises(ValueError, match=message):
             fcm_fit_stack(**args)
         assert seeded == []
+
+
+def stacked_seeding(points, k, w, seeds):
+    """_farthest_point_init on a (F, n, 3) stack: each slice's seed points and its
+    (n, K) first distance matrix."""
+    planes = np.ascontiguousarray(points.transpose(2, 0, 1))
+    dist = np.empty((len(points), points.shape[1], k))
+    chosen = clustering._farthest_point_init(planes, k, w.as_array(), tuple(seeds), dist)
+    return [block[at] for block, at in zip(points, chosen)], dist
+
+
+class TestStackedSeeding:
+    """One seeding pass over a stack picks each slice's seeds and writes its
+    first distance matrix as reference_farthest_point_init does on that slice."""
+
+    def assert_slices_match(self, points, k, w, seeds):
+        got, dist = stacked_seeding(points, k, w, seeds)
+        for block, seed, centroids, first in zip(points, seeds, got, dist):
+            want = reference_farthest_point_init(block, k, w, seed)
+            assert centroids.tobytes() == want.tobytes(), (len(block), k, seed)
+            assert first.tobytes() == reference_distance_matrix(block, want, w).tobytes()
+
+    @pytest.mark.parametrize("kind", ["uniform", "grid", "duplicates", "equal"])
+    def test_one_slice(self, kind):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 40):
+            points = replay_points(rng, n, kind)[None]
+            for k in sorted({1, min(n, 4), n}):
+                self.assert_slices_match(points, k, ResourceWeights(), [int(rng.integers(1000))])
+
+    def test_seed_at_or_past_n_wraps(self):
+        points = replay_points(np.random.default_rng(32), 12, "uniform")[None]
+        for seed in (12, 13, 25, 12 * 40 + 5):
+            self.assert_slices_match(points, 5, ResourceWeights(), [seed])
+
+    def test_grid_argmax_ties_take_the_first_index(self):
+        rng = np.random.default_rng(33)
+        w, ties = ResourceWeights(), 0
+        for _ in range(20):
+            points = np.stack([replay_points(rng, 30, "grid") for _ in range(3)])
+            seeds = rng.integers(0, 1000, size=3).tolist()
+            for block, seed in zip(points, seeds):
+                first = reference_weighted_distance(block, block[seed % 30], w)
+                ties += (first == first.max()).sum() > 1
+            self.assert_slices_match(points, 6, w, seeds)
+        assert ties >= 20
+
+    def test_k_equal_to_n(self):
+        rng = np.random.default_rng(34)
+        for n in (1, 3, 9, 16):
+            points = np.stack([replay_points(rng, n, kind) for kind in ("uniform", "grid")])
+            self.assert_slices_match(points, n, ResourceWeights(), [0, n + 1])
+
+    def test_four_slices_with_differing_hit_patterns(self):
+        """Slices of distinct points, ties, duplicates and one coincident point,
+        each with its own seed and weights drawn per stack."""
+        rng = np.random.default_rng(35)
+        for k in (1, 3, 8, 15):
+            points = np.stack([replay_points(rng, 24, kind)
+                               for kind in ("uniform", "grid", "duplicates", "equal")])
+            w = ResourceWeights(*rng.dirichlet(np.ones(3)))
+            self.assert_slices_match(points, k, w, rng.integers(0, 1000, size=4).tolist())
+
+
+def reference_stack_memberships(dist, m):
+    return np.stack([reference_memberships_from_distances(block, m) for block in dist])
+
+
+def hit_rows(rng, shape):
+    """Distances in (0, 1] whose rows cycle through no zero, one zero, several
+    zeros and all zeros."""
+    dist = 1.0 - rng.random(shape)
+    k = shape[-1]
+    for i in range(shape[-2]):
+        zeros = (0, 1, int(rng.integers(2, k)) if k > 2 else k, k)[i % 4]
+        for f in range(shape[0]):
+            dist[f, i, rng.permutation(k)[:zeros]] = 0.0
+    return dist
+
+
+class TestStackedMemberships:
+    """_memberships_from_distances on (F, n, K) stacks gives each slice the bytes
+    of reference_memberships_from_distances on that slice alone."""
+
+    @pytest.mark.parametrize("m", FUZZIFIERS)
+    def test_mixed_rows_match_reference_bytes(self, m):
+        rng = np.random.default_rng(41)
+        for k in (1, 2, 3, 4, 9, 12, 16):
+            for shape in ((1, 13, k), (4, 30, k)):
+                dist = hit_rows(rng, shape)
+                got = _memberships_from_distances(dist, m)
+                assert got.tobytes() == reference_stack_memberships(dist, m).tobytes(), (shape, m)
+
+    @pytest.mark.parametrize("m", FUZZIFIERS)
+    def test_no_hit_and_all_hit_stacks_match_reference_bytes(self, m):
+        rng = np.random.default_rng(42)
+        for k in (1, 4, 9, 15):
+            off = 1.0 - rng.random((4, 25, k))
+            on = np.where(rng.random((4, 25, k)) < 0.3, 0.0, off)
+            on[..., 0] = 0.0
+            for dist in (off, on):
+                got = _memberships_from_distances(dist, m)
+                assert got.tobytes() == reference_stack_memberships(dist, m).tobytes(), (k, m)
+
+    @pytest.mark.parametrize("m", FUZZIFIERS)
+    def test_gathered_f_ordered_input_sums_as_its_c_copy(self, m):
+        """pair[:, chosen] comes back F-ordered, and summing ratios built from it
+        moves bits at K >= 9; the memberships must not depend on the layout."""
+        rng = np.random.default_rng(43)
+        pair = 1.0 - rng.random((40, 60))
+        for k in (9, 12, 16):
+            for hit in (False, True):
+                dist = pair[:, rng.integers(0, 60, size=k)]
+                if hit:
+                    dist[::3, 0] = 0.0
+                assert dist.flags.f_contiguous and not dist.flags.c_contiguous
+                want = reference_memberships_from_distances(np.ascontiguousarray(dist), m)
+                assert _memberships_from_distances(dist, m).tobytes() == want.tobytes(), (k, hit)
+
+
+def test_range_error_names_minmax_scale():
+    message = r"points are not normalized to \[0, 1\]; scale them with minmax_scale"
+    with pytest.raises(ValueError, match=message):
+        fcm_fit_stack(np.full((2, 6, 3), 1.5), 2, seeds=(0, 1))
+    with pytest.raises(ValueError, match=message):
+        fcm_fit(np.full((6, 3), -0.5), 2)
