@@ -239,13 +239,9 @@ def fcm_fit_stack(points: np.ndarray, num_clusters: int, fuzzifier: float = 3.0,
         # one gemm per slice: each row of its mass.T @ points rounds like
         # mass[:, k] @ points, and the contiguous rows sum like mass[:, k].sum()
         sums = mass.swapaxes(-1, -2) @ pts
-        totals = np.ascontiguousarray(mass.swapaxes(-1, -2)).sum(axis=-1)
-        live = totals > 0.0
-        if live.all():
-            new_centroids = sums / totals[..., None]
-        else:
-            new_centroids = c.copy()
-            new_centroids[live] = sums[live] / totals[live][:, None]
+        totals = np.ascontiguousarray(mass.swapaxes(-1, -2)).sum(axis=-1)[..., None]
+        # a cluster with no soft mass keeps its centroid
+        new_centroids = np.divide(sums, totals, out=c.copy(), where=totals > 0.0)
         moved = _weighted_norm(new_centroids, c, w).max(axis=-1)
         c = new_centroids
         _plane_norm(planes - c.transpose(2, 0, 1)[:, :, None], w, d)  # (3, F, n, K) planes
