@@ -663,3 +663,24 @@ def test_range_error_names_minmax_scale():
         fcm_fit_stack(np.full((2, 6, 3), 1.5), 2, seeds=(0, 1))
     with pytest.raises(ValueError, match=message):
         fcm_fit(np.full((6, 3), -0.5), 2)
+
+
+def test_cluster_with_no_mass_keeps_its_centroid(monkeypatch):
+    """No fleet found in 20,000 small random ones empties a cluster, so slice 0's
+    cluster 1 is emptied by hand; slice 1 keeps the bytes of its own fit."""
+    rng = np.random.default_rng(24)
+    points = np.stack([replay_points(rng, 10, "uniform") for _ in range(2)])
+    (other,) = fcm_fit_stack(points[1:], 3, max_iter=1, seeds=(7,))
+    real = clustering._memberships_from_distances
+
+    def emptied(dist, m):
+        mu = real(dist, m)
+        mu[0, :, 1] = 0.0
+        return mu
+
+    monkeypatch.setattr(clustering, "_memberships_from_distances", emptied)
+    got = fcm_fit_stack(points, 3, max_iter=1, seeds=(3, 7))
+    seeded = reference_farthest_point_init(points[0], 3, ResourceWeights(), 3)
+    assert got[0].centroids[1].tobytes() == seeded[1].tobytes()
+    assert np.isfinite(got[0].centroids).all()
+    assert partition_bytes(got[1]) == partition_bytes(other)
