@@ -77,8 +77,10 @@ class CsvSource:
     @cached_property
     def num_features(self) -> int:
         """Feature columns in the file's header: every column but the label; read once."""
-        with Path(self.path).open(newline="") as fh:
-            return len(next(csv.reader(fh), [])) - 1
+        with Path(self.path).open(newline="", encoding="utf-8-sig") as fh:
+            for header in csv.reader(fh):
+                return len(header) - 1
+        raise ValueError(f"{self.path} is empty")
 
     def load(self) -> LabeledBatch:
         return load_csv(self.path, self.label_column, self.num_classes)
@@ -199,7 +201,7 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -209,6 +211,9 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
             raise ValueError(
                 f"label column {label_column!r} not in header {header}"
             )
+        if header.count(label_column) > 1:  # a second one would be read as a feature
+            named = [i for i, name in enumerate(header) if name == label_column]
+            raise ValueError(f"label column {label_column!r} is at positions {named} of {header}")
         label_idx = header.index(label_column)
         feature_idx = [i for i in range(len(header)) if i != label_idx]
         if not feature_idx:
@@ -344,10 +349,12 @@ def _fill(chunks: Iterable[np.ndarray], labels: np.ndarray,
     dest = np.full(len(labels), len(src))  # a row that no part takes lands in a spare last row
     dest[src] = at  # one place per row; its other copies are filled after
     lo, hi, start = np.inf, -np.inf, 0
-    for chunk in chunks:
+    for chunk in map(np.ascontiguousarray, chunks):  # C order, so a row views as one element
         features = _mapped(len(src) + 1, chunk.shape[1]) if start == 0 else features
-        lo, hi = np.minimum(lo, chunk.min(axis=0)), np.maximum(hi, chunk.max(axis=0))
-        features[dest[start:start + len(chunk)]] = chunk
+        row = np.dtype((np.void, 8 * chunk.shape[1]))
+        chunk_lo, chunk_hi = _bounds(chunk)
+        lo, hi = np.minimum(lo, chunk_lo), np.maximum(hi, chunk_hi)
+        np.put(features.view(row), dest[start:start + len(chunk)], chunk.view(row))
         start += len(chunk)
     copies = np.flatnonzero(dest[src] != at)
     features[copies] = features[dest[src[copies]]]
@@ -357,6 +364,19 @@ def _fill(chunks: Iterable[np.ndarray], labels: np.ndarray,
     pieces = iter(zip(np.split(minmax_scale_in_place(features[:-1], lo, hi), cuts),
                       np.split(labels.take(src), cuts)))
     return [None if part is None else LabeledBatch._gathered(*next(pieces)) for part in parts]
+
+
+def _bounds(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chunk.min(axis=0) and chunk.max(axis=0), bit for bit. numpy reduces one d-wide row at a
+    time, so fold each 64 rows into one row first, then reduce the 64 partials and the rest.
+    Only a +0.0/-0.0 tie goes by position, so a chunk with a zero bound is reduced plainly."""
+    folded = chunk[:len(chunk) // 64 * 64].reshape(-1, 64 * chunk.shape[1])
+    lo, hi = (op.reduce(np.vstack([op.reduce(folded, initial=edge).reshape(64, -1),
+                                   chunk[64 * len(folded):]]))
+              for op, edge in ((np.minimum, np.inf), (np.maximum, -np.inf)))
+    if (lo == 0.0).any() or (hi == 0.0).any():
+        return chunk.min(axis=0), chunk.max(axis=0)
+    return lo, hi
 
 
 def _mapped(rows: int, width: int) -> np.ndarray:

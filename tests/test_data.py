@@ -16,14 +16,16 @@ from cfhfc import (
     ModelParams,
     SyntheticSource,
     TrainConfig,
+    build_scenario,
     generate_synthetic,
     load_csv,
     local_train,
     materialize_clients,
     predict_proba,
+    simulate_latency,
 )
-from cfhfc.clustering import minmax_scale
-from cfhfc.data import CHUNK_ROWS, _client_parts, _dirichlet_rows, _fill, _shard_rows
+from cfhfc.clustering import minmax_scale, minmax_scale_in_place
+from cfhfc.data import CHUNK_ROWS, _bounds, _client_parts, _dirichlet_rows, _fill, _shard_rows
 
 FIT_CFG = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=5,
                       dropout_rate=0.0)
@@ -138,6 +140,19 @@ class TestLoadCsv:
         path = self.write(tmp_path, "f1,label\n0.1,0\n0.2,5\n")
         with pytest.raises(ValueError, match="label"):
             load_csv(path, "label", num_classes=2)
+
+    def test_label_column_named_twice_rejected(self, tmp_path):
+        # the second label column would otherwise be read, and trained on, as a feature
+        path = self.write(tmp_path, "label,f1,label\n0,0.1,0\n1,0.2,1\n")
+        with pytest.raises(ValueError, match=r"'label' is at positions \[0, 2\]"):
+            load_csv(path, "label", num_classes=2)
+
+    def test_byte_order_mark_before_a_leading_label(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefflabel,f1,f2\nb,0.0,4.0\na,1.0,2.0\n".encode("utf-8"))
+        data = load_csv(path, "label", num_classes=2)
+        np.testing.assert_array_equal(data.labels, [0, 1])
+        np.testing.assert_array_equal(data.features, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def synthetic_spec(n_per_class, num_classes, seed, partition="dirichlet", **fields):
@@ -785,6 +800,109 @@ class TestReferenceReplay:
             assert_batches_equal(got[1], want[1])
 
 
+    # the fill as first streamed (ref_fill) bounded each chunk by chunk.min(axis=0) and
+    # chunk.max(axis=0) and scattered it by fancy row indexing; ours folds 64 rows per pass
+    # and moves whole rows as void elements, so every chunk length around 64 must match it
+    @pytest.mark.parametrize("num_features", [1, 3, 20])
+    @pytest.mark.parametrize("chunk_rows", [63, 64, 65, 200])
+    def test_materialize_clients_matches_the_first_streamed_fill(self, monkeypatch, chunk_rows,
+                                                                 num_features):
+        monkeypatch.setattr("cfhfc.data.CHUNK_ROWS", chunk_rows)
+        spec = DatasetSpec(source=SyntheticSource(num_classes=3, num_features=num_features,
+                                                  samples_per_class=70),
+                           concentration=0.4, calibration_fraction=0.2, holdout_fraction=0.2,
+                           seed=5)
+        assert_fills_match(monkeypatch, lambda: materialize_clients(spec, 6, 12))
+
+    @pytest.mark.parametrize("partition", ["dirichlet", "by_class_shards"])
+    def test_fortran_ordered_csv_batch(self, monkeypatch, tmp_path, partition):
+        rng = np.random.default_rng(14)
+        rows = [f"{a:.6f},{b:.6f},{c:.6f},{k}"
+                for a, b, c, k in zip(*rng.random((3, 90)), rng.integers(0, 2, 90))]
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(["f1,f2,f3,label", *rows]) + "\n")
+        spec = DatasetSpec(source=CsvSource(path=str(path)), partition=partition, seed=4)
+        loaded = spec.source.load()
+        fortran = LabeledBatch(np.asfortranarray(loaded.features), loaded.labels)
+        assert not fortran.features.flags.c_contiguous
+        assert_fills_match(monkeypatch, lambda: materialize_clients(spec, 3, 6, loaded=fortran))
+
+    def test_signed_zero_bounds(self):
+        # 130 rows, so two 64-row folds and a remainder. Columns 0 and 1 have their minimum at
+        # -0.0 and +0.0 in both orders, and columns 2 and 3 their maximum; rows 10 and 70 fold
+        # in the order 70, 10, so an unguarded fold breaks their tie the other way
+        chunk = np.random.default_rng(15).uniform(1.0, 2.0, (130, 4))
+        chunk[:, 2:] *= -1.0
+        for column, first in ((0, -0.0), (1, 0.0), (2, 0.0), (3, -0.0)):
+            chunk[[10, 70], column] = first, -first
+        tail = chunk.copy()
+        tail[[10, 70, 129], :] = tail[[70, 129, 10], :]  # a tie between a fold and the rest
+        chunks = [chunk, tail, chunk[::-1].copy()]
+        for part in chunks:
+            for got, want in zip(_bounds(part), (part.min(axis=0), part.max(axis=0))):
+                assert got.tobytes() == want.tobytes()
+        labels = np.zeros(sum(map(len, chunks)), dtype=np.int64)
+        parts = [None, *np.array_split(np.random.default_rng(16).permutation(len(labels)), 3)]
+        assert_batches_identical(_fill(iter(chunks), labels, parts),
+                                 ref_fill(iter(chunks), labels, parts))
+
+    @pytest.mark.parametrize("row", [5, 129])  # in a 64-row fold, and in the remainder
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chunk_rejected(self, row, value):
+        chunks = [np.random.default_rng(17).random((130, 3)) for _ in range(2)]
+        chunks[1][row, 1] = value
+        labels = np.zeros(260, dtype=np.int64)
+        for fill in (_fill, ref_fill):
+            with pytest.raises(ValueError, match="features must be finite"):
+                fill(iter(chunks), labels, [np.arange(260)])
+
+
+def ref_fill(chunks, labels, parts):
+    """_fill as first streamed: per-chunk column bounds and a fancy row scatter."""
+    src = np.concatenate([part for part in parts if part is not None])
+    at = np.arange(len(src))
+    dest = np.full(len(labels), len(src))
+    dest[src] = at
+    lo, hi, start = np.inf, -np.inf, 0
+    for chunk in chunks:
+        features = np.empty((len(src) + 1, chunk.shape[1])) if start == 0 else features
+        lo, hi = np.minimum(lo, chunk.min(axis=0)), np.maximum(hi, chunk.max(axis=0))
+        features[dest[start:start + len(chunk)]] = chunk
+        start += len(chunk)
+    copies = np.flatnonzero(dest[src] != at)
+    features[copies] = features[dest[src[copies]]]
+    if not np.isfinite(hi - lo).all():
+        raise ValueError("features must be finite")
+    scaled, out = minmax_scale_in_place(features[:-1], lo, hi), []
+    for part in parts:
+        out.append(None if part is None else LabeledBatch(scaled[:len(part)], labels[part]))
+        scaled = scaled[0 if part is None else len(part):]
+    return out
+
+
+def assert_batches_identical(got, want):
+    """The same batches, down to every double's bits (signed zeros included)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.features.shape == w.features.shape
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
+
+
+def assert_fills_match(monkeypatch, call):
+    """call()'s clients and holdout, byte for byte against the same call through ref_fill."""
+    batches = []
+    for fill in (_fill, ref_fill):
+        monkeypatch.setattr("cfhfc.data._fill", fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # top-ups
+            clients, holdout = call()
+        batches.append([holdout, *(b for c in clients for b in (c.train, c.calibration))])
+    assert_batches_identical(*batches)
+
+
 def test_materialize_clients_never_holds_the_pool_beside_the_clients(monkeypatch):
     """Set-up peaks well below the pool plus the clients' copies of it (over 2x what it
     returns): the clients' matrix is filled one chunk at a time. tracemalloc sees no mmap,
@@ -828,3 +946,19 @@ class TestCsvHeader:
         for _ in range(2):
             with pytest.raises(FileNotFoundError, match="No such file or directory: .*absent.csv"):
                 source.num_features
+
+    def test_byte_order_mark_is_not_read_into_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefflabel,f1,f2\n0,0.1,0.2\n".encode("utf-8"))
+        assert CsvSource(path=str(path)).num_features == 2
+
+    def test_empty_file_fails_like_load_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        scenario = build_scenario("scenario1", dataset=DatasetSpec(source=CsvSource(str(path))))
+        with pytest.raises(ValueError, match="empty.csv is empty"):
+            load_csv(path, "label", num_classes=2)
+        with pytest.raises(ValueError, match="empty.csv is empty"):
+            CsvSource(path=str(path)).num_features
+        with pytest.raises(ValueError, match="empty.csv is empty"):  # not a zero-parameter bill
+            simulate_latency(scenario, np.full(scenario.num_clients, 100))
