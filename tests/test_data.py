@@ -799,7 +799,6 @@ class TestReferenceReplay:
             assert_clients_equal(got[0], want[0])
             assert_batches_equal(got[1], want[1])
 
-
     # the fill as first streamed (ref_fill) bounded each chunk by chunk.min(axis=0) and
     # chunk.max(axis=0) and scattered it by fancy row indexing; ours folds 64 rows per pass
     # and moves whole rows as void elements, so every chunk length around 64 must match it
@@ -947,10 +946,11 @@ class TestCsvHeader:
             with pytest.raises(FileNotFoundError, match="No such file or directory: .*absent.csv"):
                 source.num_features
 
-    def test_byte_order_mark_is_not_read_into_the_header(self, tmp_path):
+    def test_byte_order_mark_read_alike_by_both_readers(self, tmp_path):
         path = tmp_path / "bom.csv"
-        path.write_bytes("\ufefflabel,f1,f2\n0,0.1,0.2\n".encode("utf-8"))
-        assert CsvSource(path=str(path)).num_features == 2
+        path.write_bytes("\ufefflabel,f1,f2\n0,0.1,0.2\n1,0.3,0.4\n".encode("utf-8"))
+        source = CsvSource(path=str(path))
+        assert source.num_features == source.load().features.shape[1] == 2
 
     def test_empty_file_fails_like_load_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
