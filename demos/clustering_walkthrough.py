@@ -12,13 +12,8 @@ Run: python3 demos/clustering_walkthrough.py
 
 import numpy as np
 
-from cfhfc import (
-    ARCHETYPES,
-    clusters_for_clients,
-    fcm_fit,
-    normalize_profiles,
-)
-from cfhfc.clustering import HardwareProfile
+from cfhfc import ARCHETYPES, clusters_for_clients, fcm_fit
+from cfhfc.clustering import minmax_scale
 
 
 def main():
@@ -26,30 +21,27 @@ def main():
 
     # Four devices of each archetype, with mild manufacturing spread so no
     # two profiles coincide. The middle archetype is the interesting one:
-    # its compute sits between the other two.
-    fleet = []
+    # its compute sits between the other two. The fleet is one (n, 3) matrix
+    # of (cpu GHz, memory GB, bandwidth Mbps) rows, as in the simulator.
+    rows = []
     names = []
     for archetype in ("pi3", "pi4", "pi400"):
-        base = HardwareProfile(*ARCHETYPES[archetype])
+        cpu, memory, bandwidth = ARCHETYPES[archetype]
         for i in range(4):
-            fleet.append(
-                HardwareProfile(
-                    cpu_ghz=base.cpu_ghz * float(rng.uniform(0.95, 1.05)),
-                    memory_gb=base.memory_gb,
-                    bandwidth_mbps=base.bandwidth_mbps * float(rng.uniform(0.9, 1.1)),
-                )
-            )
+            rows.append((cpu * rng.uniform(0.95, 1.05), memory,
+                         bandwidth * rng.uniform(0.9, 1.1)))
             names.append(f"{archetype}-{i}")
+    fleet = np.array(rows)
 
     print(f"fleet of {len(fleet)} devices")
-    for name, p in zip(names, fleet):
-        print(f"  {name:9s} cpu {p.cpu_ghz:.2f} GHz, ram {p.memory_gb:.1f} GB, "
-              f"bw {p.bandwidth_mbps:5.1f} Mbps")
+    for name, (cpu, memory, bandwidth) in zip(names, fleet):
+        print(f"  {name:9s} cpu {cpu:.2f} GHz, ram {memory:.1f} GB, "
+              f"bw {bandwidth:5.1f} Mbps")
 
     # Profiles are min-max scaled per axis before clustering so that GHz,
     # GB and Mbps are comparable. The cluster count follows the same rule
     # the simulator uses for a fleet this size.
-    normalized = normalize_profiles(fleet)
+    normalized = minmax_scale(fleet)
     k = clusters_for_clients(len(fleet))
     partition = fcm_fit(normalized, num_clusters=k, seed=0)
 
@@ -67,14 +59,9 @@ def main():
 
     # Show why soft membership matters: nudge one pi4 toward pi3 territory
     # and watch its weight split instead of flipping.
-    borderline = list(fleet)
-    base3, base4 = HardwareProfile(*ARCHETYPES["pi3"]), HardwareProfile(*ARCHETYPES["pi4"])
-    borderline[4] = HardwareProfile(
-        cpu_ghz=0.5 * (base3.cpu_ghz + base4.cpu_ghz),
-        memory_gb=0.5 * (base3.memory_gb + base4.memory_gb),
-        bandwidth_mbps=0.5 * (base3.bandwidth_mbps + base4.bandwidth_mbps),
-    )
-    part2 = fcm_fit(normalize_profiles(borderline), num_clusters=k, seed=0)
+    borderline = fleet.copy()
+    borderline[4] = 0.5 * (np.array(ARCHETYPES["pi3"]) + np.array(ARCHETYPES["pi4"]))
+    part2 = fcm_fit(minmax_scale(borderline), num_clusters=k, seed=0)
     row = part2.memberships[4]
     print(f"\nafter moving {names[4]} halfway between the pi3 and pi4 archetypes,")
     print("its membership row becomes "

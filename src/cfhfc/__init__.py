@@ -29,10 +29,8 @@ from .calibration import (
 )
 from .clustering import (
     FuzzyPartition,
-    HardwareProfile,
     ResourceWeights,
     fcm_fit,
-    normalize_profiles,
 )
 from .data import (
     ClientDataset,

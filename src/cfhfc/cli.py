@@ -252,15 +252,22 @@ def _final_summary(scenario: Scenario, reports: list[RoundReport], points):
     }
 
 
-def _check_rounds(scenario: Scenario) -> None:
+def _check_inputs(scenario: Scenario) -> None:
+    """The config errors found before any artifact is written: no rounds, or a CSV source
+    whose header load_csv would refuse."""
     if scenario.rounds < 1:
         raise ConfigError(f"rounds must be >= 1 to write artifacts, got {scenario.rounds}")
+    if isinstance(scenario.dataset.source, CsvSource):
+        try:
+            scenario.dataset.source.num_features
+        except ValueError as exc:
+            raise ConfigError(f"dataset.source: {exc}") from exc
 
 
 def cmd_run(scenario: Scenario, out_dir: str | Path) -> int:
     """Train one method and persist rounds.csv, summary.json, config, model and,
     with a holdout, the final model's roc_sweep.csv, confusion.csv and summary.txt."""
-    _check_rounds(scenario)
+    _check_inputs(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports, state = run_training(scenario, return_state=True)
@@ -312,7 +319,7 @@ def cmd_compare(scenario: Scenario, methods: list[str], out_dir: str | Path) -> 
             raise ConfigError(f"unknown method {m!r}")
         if methods.count(m) > 1:
             raise ConfigError(f"method {m!r} is given more than once")
-    _check_rounds(scenario)
+    _check_inputs(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source = scenario.dataset.source

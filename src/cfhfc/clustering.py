@@ -14,32 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "HardwareProfile",
     "ResourceWeights",
     "FuzzyPartition",
     "minmax_scale",
-    "normalize_profiles",
     "fcm_fit",
     "fcm_fit_stack",
 ]
-
-
-@dataclass
-class HardwareProfile:
-    """Raw device capabilities of one device."""
-
-    cpu_ghz: float
-    memory_gb: float
-    bandwidth_mbps: float
-
-    def __post_init__(self) -> None:
-        for name in ("cpu_ghz", "memory_gb", "bandwidth_mbps"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def raw(self) -> np.ndarray:
-        return np.array([self.cpu_ghz, self.memory_gb, self.bandwidth_mbps])
 
 
 @dataclass
@@ -90,18 +70,6 @@ def minmax_scale_in_place(values: np.ndarray, lo=None, hi=None) -> np.ndarray:
     values /= np.where(constant, 1.0, span)
     values[:, constant] = 0.5
     return values
-
-
-def normalize_profiles(profiles: list[HardwareProfile]) -> np.ndarray:
-    """Min-max normalize each capability axis across the population.
-
-    Returns the (n, 3) matrix of normalized capabilities, one row per
-    profile. A degenerate axis (all devices equal) maps to 0.5 for every
-    device.
-    """
-    if len(profiles) < 2:
-        raise ValueError(f"need at least two profiles to normalize, got {len(profiles)}")
-    return minmax_scale(np.stack([p.raw() for p in profiles]))
 
 
 def _weighted_norm(

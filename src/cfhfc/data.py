@@ -76,11 +76,11 @@ class CsvSource:
 
     @cached_property
     def num_features(self) -> int:
-        """Feature columns in the file's header: every column but the label; read once."""
-        with Path(self.path).open(newline="", encoding="utf-8-sig") as fh:
-            for header in csv.reader(fh):
-                return len(header) - 1
-        raise ValueError(f"{self.path} is empty")
+        """Feature columns in the file's header: every column but the label; read once and
+        checked as load_csv checks it."""
+        path = Path(self.path)
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            return len(_header(csv.reader(fh), path, self.label_column)) - 1
 
     def load(self) -> LabeledBatch:
         return load_csv(self.path, self.label_column, self.num_classes)
@@ -188,6 +188,22 @@ def _synthetic_chunks(source: SyntheticSource, seed: int) -> Iterator[np.ndarray
         yield chunk
 
 
+def _header(reader: Iterator[list[str]], path: Path, label_column: str) -> list[str]:
+    """The reader's header row, once it names label_column exactly once and one feature column
+    or more; a ValueError otherwise, and on an empty file."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path} is empty")
+    if label_column not in header:
+        raise ValueError(f"label column {label_column!r} not in header {header}")
+    if header.count(label_column) > 1:  # a second one would be read as a feature
+        named = [i for i, name in enumerate(header) if name == label_column]
+        raise ValueError(f"label column {label_column!r} is at positions {named} of {header}")
+    if len(header) < 2:
+        raise ValueError(f"{path} has no feature columns")
+    return header
+
+
 def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBatch:
     """Read a labeled CSV into a scaled batch.
 
@@ -203,21 +219,9 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
         raise FileNotFoundError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        if label_column not in header:
-            raise ValueError(
-                f"label column {label_column!r} not in header {header}"
-            )
-        if header.count(label_column) > 1:  # a second one would be read as a feature
-            named = [i for i, name in enumerate(header) if name == label_column]
-            raise ValueError(f"label column {label_column!r} is at positions {named} of {header}")
+        header = _header(reader, path, label_column)
         label_idx = header.index(label_column)
         feature_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feature_idx:
-            raise ValueError(f"{path} has no feature columns")
         rows: list[list[float]] = []
         raw_labels: list[str] = []
         bad_rows: list[int] = []

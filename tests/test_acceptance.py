@@ -35,13 +35,12 @@ from cfhfc import (
     gradient,
     local_train,
     loss,
-    normalize_profiles,
     predict_with_calibration,
     quantile,
     run_training,
     straggler_metrics,
 )
-from cfhfc.clustering import HardwareProfile
+from cfhfc.clustering import minmax_scale
 from cfhfc.cli import main
 from cfhfc.metrics import ConfusionCounts
 
@@ -118,11 +117,9 @@ def test_criterion_02_fcm_correctness():
     for trial in range(100):
         n = int(rng.integers(6, 51))
         k = int(rng.integers(1, 7))
-        profiles = normalize_profiles(
+        profiles = minmax_scale(
             [
-                HardwareProfile(float(rng.uniform(0.5, 3.0)),
-                                float(rng.uniform(0.5, 16.0)),
-                                float(rng.uniform(5.0, 200.0)))
+                (rng.uniform(0.5, 3.0), rng.uniform(0.5, 16.0), rng.uniform(5.0, 200.0))
                 for _ in range(n)
             ]
         )
@@ -132,11 +129,9 @@ def test_criterion_02_fcm_correctness():
         for prev, cur in zip(trace, trace[1:]):
             worst_rise = max(worst_rise, cur - prev)
 
-    slow = [HardwareProfile(1.0 + 0.01 * i, 1.0 + 0.02 * i, 10.0 + 0.1 * i)
-            for i in range(4)]
-    fast = [HardwareProfile(3.0 + 0.01 * i, 15.0 + 0.02 * i, 190.0 + 0.1 * i)
-            for i in range(4)]
-    part = fcm_fit(normalize_profiles(slow + fast), num_clusters=2)
+    slow = [(1.0 + 0.01 * i, 1.0 + 0.02 * i, 10.0 + 0.1 * i) for i in range(4)]
+    fast = [(3.0 + 0.01 * i, 15.0 + 0.02 * i, 190.0 + 0.1 * i) for i in range(4)]
+    part = fcm_fit(minmax_scale(slow + fast), num_clusters=2)
     dominant = float(part.memberships.max(axis=1).min())
 
     elapsed = time.perf_counter() - started

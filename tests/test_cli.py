@@ -258,6 +258,25 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"config error: {path} must be")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_bad_csv_header_is_config_error_before_any_output(self, tmp_path, capsys,
+                                                               command):
+        """A CSV header that load_csv refuses fails as a config error naming
+        dataset.source, before the output directory is made."""
+        path = tmp_path / "traffic.csv"
+        path.write_text("f1,f2,label\n0.1,0.2,0\n")  # CSV_CONFIG's label column is "class"
+        config = copy.deepcopy(CSV_CONFIG)
+        config["dataset"]["source"]["path"] = str(path)
+        config_file = tmp_path / "csv.json"
+        config_file.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset.source: label column 'class' not in header "
+            "['f1', 'f2', 'label']\n"
+        )
+        assert not out.exists()
+
     def test_more_shards_than_synthetic_rows_is_config_error(self, tmp_path, capsys):
         """A synthetic pool's size follows from the config, so it is checked there."""
         config = tmp_path / "shards.json"

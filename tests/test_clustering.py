@@ -1,4 +1,7 @@
-"""Tests for hardware profile normalization and fuzzy c-means clustering.
+"""Tests for capability-matrix scaling and fuzzy c-means clustering.
+
+A fleet is one (n, 3) float64 matrix of (cpu GHz, memory GB, bandwidth Mbps)
+rows, scaled per axis with minmax_scale before the fit.
 
 The FCM checks validate the converged partition against the alternating
 optimality conditions recomputed in-test, rather than trusting the library's
@@ -13,10 +16,8 @@ import pytest
 
 from cfhfc import (
     FuzzyPartition,
-    HardwareProfile,
     ResourceWeights,
     fcm_fit,
-    normalize_profiles,
 )
 from cfhfc import clustering
 from cfhfc.clustering import (
@@ -30,14 +31,13 @@ SQRT_03 = 0.5477225575051661  # sqrt(0.3), the cpu-axis unit distance
 
 
 def random_profiles(rng, n):
-    return [
-        HardwareProfile(
-            cpu_ghz=float(rng.uniform(0.5, 3.0)),
-            memory_gb=float(rng.uniform(0.5, 16.0)),
-            bandwidth_mbps=float(rng.uniform(5.0, 200.0)),
-        )
-        for _ in range(n)
-    ]
+    """An (n, 3) raw capability matrix, drawn device by device (cpu, memory, bandwidth)."""
+    return np.array(
+        [
+            (rng.uniform(0.5, 3.0), rng.uniform(0.5, 16.0), rng.uniform(5.0, 200.0))
+            for _ in range(n)
+        ]
+    )
 
 
 def membership_oracle(points, centroids, m, w):
@@ -57,27 +57,18 @@ def membership_oracle(points, centroids, m, w):
 
 class TestNormalization:
     def test_linear_scaling_per_axis(self):
-        profiles = [
-            HardwareProfile(1.2, 1.0, 20.0),
-            HardwareProfile(1.5, 4.0, 50.0),
-            HardwareProfile(1.8, 8.0, 100.0),
-        ]
-        normed = normalize_profiles(profiles)
+        profiles = np.array([[1.2, 1.0, 20.0], [1.5, 4.0, 50.0], [1.8, 8.0, 100.0]])
+        normed = minmax_scale(profiles)
         assert normed.shape == (3, 3)
         np.testing.assert_allclose(normed[:, 0], [0.0, 0.5, 1.0], atol=1e-12)
         np.testing.assert_allclose(normed[:, 1], [0.0, 3.0 / 7.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(normed[:, 2], [0.0, 0.375, 1.0], atol=1e-12)
 
     def test_constant_axis_maps_to_half(self):
-        profiles = [HardwareProfile(2.0, 4.0, 50.0), HardwareProfile(2.0, 8.0, 50.0)]
-        normed = normalize_profiles(profiles)
+        normed = minmax_scale(np.array([[2.0, 4.0, 50.0], [2.0, 8.0, 50.0]]))
         assert normed[0, 0] == 0.5
         assert normed[1, 0] == 0.5
         assert normed[0, 2] == 0.5
-
-    def test_requires_two_profiles(self):
-        with pytest.raises(ValueError, match="at least two"):
-            normalize_profiles([HardwareProfile(1.0, 2.0, 30.0)])
 
     def test_minmax_constant_column(self):
         column = np.array([[3.0], [3.0], [3.0]])
@@ -89,12 +80,6 @@ class TestNormalization:
         np.testing.assert_allclose(scaled[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
         np.testing.assert_array_equal(scaled[:, 1], 0.5)
         np.testing.assert_array_equal(data, [[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
-
-    def test_positive_raw_values_required(self):
-        with pytest.raises(ValueError, match="cpu_ghz"):
-            HardwareProfile(0.0, 2.0, 30.0)
-        with pytest.raises(ValueError, match="bandwidth_mbps"):
-            HardwareProfile(1.0, 2.0, -5.0)
 
 
 def norm(a, b, w):
@@ -169,16 +154,14 @@ class TestComputeMemberships:
 class TestFcmFit:
     def test_single_cluster_gets_full_membership(self):
         rng = np.random.default_rng(1)
-        profiles = normalize_profiles(random_profiles(rng, 8))
+        profiles = minmax_scale(random_profiles(rng, 8))
         part = fcm_fit(profiles, num_clusters=1)
         np.testing.assert_allclose(part.memberships, 1.0, atol=1e-12)
 
     def test_two_tight_groups_separate(self):
-        slow = [HardwareProfile(1.0 + 0.01 * i, 1.0 + 0.02 * i, 10.0 + 0.1 * i)
-                for i in range(4)]
-        fast = [HardwareProfile(3.0 + 0.01 * i, 15.0 + 0.02 * i, 190.0 + 0.1 * i)
-                for i in range(4)]
-        profiles = normalize_profiles(slow + fast)
+        slow = [(1.0 + 0.01 * i, 1.0 + 0.02 * i, 10.0 + 0.1 * i) for i in range(4)]
+        fast = [(3.0 + 0.01 * i, 15.0 + 0.02 * i, 190.0 + 0.1 * i) for i in range(4)]
+        profiles = minmax_scale(slow + fast)
         part = fcm_fit(profiles, num_clusters=2)
         groups = part.memberships.argmax(axis=1)
         assert len(set(groups[:4])) == 1
@@ -190,7 +173,7 @@ class TestFcmFit:
         """At the fixed point, memberships match the ratio formula for the
         final centroids and each centroid is the mu^m-weighted mean."""
         rng = np.random.default_rng(2)
-        points = normalize_profiles(random_profiles(rng, 20))
+        points = minmax_scale(random_profiles(rng, 20))
         w = ResourceWeights()
         part = fcm_fit(points, num_clusters=3, weights=w, max_iter=500)
 
@@ -207,7 +190,7 @@ class TestFcmFit:
                 )
 
     def test_identical_profiles_split_evenly(self):
-        profiles = normalize_profiles([HardwareProfile(2.0, 4.0, 50.0)] * 6)
+        profiles = minmax_scale(np.tile([2.0, 4.0, 50.0], (6, 1)))
         part = fcm_fit(profiles, num_clusters=2)
         np.testing.assert_allclose(part.memberships, 0.5, atol=1e-6)
 
@@ -218,7 +201,7 @@ class TestFcmFit:
         for trial in range(100):
             n = int(rng.integers(6, 51))
             k = int(rng.integers(1, 7))
-            profiles = normalize_profiles(random_profiles(rng, n))
+            profiles = minmax_scale(random_profiles(rng, n))
             part = fcm_fit(profiles, num_clusters=k, seed=trial)
             np.testing.assert_allclose(
                 part.memberships.sum(axis=1), 1.0, rtol=0, atol=1e-9
@@ -231,7 +214,7 @@ class TestFcmFit:
 
     def test_large_fuzzifier_flattens_memberships(self):
         rng = np.random.default_rng(4)
-        profiles = normalize_profiles(random_profiles(rng, 24))
+        profiles = minmax_scale(random_profiles(rng, 24))
         part = fcm_fit(profiles, num_clusters=4, fuzzifier=10.0)
         assert np.abs(part.memberships - 0.25).max() < 0.1
 
@@ -241,14 +224,14 @@ class TestFcmFit:
         rng = np.random.default_rng(5)
         profiles = random_profiles(rng, 12)
         perm = list(rng.permutation(12))
-        shuffled = [profiles[p] for p in perm]
+        shuffled = profiles[perm]
 
         seed = 3
         first_index = seed % 12
         mapped_seed = perm.index(first_index)
 
-        base = fcm_fit(normalize_profiles(profiles), 3, seed=seed)
-        moved = fcm_fit(normalize_profiles(shuffled), 3, seed=mapped_seed)
+        base = fcm_fit(minmax_scale(profiles), 3, seed=seed)
+        moved = fcm_fit(minmax_scale(shuffled), 3, seed=mapped_seed)
         np.testing.assert_allclose(
             moved.memberships, base.memberships[perm], atol=1e-6
         )
@@ -257,8 +240,8 @@ class TestFcmFit:
         rng = np.random.default_rng(6)
         raw = random_profiles(rng, 4)
         with pytest.raises(ValueError, match="not normalized"):
-            fcm_fit(np.stack([p.raw() for p in raw]), num_clusters=2)
-        profiles = normalize_profiles(raw)
+            fcm_fit(raw, num_clusters=2)
+        profiles = minmax_scale(raw)
         with pytest.raises(ValueError, match="cannot fill"):
             fcm_fit(profiles, num_clusters=5)
         for fuzzifier in (1.0, float("nan"), float("inf")):
@@ -272,13 +255,13 @@ class TestFcmFit:
                 fcm_fit(profiles, num_clusters=2, tol=tol)
 
     def test_rejects_matrix_without_three_columns(self):
-        points = normalize_profiles(random_profiles(np.random.default_rng(6), 4))
+        points = minmax_scale(random_profiles(np.random.default_rng(6), 4))
         with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
             fcm_fit(points[:, :2], num_clusters=2)
 
     def test_partition_reports_metadata(self):
         rng = np.random.default_rng(7)
-        profiles = normalize_profiles(random_profiles(rng, 10))
+        profiles = minmax_scale(random_profiles(rng, 10))
         part = fcm_fit(profiles, num_clusters=2, fuzzifier=2.5)
         assert isinstance(part, FuzzyPartition)
         assert part.fuzzifier == 2.5

@@ -952,6 +952,32 @@ class TestCsvHeader:
         source = CsvSource(path=str(path))
         assert source.num_features == source.load().features.shape[1] == 2
 
+    @pytest.mark.parametrize("header, message", [
+        ("f1,f2,target", r"label column 'label' not in header \['f1', 'f2', 'target'\]"),
+        ("label,f1,label", r"label column 'label' is at positions \[0, 2\] of "),
+        ("label", r"flows.csv has no feature columns"),
+    ])
+    def test_bad_header_fails_like_load_on_every_path(self, tmp_path, header, message):
+        """num_features and the latency-only bill, which read the header alone, refuse
+        what load() refuses, with its message."""
+        path = tmp_path / "flows.csv"
+        path.write_text(f"{header}\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+        with pytest.raises(ValueError, match=message) as loaded:
+            CsvSource(path=str(path)).load()
+        with pytest.raises(ValueError) as counted:
+            CsvSource(path=str(path)).num_features
+        source = CsvSource(path=str(path))
+        scenario = build_scenario("scenario1", dataset=DatasetSpec(source=source))
+        with pytest.raises(ValueError) as billed:
+            simulate_latency(scenario, np.full(scenario.num_clients, 100))
+        assert str(counted.value) == str(billed.value) == str(loaded.value)
+
+    def test_good_header_counts_what_load_reads(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text("f1,label,f2,f3\n0.1,0,0.2,0.3\n0.4,1,0.5,0.6\n")
+        source = CsvSource(path=str(path))
+        assert source.num_features == source.load().features.shape[1] == 3
+
     def test_empty_file_fails_like_load_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
