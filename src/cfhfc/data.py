@@ -19,10 +19,11 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .clustering import minmax_scale_in_place
+from .clustering import _by_row, minmax_scale_in_place
 from .model import LabeledBatch
 
 __all__ = [
@@ -79,7 +80,7 @@ class CsvSource:
         """Feature columns in the file's header: every column but the label; read once and
         checked as load_csv checks it."""
         path = Path(self.path)
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        with _open(path) as fh:
             return len(_header(csv.reader(fh), path, self.label_column)) - 1
 
     def load(self) -> LabeledBatch:
@@ -184,8 +185,16 @@ def _synthetic_chunks(source: SyntheticSource, seed: int) -> Iterator[np.ndarray
         chunk = buffer[:rows - start]
         rng.standard_normal(out=chunk)
         for cls in range(start // per_class, (start + len(chunk) - 1) // per_class + 1):
-            chunk[max(cls * per_class - start, 0):(cls + 1) * per_class - start] += centers[cls]
+            _by_row(np.add, chunk[max(cls * per_class - start, 0):(cls + 1) * per_class - start],
+                    centers[cls])
         yield chunk
+
+
+def _open(path: Path) -> TextIO:
+    """The CSV file at path, opened as both readers read it; -sig drops a byte-order mark."""
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    return path.open(newline="", encoding="utf-8-sig")
 
 
 def _header(reader: Iterator[list[str]], path: Path, label_column: str) -> list[str]:
@@ -215,9 +224,7 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
     column.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
+    with _open(path) as fh:
         reader = csv.reader(fh)
         header = _header(reader, path, label_column)
         label_idx = header.index(label_column)

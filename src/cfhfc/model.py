@@ -489,8 +489,9 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
     for who, same in itertools.groupby(runs, key=lambda run: run[0]):
         p, x, y = folded[who], xs[who], ys[who]
         groups = [(_Workspace(rows, grad[who], lr, num_models),
-                   [(x[..., j:j + rows, :], y[..., j:j + rows, None, :])
-                    for j in range(lo, hi, rows)])
+                   list(zip(x[lo:hi].reshape(-1, rows, cols - 1),
+                            y[lo:hi].reshape(-1, rows, 1, num_classes))) if x.ndim == 2 else
+                   [(x[:, j:j + rows], y[:, j:j + rows, None]) for j in range(lo, hi, rows)])
                   for _, lo, hi, rows in same]
         pulled = None if pull is None else p[..., -len(pull) :, :]
         calls.append((p[..., :-1], p[..., None, :, -1], groups, p, pulled))
@@ -546,13 +547,19 @@ def stack_train(models: list[ModelParams], anchors: list[ModelParams | None],
     """Every model trained on every client: out[c][i] has the bytes of local_train (anchors[i]
     None) or prox_local_train of models[i] on batches[c] with seeds[c]. A client's models share
     each epoch's shuffle, gathers and dropout draw; clients train largest first, one _sgd call
-    per group of at most _GROUP_ROWS padded rows. Bad input fails before any group trains."""
+    per group of at most _GROUP_ROWS padded rows. Bad input fails before any group trains.
+    Each distinct (model, anchor) pair, equal bit for bit (so 0.0 and -0.0 differ), trains
+    once, and every entry with its key shares the one read-only result."""
     if not models:
         raise ValueError("stack_train needs at least one model")
     if len(batches) != len(seeds):
         raise ValueError(f"{len(batches)} client batches but {len(seeds)} seeds")
     _check_stack(models, anchors, batches)
-    order = sorted(range(len(models)), key=lambda i: anchors[i] is not None)
+    keys = [(m.weights.tobytes(), m.biases.tobytes(),
+             None if a is None else (a.weights.tobytes(), a.biases.tobytes()))
+            for m, a in zip(models, anchors)]
+    first = {key: keys.index(key) for key in keys}  # each distinct pair's first entry
+    order = sorted(first.values(), key=lambda i: anchors[i] is not None)
     stack = np.stack([_block(models[i]) for i in order])
     anchored = [_block(anchors[i]) for i in order if anchors[i] is not None]
     anchored = np.stack(anchored) if anchored else None
@@ -564,5 +571,6 @@ def stack_train(models: list[ModelParams], anchors: list[ModelParams | None],
         stacks = _sgd(np.repeat(stack[None], len(group), axis=0), anchored,
                       [batches[c] for c in group], cfg, [seeds[c] for c in group])
         for c, client in zip(group, stacks):
-            trained[c] = [_trained(client[order.index(i)]) for i in range(len(models))]
+            slots = {i: _trained(block) for i, block in zip(order, client)}
+            trained[c] = [slots[first[key]] for key in keys]
     return trained

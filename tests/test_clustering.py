@@ -81,6 +81,20 @@ class TestNormalization:
         np.testing.assert_array_equal(scaled[:, 1], 0.5)
         np.testing.assert_array_equal(data, [[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1023, 1024, 1100, 4133])
+    def test_long_matrix_matches_plain_broadcast_bytes(self, rows, order):
+        """From 1,024 rows a C-ordered matrix is scaled 64 rows at a time, as one wide row;
+        every double is (values - lo) / span's, in either memory order."""
+        rng = np.random.default_rng(rows)
+        values = np.asarray(rng.normal(size=(rows, 5)), order=order)
+        values[::3, 1] = values[:, 1].min()  # a zero after the subtract, on many rows
+        values[:, 4] = 2.0  # a constant column
+        lo, hi = values.min(axis=0), values.max(axis=0)
+        want = (values - lo) / np.where(hi == lo, 1.0, hi - lo)
+        want[:, 4] = 0.5
+        assert clustering.minmax_scale_in_place(values).tobytes() == want.tobytes()
+
 
 def norm(a, b, w):
     """The fit's weighted distance between capability triples, for one weighting."""

@@ -593,6 +593,19 @@ def assert_stack_matches_single_calls(models, anchors, batch, cfg, seed=5):
     assert_clients_match_single_calls(models, anchors, [batch], cfg, [seed])
 
 
+def recorded_slots(monkeypatch) -> list[int]:
+    """The model slots (params.shape[1]) of each model._sgd call from here on, in call order."""
+    calls = []
+    real = model_module._sgd
+
+    def recording(params, anchors, batches, cfg, seeds):
+        calls.append(params.shape[1])
+        return real(params, anchors, batches, cfg, seeds)
+
+    monkeypatch.setattr(model_module, "_sgd", recording)
+    return calls
+
+
 # which stack entries are plain (None) and which have an anchor (its index)
 STACKS = [(None, 0), (0, None), (None, 0, None, 1), (0, None, 1, None, None),
           (None, None), (0, 1), (None,), (0,)]
@@ -793,6 +806,54 @@ class TestStackTrain:
             stack_train([model, model], [model], batches, cfg, [0, 1])
         with pytest.raises(ValueError, match="1 models but 2 anchors"):
             stack_train([model], [None, model], batches, cfg, [0, 1])
+
+
+    @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    def test_repeated_pairs_train_once(self, dropout_rate, proximal_coeff, monkeypatch):
+        """An entry whose (model, anchor) pair equals an earlier entry's bit for bit shares
+        that entry's result: each _sgd call gets one model slot per distinct pair, and every
+        entry still has the bytes of its own local_train or prox_local_train call."""
+        slots = recorded_slots(monkeypatch)
+        monkeypatch.setattr(model_module, "_GROUP_ROWS", 1024)  # three groups
+        rng = np.random.default_rng(37)
+        m, m2, a = (random_model(rng, 3, 6) for _ in range(3))
+        batches, seeds = self.clients(rng, 3)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=2,
+                          dropout_rate=dropout_rate, proximal_coeff=proximal_coeff)
+        for models, anchors, shared in (
+            ([m, m, m], [None, a, a], [(1, 2)]),
+            ([m, m2, m], [a, a, a], [(0, 2)]),
+            ([m, m.copy(), m2], [a, a.copy(), None], [(0, 1)]),  # equal copies are one pair
+            ([m, m, m2], [None, a, a], []),  # all distinct: every model in its own slot
+        ):
+            slots.clear()
+            stacked = stack_train(models, anchors, batches, cfg, seeds)
+            assert slots == [len(models) - len(shared)] * 3
+            assert_clients_match_single_calls(models, anchors, batches, cfg, seeds)
+            for trained in stacked:
+                assert all(trained[i] is trained[j] for i, j in shared)
+                assert len({id(t) for t in trained}) == len(models) - len(shared)
+
+    def test_pairs_apart_by_a_signed_zero_train_apart(self, monkeypatch):
+        """0.0 and -0.0 compare equal but are other bytes, so pairs that differ only there,
+        in the model or in the anchor, are not merged."""
+        slots = recorded_slots(monkeypatch)
+        rng = np.random.default_rng(41)
+        model = random_model(rng, 3, 6)
+        model.weights[0, 0] = 0.0
+        negative = model.copy()
+        negative.weights[0, 0] = -0.0
+        zero = ModelParams.zeros(3, 6)
+        batch = random_batch(rng, 21, 6, 3)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=2, proximal_coeff=0.6)
+        for models, anchors in (([model, negative], [None, None]),
+                                ([model, model], [zero, ModelParams(-zero.weights, -zero.biases)])):
+            slots.clear()
+            trained = stack_train(models, anchors, [batch], cfg, [5])[0]
+            assert slots == [2]
+            assert trained[0] is not trained[1]
+            assert_clients_match_single_calls(models, anchors, [batch], cfg, [5])
 
 
 class TestValidation:

@@ -440,13 +440,16 @@ LOCKSTEP_SCENARIOS = {
 }
 
 
-def recorded_groups(monkeypatch) -> list[list[int]]:
-    """The client sizes of each model._sgd call from here on, in call order."""
+def recorded_groups(monkeypatch, slots: list[int] | None = None) -> list[list[int]]:
+    """The client sizes of each model._sgd call from here on, in call order; each call's
+    model slots (params.shape[1]) go to slots, if given."""
     calls = []
     real = model_module._sgd
 
     def recording(params, anchors, batches, cfg, seeds):
         calls.append([len(b) for b in batches])
+        if slots is not None:
+            slots.append(params.shape[1])
         return real(params, anchors, batches, cfg, seeds)
 
     monkeypatch.setattr(model_module, "_sgd", recording)
@@ -503,6 +506,22 @@ class TestLockstep:
         run_lockstep(states, 1)
         assert [len(group) for group in groups] == [3, 5, 11, 1]
         assert sum(groups, []) == sorted((len(c.train) for c in data[0]), reverse=True)
+
+    def test_scenario1_compare_trains_each_distinct_pair_once(self, monkeypatch):
+        """Every method starts from the zero model, so in round 0 fedprox's and cfhfc's
+        (zeros, zeros) pair trains once, beside fedavg's (zeros, None): 2 model slots; in
+        round 1 the three global models differ, and 3 train. The groups do not change."""
+        scenario = build_scenario("scenario1", seed=0)
+        scenario = replace(scenario, train_cfg=replace(scenario.train_cfg, local_epochs=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the top-up warning
+            data = materialize_scenario(scenario)
+        states = [init_state(replace(scenario, method=m), data) for m in METHODS]
+        slots: list[int] = []
+        groups = recorded_groups(monkeypatch, slots)
+        run_lockstep(states, 2)
+        assert [len(group) for group in groups] == [3, 5, 11, 1] * 2
+        assert slots == [2] * 4 + [3] * 4
 
     def test_continues_states_a_round_at_a_time(self, small_groups):
         scenario = LOCKSTEP_SCENARIOS["six-clients"]()
