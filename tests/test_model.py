@@ -807,7 +807,6 @@ class TestStackTrain:
         with pytest.raises(ValueError, match="1 models but 2 anchors"):
             stack_train([model], [None, model], batches, cfg, [0, 1])
 
-
     @pytest.mark.parametrize("proximal_coeff", [0.0, 0.6])
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
     def test_repeated_pairs_train_once(self, dropout_rate, proximal_coeff, monkeypatch):
