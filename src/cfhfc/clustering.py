@@ -66,22 +66,25 @@ def minmax_scale_in_place(values: np.ndarray, lo=None, hi=None) -> np.ndarray:
     lo = values.min(axis=0) if lo is None else lo
     span = (values.max(axis=0) if hi is None else hi) - lo
     constant = span == 0.0
-    _by_row(np.subtract, values, lo)
-    _by_row(np.divide, values, np.where(constant, 1.0, span))
+    by_row(np.subtract, values, lo)
+    by_row(np.divide, values, np.where(constant, 1.0, span))
     values[:, constant] = 0.5
     return values
 
 
-def _by_row(op: np.ufunc, values: np.ndarray, row: np.ndarray) -> None:
-    """op(values, row, out=values), the same doubles: numpy loops once per d-wide row, so a
-    C-ordered matrix's whole 64-row blocks run as one (rows // 64, 64·d) view against row
-    tiled 64 times, then the rows left over. Below 1,024 rows the fold's fixed cost (about
-    3 us on a 2-core Xeon VM) outweighs the row loops it saves, so a fleet runs plainly."""
+def fold_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values' whole 64-row blocks as one (rows // 64, 64·d) matrix, and the rows left over,
+    views of a C-ordered values: numpy's inner loop then runs 64·d wide instead of d wide."""
+    head = len(values) // 64 * 64
+    return values[:head].reshape(-1, 64 * values.shape[1]), values[head:]
+
+
+def by_row(op: np.ufunc, values: np.ndarray, row: np.ndarray) -> None:
+    """op(values, row, out=values), the same doubles, folded from 1,024 C-ordered rows on;
+    below that the fold's fixed cost (about 3 us on a 2-core Xeon VM) outweighs its saving."""
     if len(values) >= 1024 and values.flags.c_contiguous:
-        head = len(values) // 64 * 64
-        folded = values[:head].reshape(head // 64, 64 * values.shape[1])
+        folded, values = fold_rows(values)
         op(folded, row[None].repeat(64, axis=0).ravel(), out=folded)
-        values = values[head:]
     op(values, row, out=values)
 
 

@@ -19,11 +19,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
-from .clustering import _by_row, minmax_scale_in_place
+from .clustering import by_row, fold_rows, minmax_scale_in_place
 from .model import LabeledBatch
 
 __all__ = [
@@ -80,7 +79,7 @@ class CsvSource:
         """Feature columns in the file's header: every column but the label; read once and
         checked as load_csv checks it."""
         path = Path(self.path)
-        with _open(path) as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             return len(_header(csv.reader(fh), path, self.label_column)) - 1
 
     def load(self) -> LabeledBatch:
@@ -185,16 +184,9 @@ def _synthetic_chunks(source: SyntheticSource, seed: int) -> Iterator[np.ndarray
         chunk = buffer[:rows - start]
         rng.standard_normal(out=chunk)
         for cls in range(start // per_class, (start + len(chunk) - 1) // per_class + 1):
-            _by_row(np.add, chunk[max(cls * per_class - start, 0):(cls + 1) * per_class - start],
-                    centers[cls])
+            by_row(np.add, chunk[max(cls * per_class - start, 0):(cls + 1) * per_class - start],
+                   centers[cls])
         yield chunk
-
-
-def _open(path: Path) -> TextIO:
-    """The CSV file at path, opened as both readers read it; -sig drops a byte-order mark."""
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return path.open(newline="", encoding="utf-8-sig")
 
 
 def _header(reader: Iterator[list[str]], path: Path, label_column: str) -> list[str]:
@@ -224,7 +216,7 @@ def load_csv(path: str | Path, label_column: str, num_classes: int) -> LabeledBa
     column.
     """
     path = Path(path)
-    with _open(path) as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
         reader = csv.reader(fh)
         header = _header(reader, path, label_column)
         label_idx = header.index(label_column)
@@ -381,9 +373,8 @@ def _bounds(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chunk.min(axis=0) and chunk.max(axis=0), bit for bit. numpy reduces one d-wide row at a
     time, so fold each 64 rows into one row first, then reduce the 64 partials and the rest.
     Only a +0.0/-0.0 tie goes by position, so a chunk with a zero bound is reduced plainly."""
-    folded = chunk[:len(chunk) // 64 * 64].reshape(-1, 64 * chunk.shape[1])
-    lo, hi = (op.reduce(np.vstack([op.reduce(folded, initial=edge).reshape(64, -1),
-                                   chunk[64 * len(folded):]]))
+    folded, rest = fold_rows(chunk)
+    lo, hi = (op.reduce(np.vstack([op.reduce(folded, initial=edge).reshape(64, -1), rest]))
               for op, edge in ((np.minimum, np.inf), (np.maximum, -np.inf)))
     if (lo == 0.0).any() or (hi == 0.0).any():
         return chunk.min(axis=0), chunk.max(axis=0)

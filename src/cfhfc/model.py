@@ -489,9 +489,8 @@ def _sgd(params: np.ndarray, anchors: np.ndarray | None, batches: list[LabeledBa
     for who, same in itertools.groupby(runs, key=lambda run: run[0]):
         p, x, y = folded[who], xs[who], ys[who]
         groups = [(_Workspace(rows, grad[who], lr, num_models),
-                   list(zip(x[lo:hi].reshape(-1, rows, cols - 1),
-                            y[lo:hi].reshape(-1, rows, 1, num_classes))) if x.ndim == 2 else
-                   [(x[:, j:j + rows], y[:, j:j + rows, None]) for j in range(lo, hi, rows)])
+                   [(x[..., j:j + rows, :], y[..., j:j + rows, None, :])
+                    for j in range(lo, hi, rows)])
                   for _, lo, hi, rows in same]
         pulled = None if pull is None else p[..., -len(pull) :, :]
         calls.append((p[..., :-1], p[..., None, :, -1], groups, p, pulled))

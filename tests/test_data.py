@@ -943,7 +943,7 @@ class TestCsvHeader:
     def test_missing_file_fails_on_every_read(self, tmp_path):
         source = CsvSource(path=str(tmp_path / "absent.csv"))
         for _ in range(2):
-            with pytest.raises(FileNotFoundError, match="no such file: .*absent.csv"):
+            with pytest.raises(FileNotFoundError, match="No such file or directory: .*absent.csv"):
                 source.num_features
 
     def test_byte_order_mark_read_alike_by_both_readers(self, tmp_path):
